@@ -4,11 +4,11 @@
 Scans an exhaustive space plus a seeded random space and prints a
 rule x axiom markdown matrix: `pass` when no violation was found, or
 `FAIL @ i` giving the first violating profile index.  Deterministic for a
-fixed seed and worker count.
+fixed seed.
 
 Usage:
     python3 scripts/axiom_audit.py
-    python3 scripts/axiom_audit.py --n 4 --m 5 --trials 2000 --seed 11 --jobs 4
+    python3 scripts/axiom_audit.py --n 4 --m 5 --trials 2000 --seed 11
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ ORDINAL_RULES = ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm")
 PROBABILISTIC_RULES = ("mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit")
 
 
-def audit(space, epsilon: Fraction, tol: float, jobs: int) -> list[str]:
+def audit(space, epsilon: Fraction, tol: float) -> list[str]:
     lines = []
     finite = EpsilonPolicy.finite(epsilon)
     rows: list[tuple[str, RuleKind, EpsilonPolicy, tuple[str, ...]]] = []
@@ -52,9 +52,7 @@ def audit(space, epsilon: Fraction, tol: float, jobs: int) -> list[str]:
             if axiom not in applicable:
                 cells.append("-")
                 continue
-            out = counterexample_search(
-                rule, axiom, space, tol=tol, epsilon_policy=policy, jobs=jobs
-            )
+            out = counterexample_search(rule, axiom, space, tol=tol, epsilon_policy=policy)
             cells.append(f"FAIL @ {out.index}" if out.found else f"pass ({out.examined})")
         lines.append(f"| {name} ({kind.value}) | " + " | ".join(cells) + " |")
     return lines
@@ -68,12 +66,11 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--epsilon", type=Fraction, default=Fraction(1, 100))
     ap.add_argument("--tol", type=float, default=1e-6)
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     print("## Exhaustive space: every 3-voter profile over 3 candidates (216)")
     print()
-    for line in audit(ExhaustiveComplete(3, 3), args.epsilon, args.tol, args.jobs):
+    for line in audit(ExhaustiveComplete(3, 3), args.epsilon, args.tol):
         print(line)
     print()
     print(
@@ -81,7 +78,7 @@ def main() -> None:
     )
     print()
     space = RandomComplete(args.n, args.m, args.trials, seed=args.seed)
-    for line in audit(space, args.epsilon, args.tol, args.jobs):
+    for line in audit(space, args.epsilon, args.tol):
         print(line)
     print()
     print(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping
@@ -19,12 +18,15 @@ from .distributions import ResponseDistribution
 from .errors import NotCompleteProfileError, SpaceTooLargeError
 from .gpmd import EpsilonPolicy, gpmd
 from .profiles import (
+    CandidateSet,
     PairwiseTally,
     PreferenceProfile,
     ProfileKind,
     Ranking,
     TiePolicy,
+    Voter,
     apply_permutation,
+    default_labels,
     generate_assumption1,
     generate_complete,
     profile_from_pairs,
@@ -32,7 +34,6 @@ from .profiles import (
     tally,
 )
 from .reward import (
-    SolverConfig,
     bt_embeddable,
     rank_by_scores,
     softmax,
@@ -42,7 +43,6 @@ from .reward import (
     weights_standard,
 )
 from .rules import (
-    TieBreak,
     borda_scores,
     condorcet_winner,
     copeland_scores,
@@ -52,6 +52,8 @@ from .rules import (
 )
 
 ENUMERATION_BOUND = 10**7
+# ridge of the regularized re-solve when a probabilistic MLE rule diverges
+RIDGE_FALLBACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -280,12 +282,12 @@ class RuleUnderTest:
 RULE_NAMES = ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit")
 
 
-def _mle_distribution(weights, config: SolverConfig | None, ridge_fallback: float):
-    solution = solve_mle(weights, config)
+def _mle_distribution(weights):
+    solution = solve_mle(weights)
     if not solution.converged:
         # boundary proportions push rewards to infinity; the regularized
         # solve pins a finite representative with the same ordering
-        solution = solve_mle(weights, config, ridge=ridge_fallback)
+        solution = solve_mle(weights, ridge=RIDGE_FALLBACK)
     return softmax(solution)
 
 
@@ -294,42 +296,30 @@ def make_rule(
     kind: RuleKind,
     *,
     tie_policy: TiePolicy = TiePolicy.HALF_POINT,
-    tie_break: TieBreak = TieBreak.GROUP_TIES,
     epsilon_policy: EpsilonPolicy | None = None,
-    solver_config: SolverConfig | None = None,
-    ridge_fallback: float = 1e-8,
 ) -> RuleUnderTest:
     """Construct a registry rule; raises ValueError for unsupported pairings.
 
-    Ordinal MLE rules route through the exact score shortcut (rank_by_scores),
-    the sanctioned path for axiom verdicts.  Probabilistic MLE rules softmax
-    the converged solve and fall back to an explicit ridge solve when the
-    plain MLE diverges.
+    Ordinal rules group equal scores into tie classes.  Ordinal MLE rules
+    route through the exact score shortcut (rank_by_scores), the sanctioned
+    path for axiom verdicts.  Probabilistic MLE rules softmax the converged
+    solve and fall back to a ridge solve (RIDGE_FALLBACK) when the plain MLE
+    diverges.
     """
     policy = epsilon_policy or EpsilonPolicy.finite()
     if kind is RuleKind.ORDINAL:
         table: dict[str, Callable] = {
-            "borda": lambda p: ranking_from_scores(borda_scores(tally(p)), tie_break),
-            "copeland": lambda p: ranking_from_scores(
-                copeland_scores(tally(p), tie_policy), tie_break
-            ),
-            "mle-standard": lambda p: rank_by_scores(weights_standard(tally(p)), tie_break),
-            "mle-copeland": lambda p: rank_by_scores(
-                weights_copeland(tally(p), tie_policy), tie_break
-            ),
-            "mle-gpm": lambda p: rank_by_scores(weights_gpm(gpmd(p, policy)), tie_break),
+            "borda": lambda p: ranking_from_scores(borda_scores(tally(p))),
+            "copeland": lambda p: ranking_from_scores(copeland_scores(tally(p), tie_policy)),
+            "mle-standard": lambda p: rank_by_scores(weights_standard(tally(p))),
+            "mle-copeland": lambda p: rank_by_scores(weights_copeland(tally(p), tie_policy)),
+            "mle-gpm": lambda p: rank_by_scores(weights_gpm(gpmd(p, policy))),
         }
     else:
         table = {
-            "mle-standard": lambda p: _mle_distribution(
-                weights_standard(tally(p)), solver_config, ridge_fallback
-            ),
-            "mle-copeland": lambda p: _mle_distribution(
-                weights_copeland(tally(p), tie_policy), solver_config, ridge_fallback
-            ),
-            "mle-gpm": lambda p: _mle_distribution(
-                weights_gpm(gpmd(p, policy)), solver_config, ridge_fallback
-            ),
+            "mle-standard": lambda p: _mle_distribution(weights_standard(tally(p))),
+            "mle-copeland": lambda p: _mle_distribution(weights_copeland(tally(p), tie_policy)),
+            "mle-gpm": lambda p: _mle_distribution(weights_gpm(gpmd(p, policy))),
             "gpmd-limit": lambda p: gpmd(p, EpsilonPolicy.limit()),
         }
     if name not in table:
@@ -362,9 +352,6 @@ class Assumption1:
     n: int
     trials: int | None = None
     seed: int | None = None
-
-
-SearchSpace = "ExhaustiveComplete | RandomComplete | Assumption1"
 
 
 def _derive(seed: int, t: int) -> int:
@@ -420,13 +407,11 @@ def iter_profiles(space) -> Iterator[PreferenceProfile]:
 
 
 def _iter_exhaustive_complete(n: int, m: int) -> Iterator[PreferenceProfile]:
-    from .profiles import CandidateSet, Ranking as _Ranking, Voter, default_labels
-
     cset = CandidateSet(default_labels(n))
     perms = sorted(itertools.permutations(range(n)))
     for combo in itertools.product(perms, repeat=m):
         voters = tuple(
-            Voter(id=f"v{k + 1}", ranking=_Ranking(order)) for k, order in enumerate(combo)
+            Voter(id=f"v{k + 1}", ranking=Ranking(order)) for k, order in enumerate(combo)
         )
         yield PreferenceProfile(cset, voters)
 
@@ -488,64 +473,26 @@ def counterexample_search(
     tol: float = 1e-6,
     epsilon_policy: EpsilonPolicy | None = None,
     budget: int | None = None,
-    jobs: int = 1,
 ) -> SearchOutcome:
     """Scan a space for the first profile where the rule violates the axiom.
 
-    Instances are processed in deterministic index order; with jobs > 1 the
-    evaluation of fixed-size batches is parallelized and the lowest violating
-    index in a batch wins, so results never depend on the worker count.
+    Instances are checked one at a time in the space's deterministic index
+    order, at most `budget` of them, so the first violation found is the
+    lowest-index one.
     """
     if axiom in ORDINAL_AXIOMS and rule.kind is not RuleKind.ORDINAL:
         raise ValueError(f"axiom {axiom!r} needs an ordinal rule")
     if axiom in PROBABILISTIC_AXIOMS and rule.kind is not RuleKind.PROBABILISTIC:
         raise ValueError(f"axiom {axiom!r} needs a probabilistic rule")
 
-    def evaluate(item: tuple[int, PreferenceProfile]):
-        idx, profile = item
-        output = rule(profile)
-        report = run_check(axiom, profile, output, tol=tol, epsilon_policy=epsilon_policy)
-        return idx, profile, report
-
-    stream = enumerate(iter_profiles(space))
+    stream = iter_profiles(space)
     if budget is not None:
         stream = itertools.islice(stream, budget)
 
     examined = 0
-    if jobs <= 1:
-        for item in stream:
-            idx, profile, report = evaluate(item)
-            examined += 1
-            if report.violated:
-                return SearchOutcome(True, examined, idx, profile, report)
-        return SearchOutcome(False, examined)
-
-    batch_size = 128
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        while True:
-            batch = list(itertools.islice(stream, batch_size))
-            if not batch:
-                return SearchOutcome(False, examined)
-            results = list(pool.map(evaluate, batch))
-            examined += len(batch)
-            hits = [(idx, p, rep) for idx, p, rep in results if rep.violated]
-            if hits:
-                idx, profile, report = min(hits, key=lambda h: h[0])
-                examined = idx + 1
-                return SearchOutcome(True, examined, idx, profile, report)
-
-
-def profiles_equivalent(a: PreferenceProfile, b: PreferenceProfile) -> tuple[int, ...] | None:
-    """Find a candidate permutation mapping profile a onto profile b, if any.
-
-    Brute force over all n! permutations; refused above n = 8.  Utility only:
-    the preference-equivalence axiom itself uses single transpositions.
-    """
-    if a.n != b.n or a.m != b.m:
-        return None
-    if a.n > 8:
-        raise SpaceTooLargeError("isomorphism search is limited to n <= 8")
-    for perm in itertools.permutations(range(a.n)):
-        if profiles_equal_as_multisets(apply_permutation(a, perm), b):
-            return perm
-    return None
+    for idx, profile in enumerate(stream):
+        examined += 1
+        report = run_check(axiom, profile, rule(profile), tol=tol, epsilon_policy=epsilon_policy)
+        if report.violated:
+            return SearchOutcome(True, examined, idx, profile, report)
+    return SearchOutcome(False, examined)

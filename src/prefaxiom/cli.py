@@ -4,8 +4,9 @@ Reports are deterministic: identical inputs and flags produce byte-identical
 output.  Floats render to 12 significant digits; exact rationals render as
 fraction strings.  JSON payloads carry "schema": 1.
 
-Exit codes: 2 malformed input (schema or usage), 3 disconnected comparison
-graph, 4 axiom violation found by `axioms`, 5 exhaustive space too large.
+Exit codes: 1 profile unsuited to the rule or check (package error), 2
+malformed input (schema or usage), 3 disconnected comparison graph, 4 axiom
+violation found by `axioms`, 5 exhaustive space too large.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import csv as _csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import click
@@ -28,17 +28,16 @@ from .axioms import (
     RuleKind,
     check_pareto,
     counterexample_search,
+    iter_profiles,
     make_rule,
     run_check,
 )
-from .distributions import ResponseDistribution
 from .errors import (
     DisconnectedGraphError,
     NotCompleteProfileError,
     PrefaxiomError,
     SchemaError,
     SpaceTooLargeError,
-    ZeroProbabilityError,
 )
 from .gpmd import EpsilonPolicy, gpmd
 from .profiles import (
@@ -47,7 +46,6 @@ from .profiles import (
     TiePolicy,
     complete_profile,
     generalized_profile,
-    generate_complete,
     has_condorcet_cycle,
     is_transitive,
     majority_relation,
@@ -57,7 +55,6 @@ from .profiles import (
 )
 from .reward import (
     StatusKind,
-    bt_embeddable,
     embedding_residual,
     rank_by_scores,
     scores as weight_scores,
@@ -67,14 +64,7 @@ from .reward import (
     weights_gpm,
     weights_standard,
 )
-from .rules import (
-    TieBreak,
-    borda_scores,
-    condorcet_winner,
-    copeland_scores,
-    first_place_shares,
-    ranking_from_scores,
-)
+from .rules import borda_scores, condorcet_winner, copeland_scores, ranking_from_scores
 
 EXIT_SCHEMA = 2
 EXIT_DISCONNECTED = 3
@@ -209,10 +199,6 @@ def cmd_tally(input: str, fmt: str):
     _emit(fmt, payload, md, rows)
 
 
-def _ranking_payload(ranking: Ranking, labels) -> list[list[str]]:
-    return [[labels[i] for i in cls] for cls in ranking.classes()]
-
-
 def _ranking_text(ranking: Ranking, labels) -> str:
     parts = []
     for cls in ranking.classes():
@@ -288,11 +274,11 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     except DisconnectedGraphError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_DISCONNECTED)
-    except (NotCompleteProfileError, ZeroProbabilityError) as e:
+    except PrefaxiomError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
 
-    payload["ranking"] = _ranking_payload(ranking, labels)
+    payload["ranking"] = ranking.as_label_classes(profile.candidates)
     md.append(f"ranking: {_ranking_text(ranking, labels)}")
     if score_block is not None:
         payload["scores"] = {labels[i]: _frac(v) for i, v in enumerate(score_block.values)}
@@ -377,7 +363,7 @@ def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str
     except DisconnectedGraphError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_DISCONNECTED)
-    except (NotCompleteProfileError, ZeroProbabilityError) as e:
+    except PrefaxiomError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
 
@@ -448,6 +434,9 @@ def _parse_space(text: str, seed: int | None):
             params[key] = int(value)
         except ValueError:
             raise click.UsageError(f"space parameter {key!r} must be an integer")
+    for key, low in (("n", 2), ("m", 1), ("trials", 1)):
+        if params.get(key, low) < low:
+            raise click.UsageError(f"space parameter {key!r} must be at least {low}")
     try:
         if kind == "exhaustive-complete":
             return ExhaustiveComplete(params.pop("n"), params.pop("m")), params
@@ -474,11 +463,10 @@ def _parse_space(text: str, seed: int | None):
 @click.option("--seed", type=int, default=None, help="Required for random spaces.")
 @click.option("--tol", type=float, default=1e-6, show_default=True)
 @click.option("--epsilon", default="limit", show_default=True, help="Policy for the gpm check.")
-@click.option("--budget", type=int, default=None, help="Cap on examined instances.")
-@click.option("--jobs", type=int, default=1, envvar="PREFAXIOM_JOBS", show_default=True)
+@click.option("--budget", type=click.IntRange(min=0), default=None, help="Cap on examined instances.")
 @click.option("--output", type=click.Path(), default=None, help="Write a found profile here.")
 @FORMAT_OPTION
-def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, jobs, output, fmt):
+def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
     """Scan a profile space for the first axiom violation by a rule."""
     space_obj, extra = _parse_space(space, seed)
     if extra:
@@ -491,7 +479,7 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, jobs, output, fmt
         raise click.UsageError(str(e))
     try:
         outcome = counterexample_search(
-            rule_obj, axiom, space_obj, tol=tol, epsilon_policy=eps_policy, budget=budget, jobs=jobs
+            rule_obj, axiom, space_obj, tol=tol, epsilon_policy=eps_policy, budget=budget
         )
     except SpaceTooLargeError as e:
         click.echo(f"error: {e}", err=True)
@@ -532,32 +520,13 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, jobs, output, fmt
     _emit(fmt, payload, md, rows)
 
 
-def _cycle_trials(n: int, m: int, trials: int, seed: int, jobs: int) -> int:
-    def count_range(bounds: tuple[int, int]) -> int:
-        lo, hi = bounds
-        hits = 0
-        for t in range(lo, hi):
-            profile = generate_complete(n, m, seed * 1_000_003 + t)
-            if condorcet_winner(tally(profile)) is None:
-                hits += 1
-        return hits
-
-    if jobs <= 1:
-        return count_range((0, trials))
-    step = max(1, trials // (jobs * 8))
-    ranges = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(count_range, ranges))
-
-
 @main.command("experiment-cycles")
 @click.option("--n-list", default="3,10", show_default=True, help="Comma-separated candidate counts.")
-@click.option("--m", type=int, default=3, show_default=True)
-@click.option("--trials", type=int, default=10000, show_default=True)
+@click.option("--m", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--jobs", type=int, default=1, envvar="PREFAXIOM_JOBS", show_default=True)
 @FORMAT_OPTION
-def cmd_experiment_cycles(n_list: str, m: int, trials: int, seed: int, jobs: int, fmt: str):
+def cmd_experiment_cycles(n_list: str, m: int, trials: int, seed: int, fmt: str):
     """Frequency of profiles with no Condorcet winner, by candidate count."""
     try:
         ns = [int(x) for x in n_list.split(",") if x.strip()]
@@ -567,7 +536,8 @@ def cmd_experiment_cycles(n_list: str, m: int, trials: int, seed: int, jobs: int
         raise click.UsageError("--n-list needs integers >= 2")
     results = []
     for n in ns:
-        hits = _cycle_trials(n, m, trials, seed, jobs)
+        space = RandomComplete(n, m, trials, seed)
+        hits = sum(1 for p in iter_profiles(space) if condorcet_winner(tally(p)) is None)
         results.append({"n": n, "m": m, "trials": trials, "no_winner": hits,
                         "frequency": _jnum(hits / trials)})
     payload = {
@@ -656,7 +626,7 @@ def _demo_single_voter_cycle() -> tuple[dict, list[str]]:
         "voter_transitive": transitive,
         "props": [[None if i == j or t.prop(i, j) is None else _frac(t.prop(i, j)) for j in range(3)] for i in range(3)],
         "mle_rewards": [_jnum(x) for x in solution.r],
-        "ranking": _ranking_payload(ranking, labels),
+        "ranking": ranking.as_label_classes(profile.candidates),
         "pareto": _round_floats(pareto.to_json_dict()),
     }
     md = [
@@ -693,9 +663,9 @@ def _demo_borda_vs_copeland() -> tuple[dict, list[str]]:
         "search_index": outcome.index,
         "condorcet_winner": labels[winner],
         "borda_scores": [_frac(v) for v in borda_scores(t).values],
-        "borda_ranking": _ranking_payload(borda_ranking, labels),
+        "borda_ranking": borda_ranking.as_label_classes(profile.candidates),
         "copeland_scores": [_frac(v) for v in copeland_scores(t).values],
-        "copeland_ranking": _ranking_payload(copeland_ranking, labels),
+        "copeland_ranking": copeland_ranking.as_label_classes(profile.candidates),
         "witness": _round_floats(outcome.report.to_json_dict()["witness"]),
     }
     md = [

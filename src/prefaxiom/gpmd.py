@@ -24,7 +24,7 @@ from .errors import (
     TiesNotAllowedError,
 )
 from .profiles import PairwiseTally, PreferenceProfile, ProfileKind, Ranking, tally
-from .reward import RewardVector, SolverConfig, bt_embeddable, softmax, solve_mle, weights_gpm
+from .reward import RewardVector, bt_embeddable, softmax, solve_mle, weights_gpm
 from .rules import first_place_shares
 
 
@@ -334,11 +334,7 @@ class GpmPipelineResult(NamedTuple):
     recovered: ResponseDistribution
 
 
-def gpm_pipeline(
-    profile: PreferenceProfile,
-    policy: EpsilonPolicy,
-    solver_config: SolverConfig | None = None,
-) -> GpmPipelineResult:
+def gpm_pipeline(profile: PreferenceProfile, policy: EpsilonPolicy) -> GpmPipelineResult:
     """Target distribution -> GPM-weighted loss -> solved rewards -> softmax.
 
     The stationary point of the weighted loss is log(target) up to a constant,
@@ -346,6 +342,6 @@ def gpm_pipeline(
     a zero target entry under the limit policy is an error from the weights).
     """
     target = gpmd(profile, policy)
-    fitted = solve_mle(weights_gpm(target), solver_config)
+    fitted = solve_mle(weights_gpm(target))
     recovered = softmax(fitted)
     return GpmPipelineResult(target, fitted, recovered)

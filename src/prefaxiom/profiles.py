@@ -15,7 +15,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -107,10 +107,6 @@ class Ranking:
     @property
     def is_strict(self) -> bool:
         return self.ties is None
-
-    def position(self, i: int) -> int:
-        """Zero-based position of candidate i in the order."""
-        return self.order.index(i)
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         if self.ties is None:
@@ -285,12 +281,6 @@ class PairwiseTally:
             return None
         return Fraction(self.wins[i][j], t)
 
-    def props_matrix(self) -> tuple[tuple[Fraction | None, ...], ...]:
-        n = self.n
-        return tuple(
-            tuple(None if i == j else self.prop(i, j) for j in range(n)) for i in range(n)
-        )
-
     @property
     def defined_on_all_pairs(self) -> bool:
         n = self.n
@@ -397,31 +387,24 @@ class MajorityRelation:
         return sorted(self.win_count(i) for i in range(self.n)) == list(range(self.n))
 
 
-def majority_relation(
-    t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POINT
-) -> MajorityRelation:
-    """Pairwise majority outcomes from exact proportion comparisons.
+def majority_relation(t: PairwiseTally) -> MajorityRelation:
+    """Pairwise majority outcomes from exact integer win counts.
 
-    The ternary relation itself is identical under both tie policies (an exact
-    half-split is always reported as a tie); the parameter is accepted so call
-    sites can thread one policy through relation and score computations.
+    i beats j when P(i over j) > 1/2, that is when wins[i][j] > wins[j][i].
+    An exact half-split is always a tie; how a tie scores is the caller's
+    TiePolicy, not part of the relation.
     """
-    del tie_policy
     n = t.n
-    half = Fraction(1, 2)
+    w = t.wins
     rows = []
     for i in range(n):
         row: list[Outcome | None] = []
         for j in range(n):
-            if i == j:
+            if i == j or w[i][j] + w[j][i] == 0:
                 row.append(None)
-                continue
-            p = t.prop(i, j)
-            if p is None:
-                row.append(None)
-            elif p > half:
+            elif w[i][j] > w[j][i]:
                 row.append(Outcome.WIN)
-            elif p < half:
+            elif w[i][j] < w[j][i]:
                 row.append(Outcome.LOSS)
             else:
                 row.append(Outcome.TIE)

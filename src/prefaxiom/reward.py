@@ -29,8 +29,11 @@ from .errors import (
     NotConvergedError,
     ZeroProbabilityError,
 )
-from .profiles import PairwiseTally, Ranking, TiePolicy
-from .rules import ScoreVector, TieBreak, ranking_from_scores
+from .profiles import Outcome, PairwiseTally, Ranking, TiePolicy, majority_relation
+from .rules import ScoreVector, ranking_from_scores
+
+# solver stop: largest absolute gradient entry at convergence
+GRAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -90,17 +93,10 @@ class WeightMatrix:
         return np.array([[float(x) for x in row] for row in self.w], dtype=float)
 
 
-class SolverMethod(Enum):
-    NEWTON_REDUCED = "newton"
-    GRADIENT_DESCENT_LINE_SEARCH = "gradient-descent"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    grad_tol: float = 1e-10
     max_iters: int = 10_000
     divergence_radius: float = 30.0
-    method: SolverMethod = SolverMethod.NEWTON_REDUCED
 
 
 class StatusKind(Enum):
@@ -158,27 +154,32 @@ def _drift_sets(r: np.ndarray, radius: float) -> tuple[tuple[int, ...], tuple[in
     return up, down
 
 
+def _nll(w: np.ndarray, r: np.ndarray) -> np.float64:
+    d = r[:, None] - r[None, :]
+    # -log sigma(d) == softplus(-d), stable in both tails
+    sp = np.logaddexp(0.0, -d)
+    np.fill_diagonal(sp, 0.0)
+    return (w * sp).sum()
+
+
+def _nll_grad(w: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Gradient of _nll; t = w + w.T is passed in so solver loops build it once."""
+    s = _sigmoid(r[:, None] - r[None, :])
+    g = t * s - w
+    np.fill_diagonal(g, 0.0)
+    return g.sum(axis=1)
+
+
 def loss(weights: WeightMatrix, r: "Sequence[float] | RewardVector") -> float:
     """Negative log likelihood under the weighted pairwise-logistic model."""
-    arr = _as_vector(r, weights.n)
-    w = weights.dense()
-    d = arr[:, None] - arr[None, :]
-    # -log sigma(d) == softplus(-d), stable in both tails
-    softplus_neg = np.logaddexp(0.0, -d)
-    np.fill_diagonal(softplus_neg, 0.0)
-    return float((w * softplus_neg).sum())
+    return float(_nll(weights.dense(), _as_vector(r, weights.n)))
 
 
 def gradient(weights: WeightMatrix, r: "Sequence[float] | RewardVector") -> tuple[float, ...]:
     """dL/dr_k = -sum_{j != k} [ w_kj - (w_kj + w_jk) * sigma(r_k - r_j) ]."""
     arr = _as_vector(r, weights.n)
     w = weights.dense()
-    t = w + w.T
-    d = arr[:, None] - arr[None, :]
-    s = _sigmoid(d)
-    g = t * s - w
-    np.fill_diagonal(g, 0.0)
-    return tuple(g.sum(axis=1))
+    return tuple(_nll_grad(w, w + w.T, arr))
 
 
 def _reachable(adj: list[list[int]], start: int) -> set[int]:
@@ -229,10 +230,11 @@ def solve_mle(
     """Minimize the loss over the sum-zero gauge.
 
     Newton steps solve the reduced system through a rank-one shift along the
-    all-ones null direction, with Armijo backtracking; gradient descent is the
-    configurable fallback.  Divergence (boundary proportions pushing rewards to
-    +-infinity) is reported once any reward leaves the divergence radius while
-    the loss is still decreasing, with the drifting candidate sets attached.
+    all-ones null direction, with Armijo backtracking; a steepest-descent step
+    stands in when the Newton system is singular or its solution non-finite.
+    Divergence (boundary proportions pushing rewards to +-infinity) is
+    reported once any reward leaves the divergence radius while the loss is
+    still decreasing, with the drifting candidate sets attached.
 
     `ridge` > 0 adds an explicit Tikhonov term ridge * sum(r_k^2), which makes
     the objective strictly convex so otherwise-divergent instances converge;
@@ -251,17 +253,10 @@ def solve_mle(
     t = w + w.T
 
     def objective(r: np.ndarray) -> float:
-        d = r[:, None] - r[None, :]
-        sp = np.logaddexp(0.0, -d)
-        np.fill_diagonal(sp, 0.0)
-        return float((w * sp).sum() + ridge * (r * r).sum())
+        return float(_nll(w, r) + ridge * (r * r).sum())
 
     def grad(r: np.ndarray) -> np.ndarray:
-        d = r[:, None] - r[None, :]
-        s = _sigmoid(d)
-        g = t * s - w
-        np.fill_diagonal(g, 0.0)
-        return g.sum(axis=1) + 2.0 * ridge * r
+        return _nll_grad(w, t, r) + 2.0 * ridge * r
 
     r = np.zeros(n)
     gnorm = float(np.max(np.abs(grad(r))))
@@ -270,27 +265,23 @@ def solve_mle(
     for iters in range(1, cfg.max_iters + 1):
         g = grad(r)
         gnorm = float(np.max(np.abs(g)))
-        if can_converge and gnorm <= cfg.grad_tol:
+        if can_converge and gnorm <= GRAD_TOL:
             status = SolverStatus(StatusKind.CONVERGED, gnorm, iters - 1)
             break
 
-        direction = None
-        if cfg.method is SolverMethod.NEWTON_REDUCED:
-            d = r[:, None] - r[None, :]
-            s = _sigmoid(d)
-            curv = t * s * (1.0 - s)
-            np.fill_diagonal(curv, 0.0)
-            hess = np.diag(curv.sum(axis=1)) - curv + 2.0 * ridge * np.eye(n)
-            # rank-one shift along the all-ones null direction keeps the
-            # system nonsingular without disturbing sum-zero solutions
-            shift = max(float(np.trace(hess)) / n, 1e-12)
-            try:
-                direction = np.linalg.solve(hess + shift * np.ones((n, n)) / n, -g)
-            except np.linalg.LinAlgError:
-                direction = None
-            if direction is not None and not np.all(np.isfinite(direction)):
-                direction = None
-        if direction is None:
+        d = r[:, None] - r[None, :]
+        s = _sigmoid(d)
+        curv = t * s * (1.0 - s)
+        np.fill_diagonal(curv, 0.0)
+        hess = np.diag(curv.sum(axis=1)) - curv + 2.0 * ridge * np.eye(n)
+        # rank-one shift along the all-ones null direction keeps the
+        # system nonsingular without disturbing sum-zero solutions
+        shift = max(float(np.trace(hess)) / n, 1e-12)
+        try:
+            direction = np.linalg.solve(hess + shift * np.ones((n, n)) / n, -g)
+        except np.linalg.LinAlgError:
+            direction = -g
+        if not np.all(np.isfinite(direction)):
             direction = -g
         direction = direction - direction.mean()
         slope = float(g @ direction)
@@ -354,9 +345,9 @@ def scores(weights: WeightMatrix) -> ScoreVector:
     return ScoreVector(values, "general")
 
 
-def rank_by_scores(weights: WeightMatrix, tie_break: TieBreak = TieBreak.GROUP_TIES) -> Ranking:
+def rank_by_scores(weights: WeightMatrix) -> Ranking:
     """The MLE ordering via the exact score shortcut (constant-total mode only)."""
-    return ranking_from_scores(scores(weights), tie_break)
+    return ranking_from_scores(scores(weights))
 
 
 def softmax(r: "RewardVector | Sequence[float]") -> ResponseDistribution:
@@ -387,15 +378,16 @@ def weights_copeland(
     constant-total mode only when no pair is tied.
     """
     t.require_all_pairs()
+    outcomes = majority_relation(t).outcomes
     n = t.n
     half = Fraction(1, 2)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            p = t.prop(i, j)
-            if p > half:
+            out = outcomes[i][j]
+            if out is Outcome.WIN:
                 rows[i][j] = Fraction(1)
-            elif p < half:
+            elif out is Outcome.LOSS:
                 rows[j][i] = Fraction(1)
             elif tie_policy is TiePolicy.HALF_POINT:
                 rows[i][j] = half
@@ -415,8 +407,11 @@ def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
     return WeightMatrix(tuple(tuple(row) for row in rows), Fraction(1))
 
 
-def _log_odds(t: PairwiseTally) -> "list[list[float]] | None":
-    """Float log-odds matrix, or None if any proportion sits on the boundary."""
+def _anchored_embedding(t: PairwiseTally) -> "tuple[list[float], float] | None":
+    """Log-odds against candidate 0 as rewards, and their worst pair residual.
+
+    None when some proportion is 0 or 1 (no finite embedding exists at all).
+    """
     t.require_all_pairs()
     n = t.n
     s = [[0.0] * n for _ in range(n)]
@@ -428,7 +423,11 @@ def _log_odds(t: PairwiseTally) -> "list[list[float]] | None":
             if p == 0 or p == 1:
                 return None
             s[i][j] = math.log(p.numerator) - math.log(p.denominator - p.numerator)
-    return s
+    r = [s[i][0] for i in range(n)]
+    residual = max(
+        abs(s[i][j] - (r[i] - r[j])) for i in range(n) for j in range(n) if i != j
+    )
+    return r, residual
 
 
 def embedding_residual(t: PairwiseTally) -> float | None:
@@ -436,14 +435,8 @@ def embedding_residual(t: PairwiseTally) -> float | None:
 
     None when some proportion is 0 or 1 (no finite embedding exists at all).
     """
-    s = _log_odds(t)
-    if s is None:
-        return None
-    n = t.n
-    r = [s[i][0] for i in range(n)]
-    return max(
-        abs(s[i][j] - (r[i] - r[j])) for i in range(n) for j in range(n) if i != j
-    )
+    embedding = _anchored_embedding(t)
+    return None if embedding is None else embedding[1]
 
 
 def bt_embeddable(t: PairwiseTally, tol: float = 1e-8) -> RewardVector | None:
@@ -454,16 +447,13 @@ def bt_embeddable(t: PairwiseTally, tol: float = 1e-8) -> RewardVector | None:
     The returned vector is re-centered to the sum-zero gauge; its status
     records the residual in grad_norm.
     """
-    s = _log_odds(t)
-    if s is None:
+    embedding = _anchored_embedding(t)
+    if embedding is None:
         return None
-    n = t.n
-    r = [s[i][0] for i in range(n)]
-    residual = max(
-        abs(s[i][j] - (r[i] - r[j])) for i in range(n) for j in range(n) if i != j
-    )
+    r, residual = embedding
     if residual > tol:
         return None
+    n = t.n
     mean = sum(r) / n
     centered = [x - mean for x in r]
     shift = sum(centered) / n  # second pass kills the last rounding drift

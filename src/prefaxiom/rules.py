@@ -53,7 +53,7 @@ def borda_scores(t: PairwiseTally) -> ScoreVector:
 def copeland_scores(t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POINT) -> ScoreVector:
     """One point per majority win; exact half-splits score per the tie policy."""
     t.require_all_pairs()
-    rel = majority_relation(t, tie_policy)
+    rel = majority_relation(t)
     n = t.n
     tie_value = Fraction(1, 2) if tie_policy is TiePolicy.HALF_POINT else Fraction(0)
     values = []
@@ -81,14 +81,19 @@ def condorcet_winner(t: PairwiseTally) -> int | None:
     return None
 
 
-def majority_winner(profile: PreferenceProfile) -> int | None:
-    """Candidate ranked first by a strict majority of voters, or None."""
+def _first_place_counts(profile: PreferenceProfile) -> list[int]:
+    """How many voters rank each candidate first."""
     if profile.kind is not ProfileKind.COMPLETE:
-        raise NotCompleteProfileError("majority winner needs full rankings")
+        raise NotCompleteProfileError("first-place counts need full rankings")
     counts = [0] * profile.n
     for v in profile.voters:
         counts[v.ranking.top()] += 1
-    for i, c in enumerate(counts):
+    return counts
+
+
+def majority_winner(profile: PreferenceProfile) -> int | None:
+    """Candidate ranked first by a strict majority of voters, or None."""
+    for i, c in enumerate(_first_place_counts(profile)):
         if 2 * c > profile.m:
             return i
     return None
@@ -120,10 +125,5 @@ def ranking_from_scores(scores: ScoreVector, tie_break: TieBreak = TieBreak.GROU
 
 def first_place_shares(profile: PreferenceProfile) -> ResponseDistribution:
     """Fraction of voters ranking each candidate first, as exact rationals."""
-    if profile.kind is not ProfileKind.COMPLETE:
-        raise NotCompleteProfileError("first-place shares need full rankings")
-    counts = [0] * profile.n
-    for v in profile.voters:
-        counts[v.ranking.top()] += 1
     m = profile.m
-    return ResponseDistribution(tuple(Fraction(c, m) for c in counts))
+    return ResponseDistribution(tuple(Fraction(c, m) for c in _first_place_counts(profile)))

@@ -295,15 +295,6 @@ def test_copeland_passes_ordinal_axioms_exhaustive():
         assert not out.found and out.examined == 216
 
 
-def test_search_is_parallel_deterministic():
-    rule = make_rule("borda", RuleKind.ORDINAL)
-    seq = counterexample_search(rule, "condorcet", RandomComplete(3, 4, 300, seed=11))
-    par = counterexample_search(rule, "condorcet", RandomComplete(3, 4, 300, seed=11), jobs=4)
-    assert seq.found == par.found and seq.index == par.index
-    if seq.found:
-        assert tally(seq.profile).wins == tally(par.profile).wins
-
-
 def test_search_budget_caps_examined():
     rule = make_rule("copeland", RuleKind.ORDINAL)
     out = counterexample_search(rule, "condorcet", ExhaustiveComplete(3, 3), budget=50)

@@ -15,12 +15,13 @@ from prefaxiom import (
     Comparison,
     DimensionMismatchError,
     FromLatentRanking,
+    Outcome,
+    PairwiseTally,
     PreferenceProfile,
     ProfileKind,
     RandomTournament,
     Ranking,
     SchemaError,
-    TiePolicy,
     TiesNotAllowedError,
     Voter,
     apply_permutation,
@@ -182,12 +183,26 @@ def test_majority_relation_paradox_is_cyclic(paradox):
         assert t.prop(i, j) > Fraction(1, 2)
 
 
+@given(st.lists(st.integers(0, 4), min_size=6, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_majority_relation_matches_exact_proportions(counts):
+    # integer win comparisons must agree with P(i over j) against 1/2
+    t = PairwiseTally(((0, counts[0], counts[1]), (counts[2], 0, counts[3]), (counts[4], counts[5], 0)))
+    rel = majority_relation(t)
+    for i in range(3):
+        for j in range(3):
+            p = None if i == j else t.prop(i, j)
+            want = None if p is None else (
+                Outcome.WIN if p > Fraction(1, 2) else Outcome.LOSS if p < Fraction(1, 2) else Outcome.TIE
+            )
+            assert rel.outcomes[i][j] is want
+
+
 def test_majority_relation_tie_is_policy_independent(four_voter):
-    t = tally(four_voter)
-    for policy in (TiePolicy.HALF_POINT, TiePolicy.STRICT_ONLY):
-        rel = majority_relation(t, policy)
-        assert rel.has_ties
-        assert not rel.is_strict_linear_order()
+    # the relation takes no tie policy: an exact half-split is always a tie
+    rel = majority_relation(tally(four_voter))
+    assert rel.has_ties()
+    assert not rel.is_strict_linear_order()
 
 
 def test_no_cycle_when_linear_order_exhaustive():
