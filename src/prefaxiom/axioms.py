@@ -34,10 +34,13 @@ from .profiles import (
     tally,
 )
 from .reward import (
+    WeightMatrix,
     bt_embeddable,
+    minimizer_exists,
     rank_by_scores,
     softmax,
     solve_mle,
+    top_component,
     weights_copeland,
     weights_gpm,
     weights_standard,
@@ -52,8 +55,6 @@ from .rules import (
 )
 
 ENUMERATION_BOUND = 10**7
-# ridge of the regularized re-solve when a probabilistic MLE rule diverges
-RIDGE_FALLBACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -282,13 +283,25 @@ class RuleUnderTest:
 RULE_NAMES = ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit")
 
 
-def _mle_distribution(weights):
-    solution = solve_mle(weights)
-    if not solution.converged:
-        # boundary proportions push rewards to infinity; the regularized
-        # solve pins a finite representative with the same ordering
-        solution = solve_mle(weights, ridge=RIDGE_FALLBACK)
-    return softmax(solution)
+def _mle_distribution(weights: WeightMatrix) -> ResponseDistribution:
+    """Softmax of the MLE rewards, or its ridge -> 0 limit when they are infinite.
+
+    Along the ridge path the top component's rewards pull away from every
+    other candidate's while their differences inside the component tend to
+    the component's own MLE, so the limit is that component's softmax and
+    zero elsewhere.
+    """
+    if minimizer_exists(weights):
+        return softmax(solve_mle(weights))
+    top = top_component(weights)
+    probs = [0.0] * weights.n
+    if len(top) == 1:
+        probs[top[0]] = 1.0
+    else:
+        inner = WeightMatrix.from_rows([[weights.w[i][j] for j in top] for i in top])
+        for i, p in zip(top, softmax(solve_mle(inner))):
+            probs[i] = p
+    return ResponseDistribution(tuple(probs))
 
 
 def make_rule(
@@ -302,9 +315,12 @@ def make_rule(
 
     Ordinal rules group equal scores into tie classes.  Ordinal MLE rules
     route through the exact score shortcut (rank_by_scores), the sanctioned
-    path for axiom verdicts.  Probabilistic MLE rules softmax the converged
-    solve and fall back to a ridge solve (RIDGE_FALLBACK) when the plain MLE
-    diverges.
+    path for axiom verdicts.  Probabilistic MLE rules softmax the solved
+    rewards when a finite MLE exists (the positive-weight digraph is strongly
+    connected).  Otherwise they return the exact ridge -> 0 limit of the
+    regularized softmax: the top component's own softmax, zero elsewhere.  A
+    generalized profile whose condensation has several source components
+    has no such top and raises NoUniqueTopError.
     """
     policy = epsilon_policy or EpsilonPolicy.finite()
     if kind is RuleKind.ORDINAL:

@@ -87,7 +87,16 @@ def _jnum(x: float) -> float:
 
 
 def _frac(x) -> str:
-    return str(Fraction(x))
+    q = Fraction(x)
+    # exact scores can outgrow the interpreter's int-to-str digit limit
+    # (mle-gpm at n = 40 reaches ~9,000 digits); lift it for this one
+    # rendering only, so importing the package changes no global state
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(q)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _round_floats(obj):
@@ -263,7 +272,7 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
             solution = solve_mle(weights)
             if weights.is_constant_total:
                 sv = weight_scores(weights)
-                ranking = rank_by_scores(weights)
+                ranking = ranking_from_scores(sv)
                 score_block = sv
             else:
                 notes.append("pair totals differ, score shortcut unavailable; ranking from solved rewards")
@@ -281,12 +290,10 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     payload["ranking"] = ranking.as_label_classes(profile.candidates)
     md.append(f"ranking: {_ranking_text(ranking, labels)}")
     if score_block is not None:
-        payload["scores"] = {labels[i]: _frac(v) for i, v in enumerate(score_block.values)}
+        rendered = [_frac(v) for v in score_block.values]
+        payload["scores"] = dict(zip(labels, rendered))
         md.append("")
-        md += _md_table(
-            ["candidate", "score"],
-            [[labels[i], _frac(v)] for i, v in enumerate(score_block.values)],
-        )
+        md += _md_table(["candidate", "score"], [list(row) for row in zip(labels, rendered)])
     if solver_block is not None:
         status = solver_block.status
         payload["solver"] = {

@@ -51,6 +51,14 @@ class NotConvergedError(PrefaxiomError):
     """Operation requires a converged reward vector."""
 
 
+class NoUniqueTopError(PrefaxiomError):
+    """No finite MLE exists and no single candidate set dominates all others.
+
+    The positive-weight digraph has more than one source component, so the
+    ridge -> 0 limit of the softmax is not decided by the graph.
+    """
+
+
 class TiesNotAllowedError(PrefaxiomError):
     """Operation requires a strict ranking without tie classes."""
 

@@ -17,7 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .distributions import ResponseDistribution
 from .errors import (
     DimensionMismatchError,
     DisconnectedGraphError,
+    NoUniqueTopError,
     NotConstantTotalError,
     NotConvergedError,
     ZeroProbabilityError,
@@ -34,6 +36,85 @@ from .rules import ScoreVector, ranking_from_scores
 
 # solver stop: largest absolute gradient entry at convergence
 GRAD_TOL = 1e-10
+
+
+class Condensation(NamedTuple):
+    """Strongly connected components of the digraph with an edge i -> j iff w_ij > 0.
+
+    `components` lists them in topological order (every edge between two
+    components runs from the earlier to the later one), each as ascending
+    candidate indices.  `sources` are the components no edge enters: their
+    members never lose weight to anyone outside.  `sinks` are the components
+    no edge leaves: their members never win weight from anyone outside.
+    """
+
+    components: tuple[tuple[int, ...], ...]
+    sources: tuple[tuple[int, ...], ...]
+    sinks: tuple[tuple[int, ...], ...]
+
+
+def _condensation(rows: tuple[tuple[Fraction, ...], ...]) -> Condensation:
+    """Tarjan's algorithm, iterative so large n cannot exhaust the call stack."""
+    n = len(rows)
+    succ = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
+    order = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    found: list[tuple[int, ...]] = []
+    counter = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, targets = work[-1]
+            for u in targets:
+                if order[u] < 0:
+                    order[u] = low[u] = counter
+                    counter += 1
+                    stack.append(u)
+                    on_stack[u] = True
+                    work.append((u, iter(succ[u])))
+                    break
+                if on_stack[u]:
+                    low[v] = min(low[v], order[u])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == order[v]:
+                    members = []
+                    while True:
+                        u = stack.pop()
+                        on_stack[u] = False
+                        members.append(u)
+                        if u == v:
+                            break
+                    found.append(tuple(sorted(members)))
+    # Tarjan completes a component only after every component it reaches
+    components = tuple(reversed(found))
+    where = [0] * n
+    for k, members in enumerate(components):
+        for i in members:
+            where[i] = k
+    entered = [False] * len(components)
+    left = [False] * len(components)
+    for i in range(n):
+        for j in succ[i]:
+            if where[i] != where[j]:
+                left[where[i]] = True
+                entered[where[j]] = True
+    return Condensation(
+        components,
+        tuple(c for k, c in enumerate(components) if not entered[k]),
+        tuple(c for k, c in enumerate(components) if not left[k]),
+    )
 
 
 @dataclass(frozen=True)
@@ -92,11 +173,24 @@ class WeightMatrix:
     def dense(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.w], dtype=float)
 
+    @cached_property
+    def condensation(self) -> Condensation:
+        """Strongly connected components of the positive-weight digraph, computed once."""
+        return _condensation(self.w)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Guard on the Newton loop.
+
+    `max_iters` caps the steps of one solve.  Whether a solve converges or
+    diverges is decided from the weight graph, not from this config: a
+    strongly connected instance stops at the gradient tolerance (GRAD_TOL)
+    in a few dozen steps, and reaching `max_iters` there means the solver
+    failed, reported as MAX_ITERS.
+    """
+
     max_iters: int = 10_000
-    divergence_radius: float = 30.0
 
 
 class StatusKind(Enum):
@@ -145,13 +239,6 @@ def _as_vector(r: "Sequence[float] | RewardVector", n: int) -> np.ndarray:
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * d))
-
-
-def _drift_sets(r: np.ndarray, radius: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    half = radius / 2.0
-    up = tuple(int(i) for i in np.nonzero(r > half)[0])
-    down = tuple(int(i) for i in np.nonzero(r < -half)[0])
-    return up, down
 
 
 def _nll(w: np.ndarray, r: np.ndarray) -> np.float64:
@@ -215,10 +302,26 @@ def minimizer_exists(weights: WeightMatrix) -> bool:
     w_ij > 0 is strongly connected; otherwise some dominant candidate set
     never loses weight across the cut and its rewards drift to infinity.
     """
-    n = weights.n
-    fwd = [[j for j in range(n) if j != i and weights.w[i][j] > 0] for i in range(n)]
-    bwd = [[j for j in range(n) if j != i and weights.w[j][i] > 0] for i in range(n)]
-    return len(_reachable(fwd, 0)) == n and len(_reachable(bwd, 0)) == n
+    return len(weights.condensation.components) == 1
+
+
+def top_component(weights: WeightMatrix) -> tuple[int, ...]:
+    """The candidates whose rewards outgrow all others when no finite MLE exists.
+
+    This is the one source component of the condensation: its members never
+    lose weight to an outsider, and every other component is reachable from
+    it, so along the ridge path its rewards pull away from everyone else's.
+    On a strongly connected instance it is every candidate.  Raises
+    DisconnectedGraphError when the comparison graph splits and
+    NoUniqueTopError when several components are sources.
+    """
+    _check_connected(weights)
+    sources = weights.condensation.sources
+    if len(sources) != 1:
+        raise NoUniqueTopError(
+            f"no finite MLE and {len(sources)} undominated candidate sets {list(sources)}"
+        )
+    return sources[0]
 
 
 def solve_mle(
@@ -232,22 +335,25 @@ def solve_mle(
     Newton steps solve the reduced system through a rank-one shift along the
     all-ones null direction, with Armijo backtracking; a steepest-descent step
     stands in when the Newton system is singular or its solution non-finite.
-    Divergence (boundary proportions pushing rewards to +-infinity) is
-    reported once any reward leaves the divergence radius while the loss is
-    still decreasing, with the drifting candidate sets attached.
+    The loop stops once the largest gradient entry is at most GRAD_TOL.
+
+    The status follows Ford's condition, read from the weight graph: CONVERGED
+    when the positive-weight digraph is strongly connected, DIVERGED when it
+    is not.  A diverged solve attaches the members of the condensation's
+    source components as `drift_up` (they never lose weight to an outsider)
+    and of its sink components as `drift_down` (they never win weight from
+    one); its rewards are the iterate at the stop, where the drifting gaps
+    are already wide enough to make the gradient vanish.  MAX_ITERS means a
+    strongly connected solve stalled or ran out of steps.
 
     `ridge` > 0 adds an explicit Tikhonov term ridge * sum(r_k^2), which makes
-    the objective strictly convex so otherwise-divergent instances converge;
-    divergence detection is disabled in that case.
+    the objective strictly convex, so every connected instance then has a
+    finite optimum and never reports DIVERGED.
     """
     cfg = config or SolverConfig()
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     _check_connected(weights)
-    # without a ridge term the loss attains its minimum only when the
-    # positive-weight digraph is strongly connected; otherwise the gradient
-    # tolerance could fire on a drifting iterate, so disable that stop
-    can_converge = ridge > 0.0 or minimizer_exists(weights)
     n = weights.n
     w = weights.dense()
     t = w + w.T
@@ -260,13 +366,13 @@ def solve_mle(
 
     r = np.zeros(n)
     gnorm = float(np.max(np.abs(grad(r))))
-    status = None
-    iters = 0
+    at_tol = False
+    steps = cfg.max_iters
     for iters in range(1, cfg.max_iters + 1):
         g = grad(r)
         gnorm = float(np.max(np.abs(g)))
-        if can_converge and gnorm <= GRAD_TOL:
-            status = SolverStatus(StatusKind.CONVERGED, gnorm, iters - 1)
+        if gnorm <= GRAD_TOL:
+            at_tol, steps = True, iters - 1
             break
 
         d = r[:, None] - r[None, :]
@@ -302,29 +408,25 @@ def solve_mle(
                     break
             stalled = alpha < 1e-14
         if stalled:
-            if can_converge:
-                status = SolverStatus(StatusKind.MAX_ITERS, gnorm, iters)
-            else:
-                status = SolverStatus(
-                    StatusKind.DIVERGED, gnorm, iters, *_drift_sets(r, cfg.divergence_radius)
-                )
+            steps = iters
             break
         r = r + alpha * direction
         r = r - r.mean()
 
-        if ridge == 0.0 and float(np.max(np.abs(r))) > cfg.divergence_radius:
-            g = grad(r)
-            status = SolverStatus(
-                StatusKind.DIVERGED,
-                float(np.max(np.abs(g))),
-                iters,
-                *_drift_sets(r, cfg.divergence_radius),
-            )
-            break
-    if status is None:
-        status = SolverStatus(StatusKind.MAX_ITERS, gnorm, cfg.max_iters)
-    if status.kind is StatusKind.CONVERGED:
+    if ridge == 0.0 and not minimizer_exists(weights):
+        cond = weights.condensation
+        status = SolverStatus(
+            StatusKind.DIVERGED,
+            gnorm,
+            steps,
+            tuple(sorted(i for c in cond.sources for i in c)),
+            tuple(sorted(i for c in cond.sinks for i in c)),
+        )
+    elif at_tol:
         r = r - r.mean()
+        status = SolverStatus(StatusKind.CONVERGED, gnorm, steps)
+    else:
+        status = SolverStatus(StatusKind.MAX_ITERS, gnorm, steps)
     return RewardVector(tuple(float(x) for x in r), status)
 
 

@@ -14,6 +14,7 @@ from prefaxiom import (
     AxiomReport,
     EpsilonPolicy,
     ExhaustiveComplete,
+    NoUniqueTopError,
     ORDINAL_AXIOMS,
     PROBABILISTIC_AXIOMS,
     RandomComplete,
@@ -37,9 +38,12 @@ from prefaxiom import (
     generate_complete,
     iter_profiles,
     make_rule,
+    minimizer_exists,
     profile_from_pairs,
     rank_by_scores,
     run_check,
+    softmax,
+    solve_mle,
     space_size,
     tally,
     weights_copeland,
@@ -225,6 +229,30 @@ def test_rules_are_deterministic(four_voter):
             assert a.order == b.order and a.classes() == b.classes()
         else:
             assert a.p == b.p
+
+
+@pytest.mark.parametrize(
+    "name, weigh", [("mle-standard", weights_standard), ("mle-copeland", weights_copeland)]
+)
+def test_probabilistic_mle_rule_is_the_ridge_limit_without_finite_mle(name, weigh):
+    rule = make_rule(name, RuleKind.PROBABILISTIC)
+    divergent = 0
+    for profile in iter_profiles(ExhaustiveComplete(3, 3)):
+        w = weigh(tally(profile))
+        if minimizer_exists(w):
+            continue
+        divergent += 1
+        ridge_path = softmax(solve_mle(w, ridge=1e-8))
+        assert rule(profile).linf_distance(ridge_path) <= 1e-6
+    assert divergent > 0
+
+
+def test_probabilistic_mle_rule_refuses_two_undominated_sets():
+    # a > c and b > c only: {a} and {b} both never lose, and the graph does
+    # not say how the limit splits mass between them
+    profile = generalized_profile(["a", "b", "c"], {"v1": [("a", "c")], "v2": [("b", "c")]})
+    with pytest.raises(NoUniqueTopError):
+        make_rule("mle-standard", RuleKind.PROBABILISTIC)(profile)
 
 
 def test_mle_rules_coincide_on_assumption1_tournaments():

@@ -3,11 +3,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from prefaxiom import parse_profile, serialize_profile, tally
+from prefaxiom import (
+    EpsilonPolicy,
+    generate_complete,
+    gpmd,
+    parse_profile,
+    scores,
+    serialize_profile,
+    tally,
+    weights_gpm,
+)
 from prefaxiom.cli import main
 
 PARADOX = {
@@ -93,6 +104,28 @@ def test_rank_mle_divergence_reported(runner, tmp_path):
     assert out["solver"]["drift_up"] == ["a"]
     assert out["solver"]["drift_down"] == ["c"]
     assert out["ranking"] == [["a"], ["b"], ["c"]]
+
+
+def test_rank_mle_gpm_wide_rewards_converge_and_print_exact_scores(runner, tmp_path):
+    # 40 candidates at epsilon 1/1000: rewards span hundreds of units and the
+    # exact scores run to thousands of digits
+    profile = generate_complete(40, 10, 1)
+    path = tmp_path / "n40.json"
+    path.write_bytes(serialize_profile(profile))
+    limit = sys.get_int_max_str_digits()
+    res = runner.invoke(main, ["rank", str(path), "--rule", "mle-gpm", "--format", "json"])
+    assert sys.get_int_max_str_digits() == limit
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["solver"]["status"] == "converged"
+    expected = scores(weights_gpm(gpmd(profile, EpsilonPolicy.finite(Fraction(1, 1000)))))
+    sys.set_int_max_str_digits(0)
+    try:
+        printed = tuple(Fraction(doc["scores"][label]) for label in profile.candidates.names)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == expected.values
+    assert max(len(v) for v in doc["scores"].values()) > limit
 
 
 def test_axioms_exit_code_on_violation(runner, tmp_path):

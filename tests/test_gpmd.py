@@ -237,6 +237,13 @@ def test_pipeline_limit_policy_rejects_zero_shares():
         gpm_pipeline(profile, LIMIT)
 
 
+def test_pipeline_round_trip_wide_reward_range():
+    # 40 candidates at epsilon 1/1000: log-targets span hundreds of units
+    res = gpm_pipeline(generate_complete(40, 10, 1), EpsilonPolicy.finite(Fraction(1, 1000)))
+    assert res.fitted.converged
+    assert res.recovered.linf_distance(res.target) <= 1e-9
+
+
 @given(st.integers(2, 6), st.integers(1, 9), st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
 def test_pipeline_round_trip_random(n, m, seed):

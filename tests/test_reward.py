@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import reward_ranking
@@ -46,6 +46,16 @@ from prefaxiom import (
 # condition of the four-voter fixture under the gauge r = (s, 0, -s).
 FIXED_POINT_S = 0.3430064055342722
 FIXTURE_SOFTMAX = (0.45183167018558856, 0.3206349645119311, 0.22753336530248028)
+
+
+def _reach(n: int, edge) -> list[list[bool]]:
+    """Reflexive-transitive closure of `edge` by Floyd-Warshall: an oracle."""
+    reach = [[i == j or edge(i, j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    return reach
 
 
 def _random_weights(rng: random.Random, n: int, m: int) -> WeightMatrix:
@@ -169,6 +179,60 @@ def test_divergence_unanimous_profile():
     assert sol.status.kind is StatusKind.DIVERGED
     assert 0 in sol.status.drift_up
     assert 3 in sol.status.drift_down
+
+
+def test_boundary_wins_diverge_without_spinning():
+    # candidate 2 never loses; 0 and 1 each beat the other
+    w = WeightMatrix.from_rows(((0, 1, 0), (3, 0, 0), (4, 4, 0)))
+    sol = solve_mle(w)
+    assert sol.status.kind is StatusKind.DIVERGED
+    assert sol.status.drift_up == (2,)
+    assert sol.status.drift_down == (0, 1)
+    assert sol.status.iterations < 100
+
+
+def test_condensation_in_topological_order():
+    # 3 beats everyone, the cycle 0 <-> 1 beats 2, and 2 beats nobody
+    w = WeightMatrix.from_rows([[0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 0], [1, 1, 1, 0]])
+    cond = w.condensation
+    assert cond.components == ((3,), (0, 1), (2,))
+    assert cond.sources == ((3,),)
+    assert cond.sinks == ((2,),)
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_solver_status_follows_the_condensation(raw):
+    n = len(raw)
+    rows = [[0 if i == j else raw[i][j] for j in range(n)] for i in range(n)]
+    assume(all(_reach(n, lambda i, j: rows[i][j] + rows[j][i] > 0)[0]))
+    w = WeightMatrix.from_rows(rows)
+    reach = _reach(n, lambda i, j: rows[i][j] > 0)
+
+    components = w.condensation.components
+    assert sorted(i for c in components for i in c) == list(range(n))
+    for k, comp in enumerate(components):
+        assert all(reach[i][j] for i in comp for j in comp)
+        assert not any(reach[j][i] for later in components[k + 1:] for j in later for i in comp)
+
+    strongly_connected = all(all(row) for row in reach)
+    assert minimizer_exists(w) == strongly_connected
+    sol = solve_mle(w)
+    assert sol.status.kind is (StatusKind.CONVERGED if strongly_connected else StatusKind.DIVERGED)
+    assert sol.status.iterations < 100
+    if not strongly_connected:
+        # i sits in a source component iff everything that reaches i is reached
+        # from i, and in a sink component iff everything i reaches reaches i
+        up = tuple(i for i in range(n) if all(reach[i][k] for k in range(n) if reach[k][i]))
+        down = tuple(i for i in range(n) if all(reach[k][i] for k in range(n) if reach[i][k]))
+        assert sol.status.drift_up == up
+        assert sol.status.drift_down == down
 
 
 def test_single_cyclic_voter_converges():
