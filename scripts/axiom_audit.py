@@ -19,15 +19,14 @@ from prefaxiom import (
     EpsilonPolicy,
     ExhaustiveComplete,
     ORDINAL_AXIOMS,
+    ORDINAL_RULES,
     PROBABILISTIC_AXIOMS,
+    PROBABILISTIC_RULES,
     RandomComplete,
     RuleKind,
     counterexample_search,
     make_rule,
 )
-
-ORDINAL_RULES = ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm")
-PROBABILISTIC_RULES = ("mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit")
 
 
 def audit(space, epsilon: Fraction, tol: float) -> list[str]:

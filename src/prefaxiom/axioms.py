@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping
@@ -25,12 +26,10 @@ from .profiles import (
     Ranking,
     TiePolicy,
     Voter,
-    apply_permutation,
     default_labels,
     generate_assumption1,
     generate_complete,
     profile_from_pairs,
-    profiles_equal_as_multisets,
     tally,
 )
 from .reward import (
@@ -205,9 +204,12 @@ def equally_preferred(profile: PreferenceProfile, i: int, j: int) -> bool:
         raise NotCompleteProfileError("preference equivalence needs full rankings")
     if i == j:
         raise ValueError("need two distinct candidates")
-    perm = list(range(profile.n))
-    perm[i], perm[j] = perm[j], perm[i]
-    return profiles_equal_as_multisets(profile, apply_permutation(profile, perm))
+    # a strict ranking is its order tuple, so comparing the multisets of
+    # orders before and after the swap needs no permuted copy of the profile
+    swap = {i: j, j: i}
+    orders = Counter(v.ranking.order for v in profile.voters)
+    swapped = Counter(tuple(swap.get(k, k) for k in v.ranking.order) for v in profile.voters)
+    return orders == swapped
 
 
 def check_preference_equivalence(
@@ -280,7 +282,32 @@ class RuleUnderTest:
         return self.fn(profile)
 
 
-RULE_NAMES = ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit")
+ORDINAL_RULES = ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm")
+PROBABILISTIC_RULES = ("mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit")
+RULE_NAMES = tuple(dict.fromkeys(ORDINAL_RULES + PROBABILISTIC_RULES))
+
+
+def rule_weights(
+    name: str,
+    profile: PreferenceProfile,
+    *,
+    tie_policy: TiePolicy = TiePolicy.HALF_POINT,
+    epsilon_policy: EpsilonPolicy | None = None,
+) -> WeightMatrix:
+    """The weight matrix whose pairwise-logistic MLE is the named rule.
+
+    mle-standard weighs raw win counts (its MLE orders by Borda), mle-copeland
+    majority indicators (Copeland), and mle-gpm the weights whose stationary
+    point is the group matching distribution under `epsilon_policy`
+    (default: the finite policy).
+    """
+    if name == "mle-standard":
+        return weights_standard(tally(profile))
+    if name == "mle-copeland":
+        return weights_copeland(tally(profile), tie_policy)
+    if name == "mle-gpm":
+        return weights_gpm(gpmd(profile, epsilon_policy or EpsilonPolicy.finite()))
+    raise ValueError(f"rule {name!r} is not an MLE rule")
 
 
 def _mle_distribution(weights: WeightMatrix) -> ResponseDistribution:
@@ -298,7 +325,7 @@ def _mle_distribution(weights: WeightMatrix) -> ResponseDistribution:
     if len(top) == 1:
         probs[top[0]] = 1.0
     else:
-        inner = WeightMatrix.from_rows([[weights.w[i][j] for j in top] for i in top])
+        inner = WeightMatrix([[weights.w[i][j] for j in top] for i in top])
         for i, p in zip(top, softmax(solve_mle(inner))):
             probs[i] = p
     return ResponseDistribution(tuple(probs))
@@ -313,34 +340,34 @@ def make_rule(
 ) -> RuleUnderTest:
     """Construct a registry rule; raises ValueError for unsupported pairings.
 
-    Ordinal rules group equal scores into tie classes.  Ordinal MLE rules
-    route through the exact score shortcut (rank_by_scores), the sanctioned
-    path for axiom verdicts.  Probabilistic MLE rules softmax the solved
-    rewards when a finite MLE exists (the positive-weight digraph is strongly
-    connected).  Otherwise they return the exact ridge -> 0 limit of the
-    regularized softmax: the top component's own softmax, zero elsewhere.  A
-    generalized profile whose condensation has several source components
-    has no such top and raises NoUniqueTopError.
+    ORDINAL_RULES and PROBABILISTIC_RULES list the names each kind accepts;
+    the mle-* rules take their weights from rule_weights.  Ordinal rules
+    group equal scores into tie classes.  Ordinal MLE rules route through the
+    exact score shortcut (rank_by_scores), the sanctioned path for axiom
+    verdicts.  Probabilistic MLE rules softmax the solved rewards when a
+    finite MLE exists (the positive-weight digraph is strongly connected).
+    Otherwise they return the exact ridge -> 0 limit of the regularized
+    softmax: the top component's own softmax, zero elsewhere.  A generalized
+    profile whose condensation has several source components has no such top
+    and raises NoUniqueTopError.
     """
-    policy = epsilon_policy or EpsilonPolicy.finite()
-    if kind is RuleKind.ORDINAL:
-        table: dict[str, Callable] = {
-            "borda": lambda p: ranking_from_scores(borda_scores(tally(p))),
-            "copeland": lambda p: ranking_from_scores(copeland_scores(tally(p), tie_policy)),
-            "mle-standard": lambda p: rank_by_scores(weights_standard(tally(p))),
-            "mle-copeland": lambda p: rank_by_scores(weights_copeland(tally(p), tie_policy)),
-            "mle-gpm": lambda p: rank_by_scores(weights_gpm(gpmd(p, policy))),
-        }
-    else:
-        table = {
-            "mle-standard": lambda p: _mle_distribution(weights_standard(tally(p))),
-            "mle-copeland": lambda p: _mle_distribution(weights_copeland(tally(p), tie_policy)),
-            "mle-gpm": lambda p: _mle_distribution(weights_gpm(gpmd(p, policy))),
-            "gpmd-limit": lambda p: gpmd(p, EpsilonPolicy.limit()),
-        }
-    if name not in table:
+    if name not in (ORDINAL_RULES if kind is RuleKind.ORDINAL else PROBABILISTIC_RULES):
         raise ValueError(f"rule {name!r} has no {kind.value} form")
-    return RuleUnderTest(name, kind, table[name])
+    if name == "borda":
+        return RuleUnderTest(name, kind, lambda p: ranking_from_scores(borda_scores(tally(p))))
+    if name == "copeland":
+        return RuleUnderTest(
+            name, kind, lambda p: ranking_from_scores(copeland_scores(tally(p), tie_policy))
+        )
+    if name == "gpmd-limit":
+        return RuleUnderTest(name, kind, lambda p: gpmd(p, EpsilonPolicy.limit()))
+
+    def weights(p: PreferenceProfile) -> WeightMatrix:
+        return rule_weights(name, p, tie_policy=tie_policy, epsilon_policy=epsilon_policy)
+
+    if kind is RuleKind.ORDINAL:
+        return RuleUnderTest(name, kind, lambda p: rank_by_scores(weights(p)))
+    return RuleUnderTest(name, kind, lambda p: _mle_distribution(weights(p)))
 
 
 @dataclass(frozen=True)

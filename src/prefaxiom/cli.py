@@ -23,13 +23,17 @@ from .axioms import (
     Assumption1,
     ExhaustiveComplete,
     ORDINAL_AXIOMS,
+    ORDINAL_RULES,
     PROBABILISTIC_AXIOMS,
+    PROBABILISTIC_RULES,
+    RULE_NAMES,
     RandomComplete,
     RuleKind,
     check_pareto,
     counterexample_search,
     iter_profiles,
     make_rule,
+    rule_weights,
     run_check,
 )
 from .errors import (
@@ -60,8 +64,6 @@ from .reward import (
     scores as weight_scores,
     softmax,
     solve_mle,
-    weights_copeland,
-    weights_gpm,
     weights_standard,
 )
 from .rules import borda_scores, condorcet_winner, copeland_scores, ranking_from_scores
@@ -71,7 +73,6 @@ EXIT_DISCONNECTED = 3
 EXIT_VIOLATION = 4
 EXIT_SPACE = 5
 
-RULE_CHOICES = ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit")
 AXIOM_CHOICES = ORDINAL_AXIOMS + PROBABILISTIC_AXIOMS
 DEMO_NAMES = ("condorcet-paradox", "single-voter-cycle", "borda-vs-copeland")
 
@@ -233,7 +234,7 @@ def _ranking_from_rewards(values: tuple[float, ...], tol: float = 1e-8) -> Ranki
 
 @main.command("rank")
 @click.argument("input", type=click.Path())
-@click.option("--rule", type=click.Choice(RULE_CHOICES[:5]), required=True)
+@click.option("--rule", type=click.Choice(ORDINAL_RULES), required=True)
 @click.option("--tie-policy", type=click.Choice(["half", "strict"]), default="half", show_default=True)
 @click.option("--epsilon", default="0.001", show_default=True, help="Smoothing for mle-gpm: a number or 'limit'.")
 @FORMAT_OPTION
@@ -242,7 +243,6 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     profile = _read_profile(input)
     policy = _tie_policy(tie_policy)
     labels = profile.candidates.names
-    t = tally(profile)
     payload: dict = {"command": "rank", "version": __version__, "rule": rule}
     md = [f"# Ranking under {rule}", ""]
     notes: list[str] = []
@@ -252,23 +252,19 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
 
     try:
         if rule == "borda":
-            sv = borda_scores(t)
+            sv = borda_scores(tally(profile))
             ranking = ranking_from_scores(sv)
             score_block = sv
         elif rule == "copeland":
-            sv = copeland_scores(t, policy)
+            sv = copeland_scores(tally(profile), policy)
             ranking = ranking_from_scores(sv)
             score_block = sv
         else:
-            if rule == "mle-standard":
-                weights = weights_standard(t)
-            elif rule == "mle-copeland":
-                weights = weights_copeland(t, policy)
-            else:
+            eps_policy = None
+            if rule == "mle-gpm":
                 eps_policy = _parse_epsilon(epsilon)
-                target = gpmd(profile, eps_policy)
-                weights = weights_gpm(target)
                 payload["epsilon"] = epsilon
+            weights = rule_weights(rule, profile, tie_policy=policy, epsilon_policy=eps_policy)
             solution = solve_mle(weights)
             if weights.is_constant_total:
                 sv = weight_scores(weights)
@@ -329,7 +325,7 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
 
 @main.command("axioms")
 @click.argument("input", type=click.Path())
-@click.option("--rule", type=click.Choice(RULE_CHOICES), required=True)
+@click.option("--rule", type=click.Choice(RULE_NAMES), required=True)
 @click.option("--checks", default="all", show_default=True, help="'all' or comma-separated axiom names.")
 @click.option("--tie-policy", type=click.Choice(["half", "strict"]), default="half", show_default=True)
 @click.option("--epsilon", default="limit", show_default=True, help="Policy for the gpm check.")
@@ -341,8 +337,8 @@ def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str
     policy = _tie_policy(tie_policy)
     eps_policy = _parse_epsilon(epsilon)
 
-    has_ordinal = rule not in ("gpmd-limit",)
-    has_prob = rule not in ("borda", "copeland")
+    has_ordinal = rule in ORDINAL_RULES
+    has_prob = rule in PROBABILISTIC_RULES
     if checks == "all":
         selected = [a for a in ORDINAL_AXIOMS if has_ordinal] + [
             a for a in PROBABILISTIC_AXIOMS if has_prob
@@ -464,7 +460,7 @@ def _parse_space(text: str, seed: int | None):
 
 
 @main.command("search")
-@click.option("--rule", type=click.Choice(RULE_CHOICES), required=True)
+@click.option("--rule", type=click.Choice(RULE_NAMES), required=True)
 @click.option("--axiom", type=click.Choice(AXIOM_CHOICES), required=True)
 @click.option("--space", required=True, help="e.g. exhaustive-complete:n=3,m=3 or random-complete:n=3,m=4,trials=10000")
 @click.option("--seed", type=int, default=None, help="Required for random spaces.")

@@ -352,14 +352,6 @@ class MajorityRelation:
     def n(self) -> int:
         return len(self.outcomes)
 
-    def outcome(self, i: int, j: int) -> Outcome:
-        if i == j:
-            raise ValueError("no outcome on the diagonal")
-        out = self.outcomes[i][j]
-        if out is None:
-            raise UndefinedPairError(f"pair ({i}, {j}) has no comparisons")
-        return out
-
     @property
     def is_complete(self) -> bool:
         n = self.n

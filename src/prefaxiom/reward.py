@@ -13,7 +13,6 @@ cross-checked against exact rational scores.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -46,17 +45,36 @@ class Condensation(NamedTuple):
     candidate indices.  `sources` are the components no edge enters: their
     members never lose weight to anyone outside.  `sinks` are the components
     no edge leaves: their members never win weight from anyone outside.
+    `unreachable` lists, ascending, the candidates that the undirected
+    comparison graph (i -- j iff w_ij + w_ji > 0) cannot reach from 0.
     """
 
     components: tuple[tuple[int, ...], ...]
     sources: tuple[tuple[int, ...], ...]
     sinks: tuple[tuple[int, ...], ...]
+    unreachable: tuple[int, ...]
 
 
 def _condensation(rows: tuple[tuple[Fraction, ...], ...]) -> Condensation:
-    """Tarjan's algorithm, iterative so large n cannot exhaust the call stack."""
+    """A walk of the comparison graph from 0, then Tarjan's algorithm.
+
+    Both are iterative so large n cannot exhaust the call stack.
+    """
     n = len(rows)
     succ = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
+    # the comparison graph ignores direction: walk the edges both ways
+    neighbours = [list(targets) for targets in succ]
+    for i in range(n):
+        for j in succ[i]:
+            neighbours[j].append(i)
+    seen = [False] * n
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        for j in neighbours[frontier.pop()]:
+            if not seen[j]:
+                seen[j] = True
+                frontier.append(j)
     order = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -114,20 +132,23 @@ def _condensation(rows: tuple[tuple[Fraction, ...], ...]) -> Condensation:
         components,
         tuple(c for k, c in enumerate(components) if not entered[k]),
         tuple(c for k, c in enumerate(components) if not left[k]),
+        tuple(i for i in range(n) if not seen[i]),
     )
 
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Nonnegative per-ordered-pair weights, exact, with optional constant pair total.
+    """Nonnegative per-ordered-pair weights, exact.
 
-    `pair_total` is the common value of w[i][j] + w[j][i] when it is the same
-    for every pair, else None (unconstrained mode: the score shortcut is
-    unavailable but the solver still applies).
+    `WeightMatrix(rows)` converts each entry to a Fraction once.  Everything
+    else is derived from the rows on first use and cached: `pair_total` (the
+    common positive value of w[i][j] + w[j][i] when every pair has the same
+    one, else None, which leaves the score shortcut unavailable but the
+    solver still applies), the read-only float form `array`, and the
+    `condensation` of the weight graph.
     """
 
     w: tuple[tuple[Fraction, ...], ...]
-    pair_total: Fraction | None
 
     def __post_init__(self):
         rows = tuple(tuple(Fraction(x) for x in row) for row in self.w)
@@ -139,58 +160,34 @@ class WeightMatrix:
             raise ValueError("diagonal weights must be zero")
         if any(x < 0 for row in rows for x in row):
             raise ValueError("weights must be nonnegative")
-        if self.pair_total is not None:
-            total = Fraction(self.pair_total)
-            object.__setattr__(self, "pair_total", total)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rows[i][j] + rows[j][i] != total:
-                        raise ValueError(
-                            f"pair ({i}, {j}) total {rows[i][j] + rows[j][i]} != {total}"
-                        )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence["Fraction | int | float"]]) -> "WeightMatrix":
-        """Build a matrix, inferring constant-total mode when it holds."""
-        w = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(w)
-        totals = {w[i][j] + w[j][i] for i in range(n) for j in range(i + 1, n)}
-        total = None
-        if len(totals) == 1:
-            candidate = next(iter(totals))
-            if candidate > 0:
-                total = candidate
-        return cls(w, total)
 
     @property
     def n(self) -> int:
         return len(self.w)
 
+    @cached_property
+    def pair_total(self) -> Fraction | None:
+        w = self.w
+        n = len(w)
+        totals = {w[i][j] + w[j][i] for i in range(n) for j in range(i + 1, n)}
+        total = totals.pop() if len(totals) == 1 else 0
+        return total if total > 0 else None
+
     @property
     def is_constant_total(self) -> bool:
         return self.pair_total is not None
 
-    def dense(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.w], dtype=float)
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The weights as a float matrix, built once and read-only."""
+        a = np.array([[float(x) for x in row] for row in self.w], dtype=float)
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def condensation(self) -> Condensation:
         """Strongly connected components of the positive-weight digraph, computed once."""
         return _condensation(self.w)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Guard on the Newton loop.
-
-    `max_iters` caps the steps of one solve.  Whether a solve converges or
-    diverges is decided from the weight graph, not from this config: a
-    strongly connected instance stops at the gradient tolerance (GRAD_TOL)
-    in a few dozen steps, and reaching `max_iters` there means the solver
-    failed, reported as MAX_ITERS.
-    """
-
-    max_iters: int = 10_000
 
 
 class StatusKind(Enum):
@@ -259,39 +256,21 @@ def _nll_grad(w: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def loss(weights: WeightMatrix, r: "Sequence[float] | RewardVector") -> float:
     """Negative log likelihood under the weighted pairwise-logistic model."""
-    return float(_nll(weights.dense(), _as_vector(r, weights.n)))
+    return float(_nll(weights.array, _as_vector(r, weights.n)))
 
 
 def gradient(weights: WeightMatrix, r: "Sequence[float] | RewardVector") -> tuple[float, ...]:
     """dL/dr_k = -sum_{j != k} [ w_kj - (w_kj + w_jk) * sigma(r_k - r_j) ]."""
     arr = _as_vector(r, weights.n)
-    w = weights.dense()
+    w = weights.array
     return tuple(_nll_grad(w, w + w.T, arr))
 
 
-def _reachable(adj: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def _check_connected(weights: WeightMatrix) -> None:
-    n = weights.n
-    adj = [
-        [j for j in range(n) if j != i and weights.w[i][j] + weights.w[j][i] > 0]
-        for i in range(n)
-    ]
-    seen = _reachable(adj, 0)
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
+    missing = weights.condensation.unreachable
+    if missing:
         raise DisconnectedGraphError(
-            f"comparison graph splits; candidates {missing} unreachable from 0"
+            f"comparison graph splits; candidates {list(missing)} unreachable from 0"
         )
 
 
@@ -326,8 +305,8 @@ def top_component(weights: WeightMatrix) -> tuple[int, ...]:
 
 def solve_mle(
     weights: WeightMatrix,
-    config: SolverConfig | None = None,
     *,
+    max_iters: int = 10_000,
     ridge: float = 0.0,
 ) -> RewardVector:
     """Minimize the loss over the sum-zero gauge.
@@ -344,18 +323,17 @@ def solve_mle(
     and of its sink components as `drift_down` (they never win weight from
     one); its rewards are the iterate at the stop, where the drifting gaps
     are already wide enough to make the gradient vanish.  MAX_ITERS means a
-    strongly connected solve stalled or ran out of steps.
+    strongly connected solve stalled or ran out of its `max_iters` steps.
 
     `ridge` > 0 adds an explicit Tikhonov term ridge * sum(r_k^2), which makes
     the objective strictly convex, so every connected instance then has a
     finite optimum and never reports DIVERGED.
     """
-    cfg = config or SolverConfig()
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     _check_connected(weights)
     n = weights.n
-    w = weights.dense()
+    w = weights.array
     t = w + w.T
 
     def objective(r: np.ndarray) -> float:
@@ -367,8 +345,8 @@ def solve_mle(
     r = np.zeros(n)
     gnorm = float(np.max(np.abs(grad(r))))
     at_tol = False
-    steps = cfg.max_iters
-    for iters in range(1, cfg.max_iters + 1):
+    steps = max_iters
+    for iters in range(1, max_iters + 1):
         g = grad(r)
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= GRAD_TOL:
@@ -468,7 +446,7 @@ def softmax(r: "RewardVector | Sequence[float]") -> ResponseDistribution:
 
 def weights_standard(t: PairwiseTally) -> WeightMatrix:
     """Raw win counts as weights; constant-total mode when per-pair totals agree."""
-    return WeightMatrix.from_rows(t.wins)
+    return WeightMatrix(t.wins)
 
 
 def weights_copeland(
@@ -494,7 +472,7 @@ def weights_copeland(
             elif tie_policy is TiePolicy.HALF_POINT:
                 rows[i][j] = half
                 rows[j][i] = half
-    return WeightMatrix.from_rows(rows)
+    return WeightMatrix(rows)
 
 
 def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
@@ -506,7 +484,7 @@ def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
     rows = [
         [Fraction(0) if i == j else p[i] / (p[i] + p[j]) for j in range(n)] for i in range(n)
     ]
-    return WeightMatrix(tuple(tuple(row) for row in rows), Fraction(1))
+    return WeightMatrix(rows)
 
 
 def _anchored_embedding(t: PairwiseTally) -> "tuple[list[float], float] | None":

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .distributions import ResponseDistribution
@@ -31,13 +30,6 @@ class ScoreVector:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-class TieBreak(Enum):
-    """How equal scores turn into a ranking: grouped classes or index order."""
-
-    GROUP_TIES = "group"
-    LEXICOGRAPHIC = "lex"
 
 
 def borda_scores(t: PairwiseTally) -> ScoreVector:
@@ -109,11 +101,9 @@ def pm_consistent_ranking(t: PairwiseTally) -> Ranking | None:
     return Ranking(order)
 
 
-def ranking_from_scores(scores: ScoreVector, tie_break: TieBreak = TieBreak.GROUP_TIES) -> Ranking:
-    """Descending-score ranking; equal scores grouped or broken by candidate index."""
+def ranking_from_scores(scores: ScoreVector) -> Ranking:
+    """Descending-score ranking; equal scores share a tie class, ascending by index."""
     order = tuple(sorted(range(scores.n), key=lambda i: (-scores.values[i], i)))
-    if tie_break is TieBreak.LEXICOGRAPHIC:
-        return Ranking(order)
     classes: list[list[int]] = []
     for i in order:
         if classes and scores.values[classes[-1][0]] == scores.values[i]:

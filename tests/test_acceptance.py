@@ -22,7 +22,6 @@ from prefaxiom import (
     ResponseDistribution,
     RuleKind,
     StatusKind,
-    TieBreak,
     TiePolicy,
     apply_permutation,
     borda_scores,
@@ -74,7 +73,7 @@ def _random_weight_matrix(rng: random.Random, n: int, m: int):
             rows[j][i] = m - w
     from prefaxiom import WeightMatrix
 
-    return WeightMatrix.from_rows(rows)
+    return WeightMatrix(rows)
 
 
 def test_criterion_01_mle_standard_implements_borda():

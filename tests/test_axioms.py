@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,10 @@ from prefaxiom import (
     ExhaustiveComplete,
     NoUniqueTopError,
     ORDINAL_AXIOMS,
+    ORDINAL_RULES,
     PROBABILISTIC_AXIOMS,
+    PROBABILISTIC_RULES,
+    RULE_NAMES,
     RandomComplete,
     Ranking,
     ResponseDistribution,
@@ -40,7 +44,9 @@ from prefaxiom import (
     make_rule,
     minimizer_exists,
     profile_from_pairs,
+    profiles_equal_as_multisets,
     rank_by_scores,
+    rule_weights,
     run_check,
     softmax,
     solve_mle,
@@ -157,6 +163,31 @@ def test_equally_preferred_and_equivalence_checker():
     assert tuple(rep2.witness["pair"]) == (0, 1)
 
 
+@st.composite
+def _profile_and_pair(draw):
+    n = draw(st.integers(2, 5))
+    orders = [
+        tuple(draw(st.permutations(range(n)))) for _ in range(draw(st.integers(1, 5)))
+    ]
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        # append each voter's order with i and j swapped: a symmetric electorate
+        swap = {i: j, j: i}
+        orders += [tuple(swap.get(k, k) for k in order) for order in orders]
+    labels = [f"c{k}" for k in range(n)]
+    return complete_profile(labels, [[labels[k] for k in order] for order in orders]), i, j
+
+
+@given(_profile_and_pair())
+@settings(max_examples=200, deadline=None)
+def test_equally_preferred_matches_the_permuted_profile(drawn):
+    profile, i, j = drawn
+    perm = list(range(profile.n))
+    perm[i], perm[j] = perm[j], perm[i]
+    expected = profiles_equal_as_multisets(profile, apply_permutation(profile, perm))
+    assert equally_preferred(profile, i, j) == expected
+
+
 def test_gpm_checker_fixture_gap(four_voter):
     dist = make_rule("mle-standard", RuleKind.PROBABILISTIC)(four_voter)
     rep = check_group_preference_matching(four_voter, dist)
@@ -202,19 +233,32 @@ def test_vacuous_discipline_holds_everywhere(n, m, seed):
 
 # -------------------------------------------------------------------- registry
 
-def test_make_rule_registry():
-    for name in ("borda", "copeland", "mle-standard", "mle-copeland"):
-        rule = make_rule(name, RuleKind.ORDINAL)
-        assert rule.kind is RuleKind.ORDINAL and rule.name == name
-    for name in ("mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit"):
-        rule = make_rule(name, RuleKind.PROBABILISTIC)
-        assert rule.kind is RuleKind.PROBABILISTIC
-    with pytest.raises(ValueError):
-        make_rule("schulze", RuleKind.ORDINAL)
-    with pytest.raises(ValueError):
-        make_rule("gpmd-limit", RuleKind.ORDINAL)
-    with pytest.raises(ValueError):
-        make_rule("borda", RuleKind.PROBABILISTIC)
+def test_make_rule_registry(four_voter):
+    assert ORDINAL_RULES == ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm")
+    assert PROBABILISTIC_RULES == ("mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit")
+    # every (name, kind) pair in the tables builds; every other one refuses
+    tables = {RuleKind.ORDINAL: ORDINAL_RULES, RuleKind.PROBABILISTIC: PROBABILISTIC_RULES}
+    for name in RULE_NAMES + ("schulze",):
+        for kind, table in tables.items():
+            if name in table:
+                rule = make_rule(name, kind)
+                assert (rule.name, rule.kind) == (name, kind)
+                assert rule(four_voter).n == 3
+            else:
+                message = f"rule {name!r} has no {kind.value} form"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    make_rule(name, kind)
+
+
+def test_rule_weights_names_only_the_mle_rules(four_voter):
+    t = tally(four_voter)
+    assert rule_weights("mle-standard", four_voter) == weights_standard(t)
+    assert rule_weights(
+        "mle-copeland", four_voter, tie_policy=TiePolicy.STRICT_ONLY
+    ) == weights_copeland(t, TiePolicy.STRICT_ONLY)
+    for name in ("borda", "copeland", "gpmd-limit"):
+        with pytest.raises(ValueError):
+            rule_weights(name, four_voter)
 
 
 def test_rules_are_deterministic(four_voter):

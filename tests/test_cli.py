@@ -80,6 +80,20 @@ def test_rank_borda_json(runner, tmp_path):
     assert doc["scores"] == {"y1": "5/4", "y2": "1", "y3": "3/4"}
 
 
+def test_rank_refuses_rules_without_an_ordinal_form(runner, tmp_path):
+    res = runner.invoke(main, ["rank", _write(tmp_path, FOUR_VOTER), "--rule", "gpmd-limit"])
+    assert res.exit_code == 2
+
+
+def test_rank_parses_epsilon_only_for_mle_gpm(runner, tmp_path):
+    path = _write(tmp_path, FOUR_VOTER)
+    plain = runner.invoke(main, ["rank", path, "--rule", "borda"])
+    junk = runner.invoke(main, ["rank", path, "--rule", "borda", "--epsilon", "junk"])
+    assert junk.exit_code == 0 and junk.stdout == plain.stdout
+    res = runner.invoke(main, ["rank", path, "--rule", "mle-gpm", "--epsilon", "junk"])
+    assert res.exit_code == 2
+
+
 def test_rank_mle_reports_solver_and_softmax(runner, tmp_path):
     res = runner.invoke(
         main,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from prefaxiom import (
     NotConstantTotalError,
     NotConvergedError,
     ResponseDistribution,
-    SolverConfig,
     StatusKind,
     TiePolicy,
     WeightMatrix,
@@ -65,23 +65,38 @@ def _random_weights(rng: random.Random, n: int, m: int) -> WeightMatrix:
             w = rng.randint(0, m)
             rows[i][j] = w
             rows[j][i] = m - w
-    return WeightMatrix.from_rows(rows)
+    return WeightMatrix(rows)
 
 
 # --------------------------------------------------------------- weight matrix
 
-def test_from_rows_detects_constant_total():
-    w = WeightMatrix.from_rows([[0, 3, 1], [1, 0, 2], [3, 2, 0]])
+def test_weight_matrix_infers_constant_total():
+    w = WeightMatrix([[0, 3, 1], [1, 0, 2], [3, 2, 0]])
     assert w.is_constant_total and w.pair_total == 4
-    u = WeightMatrix.from_rows([[0, 3, 1], [1, 0, 2], [1, 2, 0]])
+    u = WeightMatrix([[0, 3, 1], [1, 0, 2], [1, 2, 0]])
     assert not u.is_constant_total and u.pair_total is None
+
+
+def test_weights_gpm_pair_total_is_inferred():
+    w = weights_gpm(ResponseDistribution((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))))
+    assert w.pair_total == 1 and w.is_constant_total
+
+
+def test_float_form_is_built_once_and_read_only():
+    w = WeightMatrix([[0, Fraction(1, 3), 2], [Fraction(2, 3), 0, 1], [0, 1, 0]])
+    a = w.array
+    assert a.tolist() == [[float(x) for x in row] for row in w.w]
+    assert w.array is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 1] = 5.0
 
 
 def test_weight_matrix_rejects_negative_and_diagonal():
     with pytest.raises(ValueError):
-        WeightMatrix.from_rows([[0, -1], [1, 0]])
+        WeightMatrix([[0, -1], [1, 0]])
     with pytest.raises(ValueError):
-        WeightMatrix.from_rows([[1, 1], [1, 0]])
+        WeightMatrix([[1, 1], [1, 0]])
 
 
 # ------------------------------------------------------------- loss & gradient
@@ -183,7 +198,7 @@ def test_divergence_unanimous_profile():
 
 def test_boundary_wins_diverge_without_spinning():
     # candidate 2 never loses; 0 and 1 each beat the other
-    w = WeightMatrix.from_rows(((0, 1, 0), (3, 0, 0), (4, 4, 0)))
+    w = WeightMatrix(((0, 1, 0), (3, 0, 0), (4, 4, 0)))
     sol = solve_mle(w)
     assert sol.status.kind is StatusKind.DIVERGED
     assert sol.status.drift_up == (2,)
@@ -193,11 +208,32 @@ def test_boundary_wins_diverge_without_spinning():
 
 def test_condensation_in_topological_order():
     # 3 beats everyone, the cycle 0 <-> 1 beats 2, and 2 beats nobody
-    w = WeightMatrix.from_rows([[0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 0], [1, 1, 1, 0]])
+    w = WeightMatrix([[0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 0], [1, 1, 1, 0]])
     cond = w.condensation
     assert cond.components == ((3,), (0, 1), (2,))
     assert cond.sources == ((3,),)
     assert cond.sinks == ((2,),)
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_unreachable_matches_the_undirected_closure(raw):
+    n = len(raw)
+    rows = [[0 if i == j else raw[i][j] for j in range(n)] for i in range(n)]
+    w = WeightMatrix(rows)
+    linked = _reach(n, lambda i, j: rows[i][j] + rows[j][i] > 0)
+    missing = tuple(j for j in range(n) if not linked[0][j])
+    assert w.condensation.unreachable == missing
+    if missing:
+        message = f"comparison graph splits; candidates {list(missing)} unreachable from 0"
+        with pytest.raises(DisconnectedGraphError, match=re.escape(message)):
+            solve_mle(w)
 
 
 @given(
@@ -212,7 +248,7 @@ def test_solver_status_follows_the_condensation(raw):
     n = len(raw)
     rows = [[0 if i == j else raw[i][j] for j in range(n)] for i in range(n)]
     assume(all(_reach(n, lambda i, j: rows[i][j] + rows[j][i] > 0)[0]))
-    w = WeightMatrix.from_rows(rows)
+    w = WeightMatrix(rows)
     reach = _reach(n, lambda i, j: rows[i][j] > 0)
 
     components = w.condensation.components
@@ -264,7 +300,7 @@ def test_disconnected_graph_raises():
 
 def test_solver_respects_config():
     t = tally(generate_complete(4, 3, 2))
-    sol = solve_mle(weights_standard(t), SolverConfig(max_iters=1))
+    sol = solve_mle(weights_standard(t), max_iters=1)
     assert sol.status.kind in (StatusKind.MAX_ITERS, StatusKind.CONVERGED)
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from prefaxiom import (
     NotCompleteProfileError,
-    TieBreak,
     TiePolicy,
     apply_permutation,
     borda_scores,
@@ -135,8 +134,6 @@ def test_ranking_from_scores_tie_handling():
     sv = ScoreVector((Fraction(1), Fraction(2), Fraction(1)), "borda")
     grouped = ranking_from_scores(sv)
     assert grouped.classes() == ((1,), (0, 2))
-    strict = ranking_from_scores(sv, TieBreak.LEXICOGRAPHIC)
-    assert strict.is_strict and strict.order == (1, 0, 2)
 
 
 def test_first_place_shares(four_voter):
