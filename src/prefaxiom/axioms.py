@@ -90,13 +90,11 @@ def check_pareto(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
     Applicable iff some compared pair is unanimous; a tie class containing
     both members of a unanimous pair violates.
     """
-    t = tally(profile)
-    n = t.n
-    unanimous = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and t.total(i, j) > 0 and t.prop(i, j) == 1:
-                unanimous.append((i, j))
+    w = tally(profile).wins
+    # i over j is unanimous iff P(i over j) = 1: some judgment for i, none for j
+    unanimous = [
+        (i, j) for i, row in enumerate(w) for j, x in enumerate(row) if x > 0 and w[j][i] == 0
+    ]
     if not unanimous:
         return AxiomReport.vacuous("pareto")
     for i, j in unanimous:
@@ -451,11 +449,12 @@ def iter_profiles(space) -> Iterator[PreferenceProfile]:
 
 def _iter_exhaustive_complete(n: int, m: int) -> Iterator[PreferenceProfile]:
     cset = CandidateSet(default_labels(n))
-    perms = sorted(itertools.permutations(range(n)))
-    for combo in itertools.product(perms, repeat=m):
-        voters = tuple(
-            Voter(id=f"v{k + 1}", ranking=Ranking(order)) for k, order in enumerate(combo)
-        )
+    rankings = [Ranking(order) for order in sorted(itertools.permutations(range(n)))]
+    # one Voter per (seat, ranking), shared by every profile of the scan
+    seats = [
+        tuple(Voter(id=f"v{k + 1}", ranking=ranking) for ranking in rankings) for k in range(m)
+    ]
+    for voters in itertools.product(*seats):
         yield PreferenceProfile(cset, voters)
 
 

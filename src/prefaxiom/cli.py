@@ -487,6 +487,9 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
     except SpaceTooLargeError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_SPACE)
+    except PrefaxiomError as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
 
     payload = {
         "command": "search",

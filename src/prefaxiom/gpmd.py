@@ -8,6 +8,14 @@ the per-voter distributions; in the epsilon -> 0 limit it collapses to the
 first-place shares.  Partition-based computation exists to exercise the
 uniqueness claim: any split of the electorate into embeddable blocks must
 reproduce the same distribution.
+
+At finite epsilon both are computed in closed form over the integers.  With
+c = a/b in lowest terms, position k (0-based) of an n-candidate ranking
+carries the integer weight g_k = a^k * b^(n-1-k), and one ranking's
+distribution is g_k / S with S = sum_k g_k.  The group distribution gives
+candidate i its summed weight G_i = sum over voters of g at i's position,
+over m * S: one exact division per candidate, not one Fraction add per
+voter and candidate.
 """
 from __future__ import annotations
 
@@ -54,6 +62,17 @@ class EpsilonPolicy:
         return self.epsilon is None
 
 
+def _geometric_weights(epsilon: "Fraction | float", n: int) -> tuple[list[int], int]:
+    """Integer position weights g_k = a^k * b^(n-1-k), with c = a/b, and their sum."""
+    eps = Fraction(epsilon)
+    if not 0 < eps < Fraction(1, 2):
+        raise ValueError("epsilon must lie in (0, 1/2)")
+    c = eps / (1 - eps)
+    a, b = c.numerator, c.denominator
+    weights = [a**k * b ** (n - 1 - k) for k in range(n)]
+    return weights, sum(weights)
+
+
 def pm_geometric(ranking: Ranking, epsilon: "Fraction | float") -> ResponseDistribution:
     """Exact matching distribution of one strict ranking at smoothing epsilon.
 
@@ -63,15 +82,10 @@ def pm_geometric(ranking: Ranking, epsilon: "Fraction | float") -> ResponseDistr
     """
     if not ranking.is_strict:
         raise TiesNotAllowedError("geometric matching needs a strict ranking")
-    eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("epsilon must lie in (0, 1/2)")
-    c = eps / (1 - eps)
-    n = ranking.n
-    norm = (1 - c) / (1 - c**n)
-    probs = [Fraction(0)] * n
+    weights, total = _geometric_weights(epsilon, ranking.n)
+    probs = [Fraction(0)] * ranking.n
     for k, candidate in enumerate(ranking.order):
-        probs[candidate] = norm * c**k
+        probs[candidate] = Fraction(weights[k], total)
     return ResponseDistribution(tuple(probs))
 
 
@@ -82,18 +96,22 @@ def _limit_pm(ranking: Ranking) -> ResponseDistribution:
 
 
 def gpmd(profile: PreferenceProfile, policy: EpsilonPolicy) -> ResponseDistribution:
-    """Per-voter average of individual matching distributions, exact throughout."""
+    """Per-voter average of individual matching distributions, exact throughout.
+
+    At finite epsilon: candidate i's summed integer position weights over
+    m * S (see the module docstring).
+    """
     if profile.kind is not ProfileKind.COMPLETE:
         raise NotCompleteProfileError("group matching needs full rankings")
     if policy.is_limit:
         return first_place_shares(profile)
-    m = profile.m
-    acc = [Fraction(0)] * profile.n
+    weights, total = _geometric_weights(policy.epsilon, profile.n)
+    acc = [0] * profile.n
     for v in profile.voters:
-        part = pm_geometric(v.ranking, policy.epsilon)
-        for i, x in enumerate(part):
-            acc[i] += Fraction(x, m)
-    return ResponseDistribution(tuple(acc))
+        for k, candidate in enumerate(v.ranking.order):
+            acc[candidate] += weights[k]
+    denominator = profile.m * total
+    return ResponseDistribution(tuple(Fraction(x, denominator) for x in acc))
 
 
 @dataclass(frozen=True)

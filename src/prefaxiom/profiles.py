@@ -2,9 +2,10 @@
 
 A profile is a finite electorate expressing ordinal preferences over a fixed
 candidate set, either as full strict rankings or as sets of pairwise
-comparisons.  Tallies and majority relations are kept in exact rational
-arithmetic so that downstream majority and score decisions never depend on
-floating-point rounding.
+comparisons.  Tallies and majority relations are kept in exact integer and
+rational arithmetic so that downstream majority and score decisions never
+depend on floating-point rounding.  Each profile is tallied once and each
+tally derives its majority relation once: both are cached on first use.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -209,11 +211,28 @@ class PreferenceProfile:
     def m(self) -> int:
         return len(self.voters)
 
-    @property
+    @cached_property
     def kind(self) -> ProfileKind:
         if all(v.ranking is not None for v in self.voters):
             return ProfileKind.COMPLETE
         return ProfileKind.GENERALIZED
+
+    @cached_property
+    def pairwise_tally(self) -> "PairwiseTally":
+        """Pairwise win counts, counted once; `tally(profile)` returns this."""
+        n = self.n
+        wins = [[0] * n for _ in range(n)]
+        for v in self.voters:
+            if v.ranking is not None:
+                order = v.ranking.order
+                for a in range(n - 1):
+                    row = wins[order[a]]
+                    for b in order[a + 1:]:
+                        row[b] += 1
+            else:
+                for c in v.comparisons:
+                    wins[c.winner][c.loser] += 1
+        return PairwiseTally(tuple(tuple(row) for row in wins))
 
 
 def complete_profile(
@@ -293,21 +312,33 @@ class PairwiseTally:
                 if self.total(i, j) == 0:
                     raise UndefinedPairError(f"pair ({i}, {j}) has no comparisons")
 
+    @cached_property
+    def majority(self) -> "MajorityRelation":
+        """The majority relation, derived once; `majority_relation(t)` returns this."""
+        w = self.wins
+        rows = []
+        for i, row_i in enumerate(w):
+            row: list[Outcome | None] = []
+            for j, x in enumerate(row_i):
+                y = w[j][i]
+                if i == j or x + y == 0:
+                    row.append(None)
+                elif x > y:
+                    row.append(Outcome.WIN)
+                elif x < y:
+                    row.append(Outcome.LOSS)
+                else:
+                    row.append(Outcome.TIE)
+            rows.append(tuple(row))
+        return MajorityRelation(tuple(rows))
+
 
 def tally(profile: PreferenceProfile) -> PairwiseTally:
-    """Count pairwise wins; each full ranking expands to all its C(n,2) pairs."""
-    n = profile.n
-    wins = [[0] * n for _ in range(n)]
-    for v in profile.voters:
-        if v.ranking is not None:
-            order = v.ranking.order
-            for a in range(n):
-                for b in range(a + 1, n):
-                    wins[order[a]][order[b]] += 1
-        else:
-            for c in v.comparisons:
-                wins[c.winner][c.loser] += 1
-    return PairwiseTally(tuple(tuple(row) for row in wins))
+    """Pairwise wins; each full ranking expands to all its C(n,2) pairs.
+
+    The count runs once per profile: every later call returns the same tally.
+    """
+    return profile.pairwise_tally
 
 
 def tally_from_props(n: int, props: Mapping[tuple[int, int], "Fraction | float"]) -> PairwiseTally:
@@ -384,24 +415,9 @@ def majority_relation(t: PairwiseTally) -> MajorityRelation:
 
     i beats j when P(i over j) > 1/2, that is when wins[i][j] > wins[j][i].
     An exact half-split is always a tie; how a tie scores is the caller's
-    TiePolicy, not part of the relation.
+    TiePolicy, not part of the relation.  Derived once per tally.
     """
-    n = t.n
-    w = t.wins
-    rows = []
-    for i in range(n):
-        row: list[Outcome | None] = []
-        for j in range(n):
-            if i == j or w[i][j] + w[j][i] == 0:
-                row.append(None)
-            elif w[i][j] > w[j][i]:
-                row.append(Outcome.WIN)
-            elif w[i][j] < w[j][i]:
-                row.append(Outcome.LOSS)
-            else:
-                row.append(Outcome.TIE)
-        rows.append(tuple(row))
-    return MajorityRelation(tuple(rows))
+    return t.majority
 
 
 def has_condorcet_cycle(relation: MajorityRelation) -> tuple[bool, tuple[int, ...] | None]:

@@ -140,25 +140,27 @@ def _condensation(rows: tuple[tuple[Fraction, ...], ...]) -> Condensation:
 class WeightMatrix:
     """Nonnegative per-ordered-pair weights, exact.
 
-    `WeightMatrix(rows)` converts each entry to a Fraction once.  Everything
-    else is derived from the rows on first use and cached: `pair_total` (the
-    common positive value of w[i][j] + w[j][i] when every pair has the same
-    one, else None, which leaves the score shortcut unavailable but the
-    solver still applies), the read-only float form `array`, and the
-    `condensation` of the weight graph.
+    `WeightMatrix(rows)` converts each entry that is not already a Fraction
+    to one.  Everything else is derived from the rows on first use and
+    cached: `pair_total` (the common positive value of w[i][j] + w[j][i] when
+    every pair has the same one, else None, which leaves the score shortcut
+    unavailable but the solver still applies), the read-only float form
+    `array`, and the `condensation` of the weight graph.
     """
 
     w: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.w)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.w
+        )
         object.__setattr__(self, "w", rows)
         n = len(rows)
         if n < 2 or any(len(row) != n for row in rows):
             raise ValueError("weights must form a square matrix over >= 2 candidates")
         if any(rows[i][i] != 0 for i in range(n)):
             raise ValueError("diagonal weights must be zero")
-        if any(x < 0 for row in rows for x in row):
+        if any(x.numerator < 0 for row in rows for x in row):
             raise ValueError("weights must be nonnegative")
 
     @property
@@ -169,9 +171,17 @@ class WeightMatrix:
     def pair_total(self) -> Fraction | None:
         w = self.w
         n = len(w)
-        totals = {w[i][j] + w[j][i] for i in range(n) for j in range(i + 1, n)}
-        total = totals.pop() if len(totals) == 1 else 0
-        return total if total > 0 else None
+        # each pair's w_ij + w_ji as an unreduced integer ratio p/q, compared
+        # with the first pair's by cross-multiplying: no Fraction is built
+        pairs = [(w[i][j], w[j][i]) for i in range(n) for j in range(i + 1, n)]
+        totals = [
+            (x.numerator * y.denominator + y.numerator * x.denominator, x.denominator * y.denominator)
+            for x, y in pairs
+        ]
+        p0, q0 = totals[0]
+        if p0 == 0 or any(p * q0 != p0 * q for p, q in totals):
+            return None
+        return Fraction(p0, q0)
 
     @property
     def is_constant_total(self) -> bool:
@@ -415,14 +425,18 @@ def scores(weights: WeightMatrix) -> ScoreVector:
     these scores, so they stand in for the solver wherever only the ordering
     matters.
     """
-    if weights.pair_total is None:
+    total = weights.pair_total
+    if total is None:
         raise NotConstantTotalError("scores need a constant per-pair total")
-    n = weights.n
-    values = tuple(
-        sum((weights.w[k][j] for j in range(n) if j != k), Fraction(0)) / weights.pair_total
-        for k in range(n)
-    )
-    return ScoreVector(values, "general")
+    values = []
+    for row in weights.w:
+        # integer numerators over this row's own lcm: one exact division per
+        # row, and no common denominator across rows (at mle-gpm's n = 40 a
+        # matrix-wide lcm runs to thousands of digits)
+        common = math.lcm(*(x.denominator for x in row))
+        numerator = sum(x.numerator * (common // x.denominator) for x in row)
+        values.append(Fraction(numerator * total.denominator, common * total.numerator))
+    return ScoreVector(tuple(values), "general")
 
 
 def rank_by_scores(weights: WeightMatrix) -> Ranking:
@@ -460,15 +474,15 @@ def weights_copeland(
     t.require_all_pairs()
     outcomes = majority_relation(t).outcomes
     n = t.n
-    half = Fraction(1, 2)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    zero, half, one = Fraction(0), Fraction(1, 2), Fraction(1)
+    rows = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             out = outcomes[i][j]
             if out is Outcome.WIN:
-                rows[i][j] = Fraction(1)
+                rows[i][j] = one
             elif out is Outcome.LOSS:
-                rows[j][i] = Fraction(1)
+                rows[j][i] = one
             elif tie_policy is TiePolicy.HALF_POINT:
                 rows[i][j] = half
                 rows[j][i] = half
@@ -476,13 +490,20 @@ def weights_copeland(
 
 
 def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
-    """w_ij = p_i / (p_i + p_j): the loss whose stationary point is r = log p*."""
+    """w_ij = p_i / (p_i + p_j): the loss whose stationary point is r = log p*.
+
+    Over the distribution's common denominator D, p_i = N_i / D with integer
+    N_i, so w_ij = N_i / (N_i + N_j): one exact division per entry.
+    """
     if any(x <= 0 for x in pstar):
         raise ZeroProbabilityError("GPM weights need strictly positive probabilities")
     p = [Fraction(x) for x in pstar]
-    n = len(p)
+    common = math.lcm(*(x.denominator for x in p))
+    numerators = [x.numerator * (common // x.denominator) for x in p]
+    zero = Fraction(0)
     rows = [
-        [Fraction(0) if i == j else p[i] / (p[i] + p[j]) for j in range(n)] for i in range(n)
+        [zero if i == j else Fraction(ni, ni + nj) for j, nj in enumerate(numerators)]
+        for i, ni in enumerate(numerators)
     ]
     return WeightMatrix(rows)
 

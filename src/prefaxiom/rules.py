@@ -1,6 +1,7 @@
 """Ordinal aggregation rules on pairwise tallies: Borda, Copeland, majority notions."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,9 @@ class ScoreVector:
     rule_tag: str
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(
+            self, "values", tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
+        )
 
     @property
     def n(self) -> int:
@@ -33,34 +36,32 @@ class ScoreVector:
 
 
 def borda_scores(t: PairwiseTally) -> ScoreVector:
-    """Sum of win proportions against every opponent (unnormalized)."""
+    """Sum of win proportions against every opponent (unnormalized).
+
+    Each row sums integer win counts over the lcm of that row's pair totals,
+    so one exact division per candidate replaces n - 1 Fraction adds.
+    """
     t.require_all_pairs()
-    n = t.n
-    values = tuple(
-        sum((t.prop(i, j) for j in range(n) if j != i), Fraction(0)) for i in range(n)
-    )
-    return ScoreVector(values, "borda")
+    w = t.wins
+    values = []
+    for i, row in enumerate(w):
+        totals = [x + w[j][i] for j, x in enumerate(row)]  # 0 only on the diagonal
+        common = math.lcm(*(total for total in totals if total))
+        numerator = sum(x * (common // total) for x, total in zip(row, totals) if total)
+        values.append(Fraction(numerator, common))
+    return ScoreVector(tuple(values), "borda")
 
 
 def copeland_scores(t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POINT) -> ScoreVector:
     """One point per majority win; exact half-splits score per the tie policy."""
     t.require_all_pairs()
-    rel = majority_relation(t)
-    n = t.n
-    tie_value = Fraction(1, 2) if tie_policy is TiePolicy.HALF_POINT else Fraction(0)
-    values = []
-    for i in range(n):
-        s = Fraction(0)
-        for j in range(n):
-            if j == i:
-                continue
-            out = rel.outcomes[i][j]
-            if out is Outcome.WIN:
-                s += 1
-            elif out is Outcome.TIE:
-                s += tie_value
-        values.append(s)
-    return ScoreVector(tuple(values), "copeland")
+    # counted in half points, so each score is one exact division by 2
+    half_points = {Outcome.WIN: 2, Outcome.TIE: 1 if tie_policy is TiePolicy.HALF_POINT else 0}
+    values = tuple(
+        Fraction(sum(half_points.get(out, 0) for out in row), 2)
+        for row in majority_relation(t).outcomes
+    )
+    return ScoreVector(values, "copeland")
 
 
 def condorcet_winner(t: PairwiseTally) -> int | None:
@@ -103,7 +104,8 @@ def pm_consistent_ranking(t: PairwiseTally) -> Ranking | None:
 
 def ranking_from_scores(scores: ScoreVector) -> Ranking:
     """Descending-score ranking; equal scores share a tie class, ascending by index."""
-    order = tuple(sorted(range(scores.n), key=lambda i: (-scores.values[i], i)))
+    # a stable descending sort keeps equal scores in ascending index order
+    order = tuple(sorted(range(scores.n), key=scores.values.__getitem__, reverse=True))
     classes: list[list[int]] = []
     for i in order:
         if classes and scores.values[classes[-1][0]] == scores.values[i]:

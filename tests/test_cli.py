@@ -10,6 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 from prefaxiom import (
+    ORDINAL_AXIOMS,
+    PROBABILISTIC_AXIOMS,
     EpsilonPolicy,
     generate_complete,
     gpmd,
@@ -315,6 +317,25 @@ def test_search_unknown_space_exit_two(runner):
     assert res.exit_code == 2
 
 
+# assumption1 profiles are comparison voters: these pairings need full rankings
+COMPARISON_VOTER_SEARCHES = (
+    [(rule, axiom) for rule in ("mle-standard", "mle-copeland") for axiom in ("preference-equivalence", "gpm")]
+    + [("mle-gpm", axiom) for axiom in ORDINAL_AXIOMS]
+    + [(rule, axiom) for rule in ("mle-gpm", "gpmd-limit") for axiom in PROBABILISTIC_AXIOMS]
+)
+
+
+@pytest.mark.parametrize(
+    "rule, axiom", [pytest.param(r, a, id=f"{r}-{a}") for r, a in COMPARISON_VOTER_SEARCHES]
+)
+def test_search_package_errors_exit_one_with_message(runner, rule, axiom):
+    res = runner.invoke(main, ["search", "--rule", rule, "--axiom", axiom, "--space", "assumption1:n=3"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ") and "full rankings" in res.stderr
+    assert res.stdout == ""
+
+
 def test_experiment_cycles_deterministic_across_jobs(runner):
     args = ["experiment-cycles", "--n-list", "3", "--m", "3", "--trials", "400", "--seed", "7", "--format", "json"]
     a = runner.invoke(main, args)
@@ -478,3 +499,65 @@ def test_pinned_cli_output(case, runner, tmp_path, request):
     res = runner.invoke(main, args)
     digest = hashlib.sha256(res.stdout_bytes).hexdigest()
     assert (res.exit_code, digest) == PINNED[case]
+
+
+# Byte-identity pin for the exact arithmetic paths: the closed-form gpmd at
+# two smoothing levels on a wide profile, scores on uneven per-pair totals
+# (comparison voters), and mle-gpm's exact scores at n = 12.  Digests were
+# recorded on the Fraction-sum implementation these paths replaced.
+UNEVEN_WIDE = {
+    "candidates": ["a", "b", "c", "d"],
+    "voters": [
+        {"id": "v1", "comparisons": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["a", "c"]]},
+        {"id": "v2", "comparisons": [["b", "a"], ["c", "d"], ["b", "d"]]},
+        {"id": "v3", "comparisons": [["a", "b"], ["d", "c"]]},
+        {"id": "v4", "comparisons": [["c", "b"], ["a", "d"]]},
+    ],
+}
+
+
+def _arithmetic_matrix() -> dict[str, tuple[str, list[str]]]:
+    """Case id -> (input profile name, CLI arguments after the profile path)."""
+    cases: dict[str, tuple[str, list[str]]] = {}
+    for fmt in PINNED_FORMATS:
+        tail = ["--format", fmt]
+        for eps in ("1/1000", "1/3"):
+            cases[f"gpmd-{eps.replace('/', 'over')}-n30-{fmt}"] = ("n30", ["gpmd", "--epsilon", eps, *tail])
+        for rule in ("borda", "mle-standard", "mle-gpm"):
+            cases[f"rank-{rule}-uneven-{fmt}"] = ("uneven", ["rank", "--rule", rule, *tail])
+        cases[f"rank-mle-gpm-n12-{fmt}"] = ("n12", ["rank", "--rule", "mle-gpm", *tail])
+    return cases
+
+
+def _arithmetic_profile(name: str) -> bytes:
+    if name == "uneven":
+        return serialize_profile(parse_profile(json.dumps(UNEVEN_WIDE)))
+    if name == "n30":
+        return serialize_profile(generate_complete(30, 20, 17))
+    return serialize_profile(generate_complete(12, 8, 5))
+
+
+PINNED_ARITHMETIC = {
+    "gpmd-1over1000-n30-json": (0, "7919318c6790b1b77085c1693e0143d9338b3ad4df445db7a4229b61e786dc28"),
+    "gpmd-1over1000-n30-markdown": (0, "47ff9f343a5dda4aa0438b447147af985be22b69fb50a5d2d3f3344544903aee"),
+    "gpmd-1over3-n30-json": (0, "a30cb5363a9767dc0aec12dd7b730e56cbc5b03f5b6a343df57a0524958e4f55"),
+    "gpmd-1over3-n30-markdown": (0, "bb330fbdf4d8d4732d3b3bf79884b9fa203404518e522d8ec13cec91f675eda4"),
+    "rank-borda-uneven-json": (0, "71301d858518bea45f7bb736b59e71f393176c357a70aa18fbf22f7d97b231f6"),
+    "rank-borda-uneven-markdown": (0, "0750f4c7f76887ddb63e5cb5fec107be2b54f6167377bba00f6bcbacda3d224a"),
+    "rank-mle-gpm-n12-json": (0, "d28840775fd4f4f4b8166607ca9314f852af22140f7550aed10a548a3f8d8066"),
+    "rank-mle-gpm-n12-markdown": (0, "3cc179cd5c833f8eda41ef02e1d86a767e2ba59b833f653c5a0a36f35fdb245f"),
+    "rank-mle-gpm-uneven-json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "rank-mle-gpm-uneven-markdown": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "rank-mle-standard-uneven-json": (0, "93d18f89348ad70322c49b7b70aad5b2eecf88bdf41a6dffdbb143c3cbaa3dde"),
+    "rank-mle-standard-uneven-markdown": (0, "5b0f68227c793a461b2bdd7d0fdf986fdeb0bb4ded77cb96819977e7f2adf951"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_arithmetic_matrix()))
+def test_pinned_exact_arithmetic_output(case, runner, tmp_path):
+    name, args = _arithmetic_matrix()[case]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(_arithmetic_profile(name))
+    res = runner.invoke(main, [args[0], str(path), *args[1:]])
+    digest = hashlib.sha256(res.stdout_bytes).hexdigest()
+    assert (res.exit_code, digest) == PINNED_ARITHMETIC[case]

@@ -1,0 +1,214 @@
+"""Integer statistics paths against the Fraction-sum formulas they replaced.
+
+Tallies and majority relations are computed once per profile, and scores
+are summed as integer numerators over each row's lcm.  Every test here
+recomputes the same quantity the plain way (Fraction sums, proportions
+against 1) and asserts exact equality.
+"""
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prefaxiom import (
+    AxiomReport,
+    CandidateSet,
+    Comparison,
+    EpsilonPolicy,
+    NotConstantTotalError,
+    PreferenceProfile,
+    Ranking,
+    ScoreVector,
+    TiePolicy,
+    Voter,
+    WeightMatrix,
+    borda_scores,
+    check_pareto,
+    default_labels,
+    generate_complete,
+    gpmd,
+    majority_relation,
+    ranking_from_scores,
+    scores,
+    tally,
+    tally_from_props,
+    weights_copeland,
+    weights_gpm,
+    weights_standard,
+)
+
+
+def comparison_profile(n: int, m: int, seed: int, *, all_pairs: bool) -> PreferenceProfile:
+    """m comparison voters, each judging a random non-empty set of pairs.
+
+    With all_pairs, one more voter judges every pair nobody else did, so
+    every proportion is defined; per-pair totals stay uneven.
+    """
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    voters = []
+    judged = set()
+    for k in range(m):
+        chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
+        judged.update(chosen)
+        vid = f"v{k + 1}"
+        comps = [Comparison(vid, *(p if rng.random() < 0.5 else p[::-1])) for p in chosen]
+        voters.append(Voter(vid, comparisons=tuple(comps)))
+    missing = [p for p in pairs if p not in judged]
+    if all_pairs and missing:
+        vid = f"v{m + 1}"
+        voters.append(Voter(vid, comparisons=tuple(Comparison(vid, i, j) for i, j in missing)))
+    return PreferenceProfile(CandidateSet(default_labels(n)), tuple(voters))
+
+
+def random_profile(n: int, m: int, seed: int, complete: bool, *, all_pairs: bool = False):
+    if complete:
+        return generate_complete(n, m, seed)
+    return comparison_profile(n, m, seed, all_pairs=all_pairs)
+
+
+def fraction_borda(t) -> tuple[Fraction, ...]:
+    n = t.n
+    return tuple(sum((t.prop(i, j) for j in range(n) if j != i), Fraction(0)) for i in range(n))
+
+
+def fraction_pair_total(w: WeightMatrix) -> Fraction | None:
+    n = w.n
+    totals = {w.w[i][j] + w.w[j][i] for i in range(n) for j in range(i + 1, n)}
+    total = totals.pop() if len(totals) == 1 else 0
+    return total if total > 0 else None
+
+
+def fraction_scores(w: WeightMatrix) -> tuple[Fraction, ...] | None:
+    total = fraction_pair_total(w)
+    if total is None:
+        return None
+    n = w.n
+    return tuple(
+        sum((w.w[k][j] for j in range(n) if j != k), Fraction(0)) / total for k in range(n)
+    )
+
+
+def assert_scores_match(weights: WeightMatrix) -> None:
+    assert weights.pair_total == fraction_pair_total(weights)
+    expected = fraction_scores(weights)
+    if expected is None:
+        with pytest.raises(NotConstantTotalError):
+            scores(weights)
+    else:
+        assert scores(weights).values == expected
+
+
+def proportion_tally(n: int, seed: int):
+    """tally_from_props with random exact proportions: uneven per-pair totals."""
+    rng = random.Random(seed)
+    props = {}
+    for pair in itertools.combinations(range(n), 2):
+        den = rng.randint(1, 12)
+        props[pair] = Fraction(rng.randint(0, den), den)
+    return tally_from_props(n, props)
+
+
+PROFILE_ARGS = (st.integers(2, 6), st.integers(1, 7), st.integers(0, 10**6), st.booleans())
+
+
+# ------------------------------------------------------------------ tallies
+
+@given(*PROFILE_ARGS)
+@settings(max_examples=80, deadline=None)
+def test_tally_is_counted_once_and_matches_a_naive_count(n, m, seed, complete):
+    profile = random_profile(n, m, seed, complete)
+    t = tally(profile)
+    assert tally(profile) is t
+    wins = [[0] * n for _ in range(n)]
+    for v in profile.voters:
+        for winner, loser in v.implied_pairs():
+            wins[winner][loser] += 1
+    assert t.wins == tuple(tuple(row) for row in wins)
+    assert majority_relation(t) is majority_relation(t)
+
+
+# ------------------------------------------------------------------- scores
+
+@given(*PROFILE_ARGS)
+@settings(max_examples=80, deadline=None)
+def test_borda_matches_fraction_sums_on_uneven_totals(n, m, seed, complete):
+    t = tally(random_profile(n, m, seed, complete, all_pairs=True))
+    assert borda_scores(t).values == fraction_borda(t)
+    t = proportion_tally(n, seed)
+    assert borda_scores(t).values == fraction_borda(t)
+
+
+@given(*PROFILE_ARGS)
+@settings(max_examples=80, deadline=None)
+def test_scores_match_fraction_sums(n, m, seed, complete):
+    t = tally(random_profile(n, m, seed, complete, all_pairs=True))
+    # raw counts: constant total on complete profiles, none on uneven ones
+    assert_scores_match(weights_standard(t))
+    # Copeland indicators, half weights on ties
+    for policy in TiePolicy:
+        assert_scores_match(weights_copeland(t, policy))
+    # proportions as weights: total 1, a different denominator on every pair
+    for tt in (t, proportion_tally(n, seed)):
+        props = [[tt.prop(i, j) if i != j else 0 for j in range(n)] for i in range(n)]
+        assert_scores_match(WeightMatrix(props))
+
+
+@given(st.integers(2, 7), st.integers(1, 9), st.integers(0, 10**6),
+       st.sampled_from([Fraction(1, 3), Fraction(49, 100), Fraction(1, 1000)]))
+@settings(max_examples=60, deadline=None)
+def test_gpm_weights_and_scores_match_fraction_sums(n, m, seed, eps):
+    target = gpmd(generate_complete(n, m, seed), EpsilonPolicy.finite(eps))
+    weights = weights_gpm(target)
+    p = target.p
+    assert weights.w == tuple(
+        tuple(Fraction(0) if i == j else p[i] / (p[i] + p[j]) for j in range(n)) for i in range(n)
+    )
+    assert_scores_match(weights)
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_ranking_from_scores_matches_the_negated_key_sort(values):
+    ranking = ranking_from_scores(ScoreVector(tuple(values), "test"))
+    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    assert ranking.order == tuple(order)
+    classes = [list(g) for _, g in itertools.groupby(order, key=lambda i: values[i])]
+    assert ranking.classes() == tuple(tuple(c) for c in classes)
+
+
+# ------------------------------------------------------------------- pareto
+
+def fraction_pareto(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
+    t = tally(profile)
+    n = t.n
+    unanimous = [
+        (i, j) for i in range(n) for j in range(n)
+        if i != j and t.total(i, j) > 0 and t.prop(i, j) == 1
+    ]
+    if not unanimous:
+        return AxiomReport.vacuous("pareto")
+    for i, j in unanimous:
+        if not ranking.strictly_above(i, j):
+            return AxiomReport(
+                "pareto", True, False, {"pair": [i, j], "note": "unanimous pair not strictly separated"}
+            )
+    return AxiomReport("pareto", True, True)
+
+
+@given(*PROFILE_ARGS, st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_pareto_integer_test_matches_unanimous_proportions(n, m, seed, complete, rseed):
+    profile = random_profile(n, m, seed, complete)
+    rng = random.Random(rseed)
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    ties = [tuple(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    ranking = Ranking(tuple(order), tuple(ties))
+    assert check_pareto(profile, ranking) == fraction_pareto(profile, ranking)

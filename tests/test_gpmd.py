@@ -111,6 +111,26 @@ def test_gpmd_gap_shrinks_monotonically(four_voter):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+EPSILONS = st.one_of(
+    st.sampled_from([Fraction(1, 3), Fraction(49, 100), Fraction(1, 1000)]),
+    st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(4999, 10**4)),
+)
+
+
+@given(st.integers(2, 7), st.integers(1, 9), st.integers(0, 10**6), EPSILONS)
+@settings(max_examples=80, deadline=None)
+def test_gpmd_closed_form_is_the_average_of_pm_geometric(n, m, seed, eps):
+    profile = generate_complete(n, m, seed)
+    parts = [pm_geometric(v.ranking, eps) for v in profile.voters]
+    average = tuple(sum((part.p[i] for part in parts), Fraction(0)) / m for i in range(n))
+    assert gpmd(profile, EpsilonPolicy.finite(eps)).p == average
+    # and pm_geometric is the textbook (1 - c) c^k / (1 - c^n) at every position
+    c = eps / (1 - eps)
+    ranking = profile.voters[0].ranking
+    for k, candidate in enumerate(ranking.order):
+        assert parts[0].p[candidate] == (1 - c) * c**k / (1 - c**n)
+
+
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10**6), st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_gpmd_permutation_equivariance(n, m, seed, pseed):
