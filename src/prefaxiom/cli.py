@@ -38,7 +38,6 @@ from .axioms import (
 )
 from .errors import (
     DisconnectedGraphError,
-    NotCompleteProfileError,
     PrefaxiomError,
     SchemaError,
     SpaceTooLargeError,
@@ -140,9 +139,6 @@ def _read_profile(path: str) -> PreferenceProfile:
     except FileNotFoundError:
         click.echo(f"error: no such file: {path}", err=True)
         sys.exit(EXIT_SCHEMA)
-    except SchemaError as e:
-        click.echo(f"schema error: {e}", err=True)
-        sys.exit(EXIT_SCHEMA)
 
 
 def _parse_epsilon(value: str) -> EpsilonPolicy:
@@ -168,7 +164,27 @@ FORMAT_OPTION = click.option(
 )
 
 
-@click.group()
+# exit code and stderr prefix per package error; any other one exits 1
+_EXITS = {
+    SchemaError: (EXIT_SCHEMA, "schema error"),
+    DisconnectedGraphError: (EXIT_DISCONNECTED, "error"),
+    SpaceTooLargeError: (EXIT_SPACE, "error"),
+}
+
+
+class _Main(click.Group):
+    """Maps package errors to exit codes once, for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except PrefaxiomError as e:
+            code, prefix = _EXITS.get(type(e), (1, "error"))
+            click.echo(f"{prefix}: {e}", err=True)
+            sys.exit(code)
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="prefaxiom")
 def main():
     """Preference aggregation with mechanical axiom checking."""
@@ -183,7 +199,8 @@ def cmd_tally(input: str, fmt: str):
     t = tally(profile)
     labels = profile.candidates.names
     n = t.n
-    props = [["" if i == j or t.prop(i, j) is None else _frac(t.prop(i, j)) for j in range(n)] for i in range(n)]
+    # one Fraction per cell; win counts stay far below the int-to-str digit limit
+    props = [["" if (p := t.prop(i, j)) is None else str(p) for j in range(n)] for i in range(n)]
     payload = {
         "command": "tally",
         "version": __version__,
@@ -220,6 +237,13 @@ def _ranking_text(ranking: Ranking, labels) -> str:
 
 
 def _ranking_from_rewards(values: tuple[float, ...], tol: float = 1e-8) -> Ranking:
+    """Ranking by solved float rewards; values within `tol` share a tie class.
+
+    `ranking_from_scores` ties only exactly equal scores, and it can: its
+    scores are exact rationals.  These rewards come out of a Newton solve, so
+    symmetric candidates end with rewards that differ by rounding alone, and
+    exact equality would split a true tie by that noise.
+    """
     by_value = sorted(range(len(values)), key=lambda i: (-values[i], i))
     classes: list[list[int]] = []
     for i in by_value:
@@ -250,38 +274,31 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     dist_block = None
     score_block = None
 
-    try:
-        if rule == "borda":
-            sv = borda_scores(tally(profile))
-            ranking = ranking_from_scores(sv)
-            score_block = sv
-        elif rule == "copeland":
-            sv = copeland_scores(tally(profile), policy)
+    if rule == "borda":
+        sv = borda_scores(tally(profile))
+        ranking = ranking_from_scores(sv)
+        score_block = sv
+    elif rule == "copeland":
+        sv = copeland_scores(tally(profile), policy)
+        ranking = ranking_from_scores(sv)
+        score_block = sv
+    else:
+        eps_policy = None
+        if rule == "mle-gpm":
+            eps_policy = _parse_epsilon(epsilon)
+            payload["epsilon"] = epsilon
+        weights = rule_weights(rule, profile, tie_policy=policy, epsilon_policy=eps_policy)
+        solution = solve_mle(weights)
+        if weights.is_constant_total:
+            sv = weight_scores(weights)
             ranking = ranking_from_scores(sv)
             score_block = sv
         else:
-            eps_policy = None
-            if rule == "mle-gpm":
-                eps_policy = _parse_epsilon(epsilon)
-                payload["epsilon"] = epsilon
-            weights = rule_weights(rule, profile, tie_policy=policy, epsilon_policy=eps_policy)
-            solution = solve_mle(weights)
-            if weights.is_constant_total:
-                sv = weight_scores(weights)
-                ranking = ranking_from_scores(sv)
-                score_block = sv
-            else:
-                notes.append("pair totals differ, score shortcut unavailable; ranking from solved rewards")
-                ranking = _ranking_from_rewards(solution.r)
-            solver_block = solution
-            if solution.converged:
-                dist_block = softmax(solution)
-    except DisconnectedGraphError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_DISCONNECTED)
-    except PrefaxiomError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+            notes.append("pair totals differ, score shortcut unavailable; ranking from solved rewards")
+            ranking = _ranking_from_rewards(solution.r)
+        solver_block = solution
+        if solution.converged:
+            dist_block = softmax(solution)
 
     payload["ranking"] = ranking.as_label_classes(profile.candidates)
     md.append(f"ranking: {_ranking_text(ranking, labels)}")
@@ -354,21 +371,14 @@ def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str
                 raise click.UsageError(f"rule {rule!r} has no probabilistic form for {c!r}")
 
     outputs = {}
-    try:
-        if any(a in ORDINAL_AXIOMS for a in selected):
-            outputs[RuleKind.ORDINAL] = make_rule(rule, RuleKind.ORDINAL, tie_policy=policy)(profile)
-        if any(a in PROBABILISTIC_AXIOMS for a in selected):
-            outputs[RuleKind.PROBABILISTIC] = make_rule(rule, RuleKind.PROBABILISTIC, tie_policy=policy)(profile)
-        reports = []
-        for axiom in selected:
-            output = outputs[RuleKind.ORDINAL if axiom in ORDINAL_AXIOMS else RuleKind.PROBABILISTIC]
-            reports.append(run_check(axiom, profile, output, tol=tol, epsilon_policy=eps_policy))
-    except DisconnectedGraphError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_DISCONNECTED)
-    except PrefaxiomError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+    if any(a in ORDINAL_AXIOMS for a in selected):
+        outputs[RuleKind.ORDINAL] = make_rule(rule, RuleKind.ORDINAL, tie_policy=policy)(profile)
+    if any(a in PROBABILISTIC_AXIOMS for a in selected):
+        outputs[RuleKind.PROBABILISTIC] = make_rule(rule, RuleKind.PROBABILISTIC, tie_policy=policy)(profile)
+    reports = []
+    for axiom in selected:
+        output = outputs[RuleKind.ORDINAL if axiom in ORDINAL_AXIOMS else RuleKind.PROBABILISTIC]
+        reports.append(run_check(axiom, profile, output, tol=tol, epsilon_policy=eps_policy))
 
     payload = {
         "command": "axioms",
@@ -401,11 +411,7 @@ def cmd_gpmd(input: str, epsilon: str, fmt: str):
     """Group preference matching distribution of a complete profile."""
     profile = _read_profile(input)
     eps_policy = _parse_epsilon(epsilon)
-    try:
-        dist = gpmd(profile, eps_policy)
-    except NotCompleteProfileError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+    dist = gpmd(profile, eps_policy)
     labels = profile.candidates.names
     payload = {
         "command": "gpmd",
@@ -480,16 +486,9 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
         rule_obj = make_rule(rule, kind)
     except ValueError as e:
         raise click.UsageError(str(e))
-    try:
-        outcome = counterexample_search(
-            rule_obj, axiom, space_obj, tol=tol, epsilon_policy=eps_policy, budget=budget
-        )
-    except SpaceTooLargeError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_SPACE)
-    except PrefaxiomError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+    outcome = counterexample_search(
+        rule_obj, axiom, space_obj, tol=tol, epsilon_policy=eps_policy, budget=budget
+    )
 
     payload = {
         "command": "search",

@@ -32,7 +32,7 @@ from .errors import (
     TiesNotAllowedError,
 )
 from .profiles import PairwiseTally, PreferenceProfile, ProfileKind, Ranking, tally
-from .reward import RewardVector, bt_embeddable, softmax, solve_mle, weights_gpm
+from .reward import RewardVector, bt_embeddable, softmax, solve_mle, weights_gpm, weights_standard
 from .rules import first_place_shares
 
 
@@ -148,70 +148,32 @@ def limit_embeddable(t: PairwiseTally) -> bool:
 
     Exact test: candidates split into totally ordered tiers with unanimous
     proportions (0 or 1) across tiers, and strictly interior, multiplicatively
-    consistent odds inside each tier.  Single rankings and unanimous pools pass
-    (each candidate its own tier); majority cycles on interior proportions fail.
+    consistent odds inside each tier.  With every pair compared, the tiers can
+    only be the strongly connected components of the win digraph (i -> j iff
+    wins[i][j] > 0):
+
+    - a pair split across two components is judged one way only: unanimous;
+    - the acyclic condensation of a digraph joining every pair is a
+      transitive tournament, so the components are totally ordered;
+    - a true tier is an interior clique, hence strongly connected, so it lies
+      inside one component.
+
+    So only each component's inside is checked: every pair interior, and odds
+    that factor through per-candidate weights.  Single rankings pass (each
+    candidate its own component); majority cycles on interior proportions fail.
     """
     t.require_all_pairs()
-    n = t.n
-    interior = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                p = t.prop(i, j)
-                interior[i][j] = 0 < p < 1
-
-    # connected components of the interior graph
-    comp = [-1] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        queue = deque([start])
-        comp[start] = len(comps)
-        members = [start]
-        while queue:
-            u = queue.popleft()
-            for v in range(n):
-                if v != u and interior[u][v] and comp[v] == -1:
-                    comp[v] = comp[start]
-                    members.append(v)
-                    queue.append(v)
-        comps.append(sorted(members))
-
-    # tiers must be interior cliques
-    for members in comps:
-        for a, b in itertools.combinations(members, 2):
-            if not interior[a][b]:
-                return False
-
-    # across tiers: unanimous direction, and the tier tournament transitive
-    k = len(comps)
-    beats = [[False] * k for _ in range(k)]
-    for x in range(k):
-        for y in range(x + 1, k):
-            directions = {t.prop(a, b) for a in comps[x] for b in comps[y]}
-            if directions == {Fraction(1)}:
-                beats[x][y] = True
-            elif directions == {Fraction(0)}:
-                beats[y][x] = True
-            else:
-                return False
-    outdeg = sorted(sum(beats[x]) for x in range(k))
-    if outdeg != list(range(k)):
-        return False
-
-    # inside each tier: odds ratios must factor through per-candidate weights
-    for members in comps:
-        if len(members) < 3:
-            continue
-        anchor = members[0]
-        rho = {anchor: Fraction(1)}
-        for a in members[1:]:
+    for members in weights_standard(t).condensation.components:
+        anchor, rest = members[0], members[1:]
+        rho = {}
+        for a in rest:
             p = t.prop(a, anchor)
+            if not 0 < p < 1:
+                return False
             rho[a] = p / (1 - p)
-        for a, b in itertools.combinations(members, 2):
+        for a, b in itertools.combinations(rest, 2):
             p = t.prop(a, b)
-            if p / (1 - p) != rho[a] / rho[b]:
+            if not 0 < p < 1 or p / (1 - p) != rho[a] / rho[b]:
                 return False
     return True
 
@@ -229,14 +191,11 @@ def block_embeddable(
     profile: PreferenceProfile, block: Sequence[int], policy: EpsilonPolicy
 ) -> bool:
     """Whether a voter block can stand alone in a partition under the policy."""
-    if len(block) == 1:
-        return True
-    sub = _block_profile(profile, block)
-    if policy.is_limit:
-        return limit_embeddable(tally(sub))
-    if _identical_rankings(sub) is not None:
-        return True
-    return bt_embeddable(tally(sub)) is not None
+    try:
+        block_pm_distribution(profile, block, policy)
+    except BlockNotEmbeddableError:
+        return False
+    return True
 
 
 def block_pm_distribution(
@@ -276,15 +235,11 @@ def gpmd_via_partition(
         raise NotCompleteProfileError("group matching needs full rankings")
     if not partition.covers(profile.m):
         raise ValueError("partition must cover every voter exactly once")
-    n = profile.n
     m = profile.m
-    exact = all(
-        policy.is_limit or len(b) == 1 or _identical_rankings(_block_profile(profile, b))
-        for b in partition.blocks
-    )
-    acc = [Fraction(0) if exact else 0.0] * n
-    for block in partition.blocks:
-        part = block_pm_distribution(profile, block, policy)
+    parts = [block_pm_distribution(profile, block, policy) for block in partition.blocks]
+    exact = all(part.is_exact for part in parts)
+    acc = [Fraction(0) if exact else 0.0] * profile.n
+    for block, part in zip(partition.blocks, parts):
         share = Fraction(len(block), m)
         for i, x in enumerate(part):
             acc[i] = acc[i] + (share * Fraction(x) if exact else float(share) * float(x))
@@ -335,12 +290,10 @@ def enumerate_embeddable_partitions(
             candidate = Partition(rest + (merged_block,))
             if candidate.blocks in seen:
                 continue
+            seen.add(candidate.blocks)  # rejections are cached too
             if block_embeddable(profile, merged_block, policy):
-                seen.add(candidate.blocks)
                 found.append(candidate)
                 queue.append(candidate)
-            else:
-                seen.add(candidate.blocks)  # cache the rejection
             if len(found) >= budget:
                 break
     return found

@@ -610,7 +610,11 @@ def serialize_profile(profile: PreferenceProfile) -> bytes:
 def parse_profile(data: "bytes | str") -> PreferenceProfile:
     """Parse the JSON profile schema, raising SchemaError with field context."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = data.count(b"\n", 0, e.start) + 1
+            raise SchemaError(f"invalid UTF-8: {e.reason}", line=line) from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as e:
@@ -624,11 +628,10 @@ def parse_profile(data: "bytes | str") -> PreferenceProfile:
     labels = doc.get("candidates")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("must be a list of strings", field="candidates")
-    if len(labels) < 2:
-        raise SchemaError("need at least two candidates", field="candidates")
-    if len(set(labels)) != len(labels):
-        raise SchemaError("labels must be distinct", field="candidates")
-    cset = CandidateSet(tuple(labels))
+    try:
+        cset = CandidateSet(tuple(labels))
+    except ValueError as e:
+        raise SchemaError(str(e), field="candidates") from None
 
     raw_voters = doc.get("voters")
     if not isinstance(raw_voters, list) or len(raw_voters) == 0:

@@ -189,6 +189,14 @@ def test_schema_error_exit_two(runner, tmp_path):
     assert res.exit_code == 2
     res2 = runner.invoke(main, ["tally", str(tmp_path / "missing.json")])
     assert res2.exit_code == 2
+    # an empty label and bytes that are not UTF-8: exit 2 with a location, no traceback
+    empty_label = json.dumps({"candidates": ["", "a"], "voters": []}).encode()
+    for data, where in ((empty_label, "(field: candidates)"), (b"\xff\xfe{}", "(line: 1)")):
+        bad.write_bytes(data)
+        res3 = runner.invoke(main, ["tally", str(bad)])
+        assert res3.exit_code == 2 and isinstance(res3.exception, SystemExit)
+        assert res3.stderr.startswith("schema error: ") and where in res3.stderr
+        assert res3.stdout == ""
 
 
 def test_disconnected_exit_three(runner, tmp_path):
@@ -219,16 +227,21 @@ UNEVEN_TOTALS = {
 
 
 @pytest.mark.parametrize(
-    "doc, command, rule",
+    "doc, command, options",
     [
-        pytest.param(UNJUDGED_PAIR, cmd, rule, id=f"{cmd}-{rule}-unjudged-pair")
+        pytest.param(UNJUDGED_PAIR, cmd, ["--rule", rule], id=f"{cmd}-{rule}-unjudged-pair")
         for cmd in ("rank", "axioms")
         for rule in ("borda", "copeland", "mle-copeland")
     ]
-    + [pytest.param(UNEVEN_TOTALS, "axioms", "mle-standard", id="axioms-mle-standard-uneven-totals")],
+    + [
+        pytest.param(
+            UNEVEN_TOTALS, "axioms", ["--rule", "mle-standard"], id="axioms-mle-standard-uneven-totals"
+        ),
+        pytest.param(UNJUDGED_PAIR, "gpmd", [], id="gpmd-comparison-voters"),
+    ],
 )
-def test_package_errors_exit_one_with_message(runner, tmp_path, doc, command, rule):
-    res = runner.invoke(main, [command, _write(tmp_path, doc), "--rule", rule])
+def test_package_errors_exit_one_with_message(runner, tmp_path, doc, command, options):
+    res = runner.invoke(main, [command, _write(tmp_path, doc), *options])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error: ")

@@ -12,6 +12,7 @@ from prefaxiom import (
     BlockNotEmbeddableError,
     EpsilonPolicy,
     NotCompleteProfileError,
+    PairwiseTally,
     Partition,
     Ranking,
     ResponseDistribution,
@@ -162,6 +163,53 @@ def test_limit_embeddable_accepts_identical_and_rejects_cycle(paradox):
     )
     assert limit_embeddable(tally(same))
     assert not limit_embeddable(tally(paradox))
+
+
+@st.composite
+def _tiered_tallies(draw, min_tier=1):
+    """A BT-limit tally: tiers over a random order, unanimous across tiers,
+    integer per-candidate weights inside a tier; plus the tier list."""
+    n = draw(st.integers(max(2, min_tier), 6))
+    order = draw(st.permutations(range(n)))
+    big = draw(st.integers(min_tier, n))  # one tier at least `min_tier` strong
+    start = draw(st.integers(0, n - big))
+    cuts = {start, start + big}
+    for k in list(range(1, start)) + list(range(start + big + 1, n)):
+        if draw(st.booleans()):
+            cuts.add(k)
+    bounds = sorted(cuts | {0, n})
+    tiers = [order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    rank = {c: k for k, tier in enumerate(tiers) for c in tier}
+    weight = [draw(st.integers(1, 5)) for _ in range(n)]
+    wins = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            scale = draw(st.integers(1, 3))
+            if rank[i] == rank[j]:
+                wins[i][j], wins[j][i] = weight[i] * scale, weight[j] * scale
+            elif rank[i] < rank[j]:
+                wins[i][j] = scale
+            else:
+                wins[j][i] = scale
+    return wins, tiers
+
+
+@given(_tiered_tallies())
+@settings(max_examples=200, deadline=None)
+def test_limit_embeddable_accepts_tiered_bt_tallies(case):
+    wins, _ = case
+    assert limit_embeddable(PairwiseTally(wins))
+
+
+@given(_tiered_tallies(min_tier=3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_limit_embeddable_rejects_a_raised_interior_count(case, data):
+    wins, tiers = case
+    tier = data.draw(st.sampled_from([t for t in tiers if len(t) >= 3]))
+    a, b = data.draw(st.permutations(tier))[:2]
+    wins[a][b] += data.draw(st.integers(1, 4))
+    # the pair stays interior, but its odds no longer factor through weights
+    assert not limit_embeddable(PairwiseTally(wins))
 
 
 def test_block_embeddable_limit(paradox):

@@ -368,11 +368,14 @@ def test_serialize_mixed_voter_kinds():
             },
             "voters[1]",
         ),
+        ({"candidates": ["", "a"], "voters": [{"id": "v", "ranking": ["", "a"]}]}, "candidates"),
+        (b"\xff\xfe{}", "line: 1"),  # not UTF-8
     ],
 )
 def test_parse_errors_carry_field_paths(doc, needle):
+    data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
     with pytest.raises(SchemaError) as exc:
-        parse_profile(json.dumps(doc).encode())
+        parse_profile(data)
     assert needle in str(exc.value)
 
 
