@@ -2,9 +2,11 @@
 """Audit every built-in rule against every applicable axiom.
 
 Scans an exhaustive space plus a seeded random space and prints a
-rule x axiom markdown matrix: `pass` when no violation was found, or
-`FAIL @ i` giving the first violating profile index.  Deterministic for a
-fixed seed.
+rule x axiom markdown matrix.  A cell reads `FAIL @ i` with the first
+violating profile index, `pass (a/e)` when no violation was found and the
+axiom's premise held on a of the e examined profiles, or `vacuous (e)` when
+it held on none of them, so the scan is no evidence either way.
+Deterministic for a fixed seed.
 
 Usage:
     python3 scripts/axiom_audit.py
@@ -52,7 +54,12 @@ def audit(space, epsilon: Fraction, tol: float) -> list[str]:
                 cells.append("-")
                 continue
             out = counterexample_search(rule, axiom, space, tol=tol, epsilon_policy=policy)
-            cells.append(f"FAIL @ {out.index}" if out.found else f"pass ({out.examined})")
+            if out.found:
+                cells.append(f"FAIL @ {out.index}")
+            elif out.applicable:
+                cells.append(f"pass ({out.applicable}/{out.examined})")
+            else:
+                cells.append(f"vacuous ({out.examined})")
         lines.append(f"| {name} ({kind.value}) | " + " | ".join(cells) + " |")
     return lines
 

@@ -1,10 +1,26 @@
 """Mechanical checkers for ordinal and distributional consistency properties.
 
-Each checker returns an AxiomReport separating applicability (does the
-profile satisfy the axiom's premise?) from satisfaction (does the rule output
-honor the conclusion?).  A report with applicable=False always carries
+Each axiom is a premise and a conclusion.  The premise (`axiom_premise`)
+reads only the profile or its tally and returns the facts the conclusion
+needs: the unanimous pairs, the majority winner, the pairwise-majority
+order, the Condorcet winner, the BT-embeddable tally, the equally-preferred
+pairs or the group matching target.  It returns None where the axiom holds
+vacuously.  The conclusion (`axiom_conclusion`) judges a rule output against
+those facts.  Every checker, `run_check` included, is the premise followed
+by the conclusion, so each axiom has one implementation.
+
+A checker returns an AxiomReport separating applicability (does the profile
+satisfy the axiom's premise?) from satisfaction (does the rule output honor
+the conclusion?).  A report with applicable=False always carries
 satisfied=True: axioms hold vacuously where their premise fails, and search
 treats such instances as non-witnesses.
+
+A rule under test splits the same way, into a domain step that raises what
+the rule raises on a profile and the evaluation proper.  So
+`counterexample_search` runs the domain step and the premise on every
+profile, and evaluates the rule only where the premise holds: a vacuous
+profile costs no solve, yet a profile outside the rule's domain still
+raises.
 """
 from __future__ import annotations
 
@@ -54,6 +70,8 @@ from .rules import (
 )
 
 ENUMERATION_BOUND = 10**7
+ORDINAL_AXIOMS = ("pareto", "majority", "pairwise-majority", "condorcet")
+PROBABILISTIC_AXIOMS = ("preference-matching", "preference-equivalence", "gpm")
 
 
 @dataclass(frozen=True)
@@ -84,19 +102,103 @@ class AxiomReport:
         }
 
 
-def check_pareto(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
-    """Unanimously preferred candidates must be ranked strictly higher.
+# ------------------------------------------------------------------ premises
 
-    Applicable iff some compared pair is unanimous; a tie class containing
-    both members of a unanimous pair violates.
-    """
-    w = tally(profile).wins
+
+def _unanimous_pairs(t: PairwiseTally) -> list[tuple[int, int]] | None:
+    """Compared pairs (i, j) that every judgment of the pair puts i first."""
+    w = t.wins
     # i over j is unanimous iff P(i over j) = 1: some judgment for i, none for j
-    unanimous = [
+    pairs = [
         (i, j) for i, row in enumerate(w) for j, x in enumerate(row) if x > 0 and w[j][i] == 0
     ]
-    if not unanimous:
-        return AxiomReport.vacuous("pareto")
+    return pairs or None
+
+
+def _majority_premise(profile: PreferenceProfile) -> int | None:
+    """The majority winner; None on profiles without one or without full rankings."""
+    try:
+        return majority_winner(profile)
+    except NotCompleteProfileError:
+        return None
+
+
+def _bt_embeddable_tally(t: PairwiseTally) -> PairwiseTally | None:
+    """The tally itself when every pair is compared and its proportions embed."""
+    if not t.defined_on_all_pairs or bt_embeddable(t) is None:
+        return None
+    return t
+
+
+def _swap_invariant(orders: Counter, i: int, j: int) -> bool:
+    """Whether swapping i and j maps a multiset of strict orders onto itself."""
+    # a strict ranking is its order tuple, so comparing the multisets of
+    # orders before and after the swap needs no permuted copy of the profile;
+    # the swap is a bijection on orders, so counts carry over key by key
+    swap = {i: j, j: i}
+    return orders == Counter(
+        {tuple(swap.get(k, k) for k in order): c for order, c in orders.items()}
+    )
+
+
+def _orders(profile: PreferenceProfile) -> Counter:
+    if profile.kind is not ProfileKind.COMPLETE:
+        raise NotCompleteProfileError("preference equivalence needs full rankings")
+    return Counter(v.ranking.order for v in profile.voters)
+
+
+def equally_preferred(profile: PreferenceProfile, i: int, j: int) -> bool:
+    """Whether swapping candidates i and j maps the electorate onto itself."""
+    orders = _orders(profile)
+    if i == j:
+        raise ValueError("need two distinct candidates")
+    return _swap_invariant(orders, i, j)
+
+
+def _equally_preferred_pairs(profile: PreferenceProfile) -> list[tuple[int, int]] | None:
+    orders = _orders(profile)
+    w = tally(profile).wins
+    # a swap-invariant electorate splits the swapped pair evenly, a cheap
+    # test on the cached tally that rules out most pairs (every pair, at odd m)
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(profile.n), 2)
+        if w[i][j] == w[j][i] and _swap_invariant(orders, i, j)
+    ]
+    return pairs or None
+
+
+def axiom_premise(
+    axiom: str, profile: PreferenceProfile, *, epsilon_policy: EpsilonPolicy | None = None
+):
+    """The facts the axiom's conclusion needs, or None where the axiom is vacuous.
+
+    Reads only the profile and its tally, never a rule output, and raises
+    what the axiom's checker raises on this profile.  The gpm premise always
+    holds: its facts are the group matching target under `epsilon_policy`
+    (default: the limit policy).
+    """
+    if axiom == "pareto":
+        return _unanimous_pairs(tally(profile))
+    if axiom == "majority":
+        return _majority_premise(profile)
+    if axiom == "pairwise-majority":
+        return pm_consistent_ranking(tally(profile))
+    if axiom == "condorcet":
+        return condorcet_winner(tally(profile))
+    if axiom == "preference-matching":
+        return _bt_embeddable_tally(tally(profile))
+    if axiom == "preference-equivalence":
+        return _equally_preferred_pairs(profile)
+    if axiom in ("gpm", "group-preference-matching"):
+        return gpmd(profile, epsilon_policy or EpsilonPolicy.limit())
+    raise ValueError(f"unknown axiom {axiom!r}")
+
+
+# --------------------------------------------------------------- conclusions
+
+
+def _pareto(unanimous: list[tuple[int, int]], ranking: Ranking) -> AxiomReport:
     for i, j in unanimous:
         if not ranking.strictly_above(i, j):
             return AxiomReport(
@@ -108,14 +210,7 @@ def check_pareto(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
     return AxiomReport("pareto", applicable=True, satisfied=True)
 
 
-def check_majority(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
-    """A candidate ranked first by over half the voters must be the unique top."""
-    try:
-        winner = majority_winner(profile)
-    except NotCompleteProfileError:
-        return AxiomReport.vacuous("majority")
-    if winner is None:
-        return AxiomReport.vacuous("majority")
+def _majority(winner: int, ranking: Ranking) -> AxiomReport:
     top = ranking.top_class()
     if top == (winner,):
         return AxiomReport("majority", applicable=True, satisfied=True)
@@ -127,11 +222,7 @@ def check_majority(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
     )
 
 
-def check_pairwise_majority(t: PairwiseTally, ranking: Ranking) -> AxiomReport:
-    """When the majority relation is a strict linear order, return exactly it."""
-    expected = pm_consistent_ranking(t)
-    if expected is None:
-        return AxiomReport.vacuous("pairwise-majority")
+def _pairwise_majority(expected: Ranking, ranking: Ranking) -> AxiomReport:
     if ranking.is_strict and ranking.order == expected.order:
         return AxiomReport("pairwise-majority", applicable=True, satisfied=True)
     return AxiomReport(
@@ -146,11 +237,7 @@ def check_pairwise_majority(t: PairwiseTally, ranking: Ranking) -> AxiomReport:
     )
 
 
-def check_condorcet(t: PairwiseTally, ranking: Ranking) -> AxiomReport:
-    """A candidate beating every other by majority must be the unique top."""
-    winner = condorcet_winner(t)
-    if winner is None:
-        return AxiomReport.vacuous("condorcet")
+def _condorcet(winner: int, ranking: Ranking) -> AxiomReport:
     top = ranking.top_class()
     if top == (winner,):
         return AxiomReport("condorcet", applicable=True, satisfied=True)
@@ -162,15 +249,8 @@ def check_condorcet(t: PairwiseTally, ranking: Ranking) -> AxiomReport:
     )
 
 
-def check_preference_matching(
-    t: PairwiseTally, dist: ResponseDistribution, tol: float = 1e-6
-) -> AxiomReport:
-    """On BT-embeddable tallies, p_i / (p_i + p_j) must reproduce each proportion."""
+def _preference_matching(t: PairwiseTally, dist: ResponseDistribution, tol: float) -> AxiomReport:
     axiom = "preference-matching"
-    if not t.defined_on_all_pairs:
-        return AxiomReport.vacuous(axiom)
-    if bt_embeddable(t) is None:
-        return AxiomReport.vacuous(axiom)
     n = t.n
     for i in range(n):
         for j in range(n):
@@ -196,33 +276,10 @@ def check_preference_matching(
     return AxiomReport(axiom, applicable=True, satisfied=True)
 
 
-def equally_preferred(profile: PreferenceProfile, i: int, j: int) -> bool:
-    """Whether swapping candidates i and j maps the electorate onto itself."""
-    if profile.kind is not ProfileKind.COMPLETE:
-        raise NotCompleteProfileError("preference equivalence needs full rankings")
-    if i == j:
-        raise ValueError("need two distinct candidates")
-    # a strict ranking is its order tuple, so comparing the multisets of
-    # orders before and after the swap needs no permuted copy of the profile
-    swap = {i: j, j: i}
-    orders = Counter(v.ranking.order for v in profile.voters)
-    swapped = Counter(tuple(swap.get(k, k) for k in v.ranking.order) for v in profile.voters)
-    return orders == swapped
-
-
-def check_preference_equivalence(
-    profile: PreferenceProfile, dist: ResponseDistribution, tol: float = 1e-6
+def _preference_equivalence(
+    pairs: list[tuple[int, int]], dist: ResponseDistribution, tol: float
 ) -> AxiomReport:
-    """Equally-preferred candidates must receive equal probability."""
     axiom = "preference-equivalence"
-    pairs = [
-        (i, j)
-        for i in range(profile.n)
-        for j in range(i + 1, profile.n)
-        if equally_preferred(profile, i, j)
-    ]
-    if not pairs:
-        return AxiomReport.vacuous(axiom)
     for i, j in pairs:
         if abs(float(dist[i]) - float(dist[j])) > tol:
             return AxiomReport(
@@ -234,16 +291,10 @@ def check_preference_equivalence(
     return AxiomReport(axiom, applicable=True, satisfied=True)
 
 
-def check_group_preference_matching(
-    profile: PreferenceProfile,
-    dist: ResponseDistribution,
-    epsilon_policy: EpsilonPolicy | None = None,
-    tol: float = 1e-6,
+def _group_preference_matching(
+    target: ResponseDistribution, dist: ResponseDistribution, tol: float
 ) -> AxiomReport:
-    """The distribution must equal the group matching distribution within tol."""
     axiom = "gpm"
-    policy = epsilon_policy or EpsilonPolicy.limit()
-    target = gpmd(profile, policy)
     gap = dist.linf_distance(target)
     if gap <= tol:
         return AxiomReport(axiom, applicable=True, satisfied=True)
@@ -259,8 +310,86 @@ def check_group_preference_matching(
     )
 
 
-ORDINAL_AXIOMS = ("pareto", "majority", "pairwise-majority", "condorcet")
-PROBABILISTIC_AXIOMS = ("preference-matching", "preference-equivalence", "gpm")
+def axiom_conclusion(
+    axiom: str, facts, output: "Ranking | ResponseDistribution", *, tol: float = 1e-6
+) -> AxiomReport:
+    """Judge a rule output against the facts `axiom_premise` returned.
+
+    None facts give the vacuous report; `tol` bounds the distributional
+    comparisons.
+    """
+    name = "gpm" if axiom == "group-preference-matching" else axiom
+    if name not in ORDINAL_AXIOMS + PROBABILISTIC_AXIOMS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    if facts is None:
+        return AxiomReport.vacuous(name)
+    if name == "pareto":
+        return _pareto(facts, output)
+    if name == "majority":
+        return _majority(facts, output)
+    if name == "pairwise-majority":
+        return _pairwise_majority(facts, output)
+    if name == "condorcet":
+        return _condorcet(facts, output)
+    if name == "preference-matching":
+        return _preference_matching(facts, output, tol)
+    if name == "preference-equivalence":
+        return _preference_equivalence(facts, output, tol)
+    return _group_preference_matching(facts, output, tol)
+
+
+# ------------------------------------------------------------------ checkers
+
+
+def check_pareto(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
+    """Unanimously preferred candidates must be ranked strictly higher.
+
+    Applicable iff some compared pair is unanimous; a tie class containing
+    both members of a unanimous pair violates.
+    """
+    return axiom_conclusion("pareto", _unanimous_pairs(tally(profile)), ranking)
+
+
+def check_majority(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
+    """A candidate ranked first by over half the voters must be the unique top."""
+    return axiom_conclusion("majority", _majority_premise(profile), ranking)
+
+
+def check_pairwise_majority(t: PairwiseTally, ranking: Ranking) -> AxiomReport:
+    """When the majority relation is a strict linear order, return exactly it."""
+    return axiom_conclusion("pairwise-majority", pm_consistent_ranking(t), ranking)
+
+
+def check_condorcet(t: PairwiseTally, ranking: Ranking) -> AxiomReport:
+    """A candidate beating every other by majority must be the unique top."""
+    return axiom_conclusion("condorcet", condorcet_winner(t), ranking)
+
+
+def check_preference_matching(
+    t: PairwiseTally, dist: ResponseDistribution, tol: float = 1e-6
+) -> AxiomReport:
+    """On BT-embeddable tallies, p_i / (p_i + p_j) must reproduce each proportion."""
+    return axiom_conclusion("preference-matching", _bt_embeddable_tally(t), dist, tol=tol)
+
+
+def check_preference_equivalence(
+    profile: PreferenceProfile, dist: ResponseDistribution, tol: float = 1e-6
+) -> AxiomReport:
+    """Equally-preferred candidates must receive equal probability."""
+    return axiom_conclusion(
+        "preference-equivalence", _equally_preferred_pairs(profile), dist, tol=tol
+    )
+
+
+def check_group_preference_matching(
+    profile: PreferenceProfile,
+    dist: ResponseDistribution,
+    epsilon_policy: EpsilonPolicy | None = None,
+    tol: float = 1e-6,
+) -> AxiomReport:
+    """The distribution must equal the group matching distribution within tol."""
+    target = axiom_premise("gpm", profile, epsilon_policy=epsilon_policy)
+    return axiom_conclusion("gpm", target, dist, tol=tol)
 
 
 class RuleKind(Enum):
@@ -270,14 +399,20 @@ class RuleKind(Enum):
 
 @dataclass(frozen=True)
 class RuleUnderTest:
-    """A named map from profiles to rankings (ordinal) or distributions."""
+    """A named map from profiles to rankings (ordinal) or distributions.
+
+    `domain` takes a profile and raises whatever the rule raises on it before
+    it evaluates; it returns what `evaluate` needs, which then computes the
+    output.  Calling the rule runs both.
+    """
 
     name: str
     kind: RuleKind
-    fn: Callable[[PreferenceProfile], "Ranking | ResponseDistribution"]
+    domain: Callable[[PreferenceProfile], object]
+    evaluate: Callable[[object], "Ranking | ResponseDistribution"]
 
     def __call__(self, profile: PreferenceProfile):
-        return self.fn(profile)
+        return self.evaluate(self.domain(profile))
 
 
 ORDINAL_RULES = ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm")
@@ -308,7 +443,31 @@ def rule_weights(
     raise ValueError(f"rule {name!r} is not an MLE rule")
 
 
-def _mle_distribution(weights: WeightMatrix) -> ResponseDistribution:
+def _complete_tally(profile: PreferenceProfile) -> PairwiseTally:
+    """The tally of a profile that compares every pair (UndefinedPairError otherwise)."""
+    t = tally(profile)
+    t.require_all_pairs()
+    return t
+
+
+def _score_domain(weights: WeightMatrix) -> WeightMatrix:
+    """Weights whose MLE order the exact score shortcut can read off."""
+    weights.require_constant_total()
+    return weights
+
+
+def _mle_domain(weights: WeightMatrix) -> tuple[WeightMatrix, tuple[int, ...] | None]:
+    """The weights and, when no finite MLE exists, the top component.
+
+    Raises what top_component raises when the MLE is infinite and has no
+    unique top.
+    """
+    return weights, None if minimizer_exists(weights) else top_component(weights)
+
+
+def _mle_distribution(
+    domain: tuple[WeightMatrix, tuple[int, ...] | None]
+) -> ResponseDistribution:
     """Softmax of the MLE rewards, or its ridge -> 0 limit when they are infinite.
 
     Along the ridge path the top component's rewards pull away from every
@@ -316,9 +475,9 @@ def _mle_distribution(weights: WeightMatrix) -> ResponseDistribution:
     the component's own MLE, so the limit is that component's softmax and
     zero elsewhere.
     """
-    if minimizer_exists(weights):
+    weights, top = domain
+    if top is None:
         return softmax(solve_mle(weights))
-    top = top_component(weights)
     probs = [0.0] * weights.n
     if len(top) == 1:
         probs[top[0]] = 1.0
@@ -348,24 +507,37 @@ def make_rule(
     softmax: the top component's own softmax, zero elsewhere.  A generalized
     profile whose condensation has several source components has no such top
     and raises NoUniqueTopError.
+
+    Each rule's domain step does everything up to the evaluation and raises
+    what the rule raises: the tally and its every-pair check for Borda and
+    Copeland, the weights (gpmd included, for mle-gpm) and the constant-total
+    check for ordinal MLE, the weights and top_component for probabilistic
+    MLE, and gpmd itself for gpmd-limit.  counterexample_search runs it on
+    every profile, and the evaluation (scores and ranking, or solve and
+    softmax) only where the axiom's premise holds.
     """
     if name not in (ORDINAL_RULES if kind is RuleKind.ORDINAL else PROBABILISTIC_RULES):
         raise ValueError(f"rule {name!r} has no {kind.value} form")
     if name == "borda":
-        return RuleUnderTest(name, kind, lambda p: ranking_from_scores(borda_scores(tally(p))))
+        return RuleUnderTest(
+            name, kind, _complete_tally, lambda t: ranking_from_scores(borda_scores(t))
+        )
     if name == "copeland":
         return RuleUnderTest(
-            name, kind, lambda p: ranking_from_scores(copeland_scores(tally(p), tie_policy))
+            name,
+            kind,
+            _complete_tally,
+            lambda t: ranking_from_scores(copeland_scores(t, tie_policy)),
         )
     if name == "gpmd-limit":
-        return RuleUnderTest(name, kind, lambda p: gpmd(p, EpsilonPolicy.limit()))
+        return RuleUnderTest(name, kind, lambda p: gpmd(p, EpsilonPolicy.limit()), lambda d: d)
 
     def weights(p: PreferenceProfile) -> WeightMatrix:
         return rule_weights(name, p, tie_policy=tie_policy, epsilon_policy=epsilon_policy)
 
     if kind is RuleKind.ORDINAL:
-        return RuleUnderTest(name, kind, lambda p: rank_by_scores(weights(p)))
-    return RuleUnderTest(name, kind, lambda p: _mle_distribution(weights(p)))
+        return RuleUnderTest(name, kind, lambda p: _score_domain(weights(p)), rank_by_scores)
+    return RuleUnderTest(name, kind, lambda p: _mle_domain(weights(p)), _mle_distribution)
 
 
 @dataclass(frozen=True)
@@ -478,33 +650,26 @@ def run_check(
     tol: float = 1e-6,
     epsilon_policy: EpsilonPolicy | None = None,
 ) -> AxiomReport:
-    """Dispatch one axiom checker on a rule output."""
-    if axiom == "pareto":
-        return check_pareto(profile, output)
-    if axiom == "majority":
-        return check_majority(profile, output)
-    if axiom == "pairwise-majority":
-        return check_pairwise_majority(tally(profile), output)
-    if axiom == "condorcet":
-        return check_condorcet(tally(profile), output)
-    if axiom == "preference-matching":
-        return check_preference_matching(tally(profile), output, tol)
-    if axiom == "preference-equivalence":
-        return check_preference_equivalence(profile, output, tol)
-    if axiom in ("gpm", "group-preference-matching"):
-        return check_group_preference_matching(profile, output, epsilon_policy, tol)
-    raise ValueError(f"unknown axiom {axiom!r}")
+    """One axiom checker on a rule output: the premise, then the conclusion."""
+    facts = axiom_premise(axiom, profile, epsilon_policy=epsilon_policy)
+    return axiom_conclusion(axiom, facts, output, tol=tol)
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Either a first violation (lowest index) or an exhaustion proof."""
+    """Either a first violation (lowest index) or an exhaustion proof.
+
+    Of the `examined` profiles, the axiom's premise held on `applicable` (the
+    violation included) and failed on `vacuous`.
+    """
 
     found: bool
     examined: int
     index: int | None = None
     profile: PreferenceProfile | None = None
     report: AxiomReport | None = None
+    applicable: int = 0
+    vacuous: int = 0
 
 
 def counterexample_search(
@@ -520,7 +685,9 @@ def counterexample_search(
 
     Instances are checked one at a time in the space's deterministic index
     order, at most `budget` of them, so the first violation found is the
-    lowest-index one.
+    lowest-index one.  Each profile goes through the rule's domain step
+    (which raises what the rule would), then the axiom's premise; the rule
+    is evaluated and the conclusion judged only where the premise holds.
     """
     if axiom in ORDINAL_AXIOMS and rule.kind is not RuleKind.ORDINAL:
         raise ValueError(f"axiom {axiom!r} needs an ordinal rule")
@@ -531,10 +698,16 @@ def counterexample_search(
     if budget is not None:
         stream = itertools.islice(stream, budget)
 
-    examined = 0
+    examined = applicable = vacuous = 0
     for idx, profile in enumerate(stream):
         examined += 1
-        report = run_check(axiom, profile, rule(profile), tol=tol, epsilon_policy=epsilon_policy)
+        prepared = rule.domain(profile)
+        facts = axiom_premise(axiom, profile, epsilon_policy=epsilon_policy)
+        if facts is None:
+            vacuous += 1
+            continue
+        applicable += 1
+        report = axiom_conclusion(axiom, facts, rule.evaluate(prepared), tol=tol)
         if report.violated:
-            return SearchOutcome(True, examined, idx, profile, report)
-    return SearchOutcome(False, examined)
+            return SearchOutcome(True, examined, idx, profile, report, applicable, vacuous)
+    return SearchOutcome(False, examined, applicable=applicable, vacuous=vacuous)

@@ -498,6 +498,8 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
         "space": space,
         "seed": seed,
         "examined": outcome.examined,
+        "applicable": outcome.applicable,
+        "vacuous": outcome.vacuous,
         "found": outcome.found,
     }
     md = [f"# Search: {rule} vs {axiom} on {space}", ""]

@@ -180,8 +180,6 @@ def limit_embeddable(t: PairwiseTally) -> bool:
 
 def _identical_rankings(profile: PreferenceProfile) -> Ranking | None:
     first = profile.voters[0].ranking
-    if first is None:
-        return None
     if all(v.ranking == first for v in profile.voters):
         return first
     return None
@@ -206,13 +204,14 @@ def block_pm_distribution(
     Limit policy: the block's first-place shares (the epsilon -> 0 limit of the
     member average, exact).  Finite policy: the geometric closed form when all
     members agree, else the softmax of the pooled tally's recovered rewards;
-    pooled tallies with boundary proportions are rejected.
+    pooled tallies with boundary proportions are rejected.  Any profile with a
+    comparison voter raises NotCompleteProfileError, whatever the block.
     """
+    if profile.kind is not ProfileKind.COMPLETE:
+        raise NotCompleteProfileError("group matching needs full rankings")
     sub = _block_profile(profile, block)
     if len(block) == 1:
         ranking = sub.voters[0].ranking
-        if ranking is None:
-            raise NotCompleteProfileError("blocks need ranking voters")
         return _limit_pm(ranking) if policy.is_limit else pm_geometric(ranking, policy.epsilon)
     if policy.is_limit:
         if not limit_embeddable(tally(sub)):

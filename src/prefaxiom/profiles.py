@@ -4,8 +4,9 @@ A profile is a finite electorate expressing ordinal preferences over a fixed
 candidate set, either as full strict rankings or as sets of pairwise
 comparisons.  Tallies and majority relations are kept in exact integer and
 rational arithmetic so that downstream majority and score decisions never
-depend on floating-point rounding.  Each profile is tallied once and each
-tally derives its majority relation once: both are cached on first use.
+depend on floating-point rounding.  Each profile is tallied once, counts
+its first places once, and each tally derives its majority relation once:
+all three are cached on first use.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     DimensionMismatchError,
     IncompleteRelationError,
+    NotCompleteProfileError,
     SchemaError,
     TiesNotAllowedError,
     UndefinedPairError,
@@ -233,6 +235,19 @@ class PreferenceProfile:
                 for c in v.comparisons:
                     wins[c.winner][c.loser] += 1
         return PairwiseTally(tuple(tuple(row) for row in wins))
+
+    @cached_property
+    def first_place_counts(self) -> tuple[int, ...]:
+        """How many voters rank each candidate first, counted once.
+
+        Raises NotCompleteProfileError when some voter gives comparisons only.
+        """
+        if self.kind is not ProfileKind.COMPLETE:
+            raise NotCompleteProfileError("first-place counts need full rankings")
+        counts = [0] * self.n
+        for v in self.voters:
+            counts[v.ranking.top()] += 1
+        return tuple(counts)
 
 
 def complete_profile(

@@ -61,7 +61,9 @@ def _condensation(rows: tuple[tuple[Fraction, ...], ...]) -> Condensation:
     Both are iterative so large n cannot exhaust the call stack.
     """
     n = len(rows)
-    succ = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
+    # weights are nonnegative, so every nonzero entry is an edge; a
+    # Fraction's truth test reads its numerator, far cheaper than `> 0`
+    succ = [[j for j, x in enumerate(row) if x] for row in rows]
     # the comparison graph ignores direction: walk the edges both ways
     neighbours = [list(targets) for targets in succ]
     for i in range(n):
@@ -186,6 +188,13 @@ class WeightMatrix:
     @property
     def is_constant_total(self) -> bool:
         return self.pair_total is not None
+
+    def require_constant_total(self) -> Fraction:
+        """The common pair total; NotConstantTotalError when pairs differ."""
+        total = self.pair_total
+        if total is None:
+            raise NotConstantTotalError("scores need a constant per-pair total")
+        return total
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -425,9 +434,7 @@ def scores(weights: WeightMatrix) -> ScoreVector:
     these scores, so they stand in for the solver wherever only the ordering
     matters.
     """
-    total = weights.pair_total
-    if total is None:
-        raise NotConstantTotalError("scores need a constant per-pair total")
+    total = weights.require_constant_total()
     values = []
     for row in weights.w:
         # integer numerators over this row's own lcm: one exact division per

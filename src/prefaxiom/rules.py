@@ -6,12 +6,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ResponseDistribution
-from .errors import NotCompleteProfileError
 from .profiles import (
     Outcome,
     PairwiseTally,
     PreferenceProfile,
-    ProfileKind,
     Ranking,
     TiePolicy,
     majority_relation,
@@ -74,19 +72,9 @@ def condorcet_winner(t: PairwiseTally) -> int | None:
     return None
 
 
-def _first_place_counts(profile: PreferenceProfile) -> list[int]:
-    """How many voters rank each candidate first."""
-    if profile.kind is not ProfileKind.COMPLETE:
-        raise NotCompleteProfileError("first-place counts need full rankings")
-    counts = [0] * profile.n
-    for v in profile.voters:
-        counts[v.ranking.top()] += 1
-    return counts
-
-
 def majority_winner(profile: PreferenceProfile) -> int | None:
     """Candidate ranked first by a strict majority of voters, or None."""
-    for i, c in enumerate(_first_place_counts(profile)):
+    for i, c in enumerate(profile.first_place_counts):
         if 2 * c > profile.m:
             return i
     return None
@@ -118,4 +106,4 @@ def ranking_from_scores(scores: ScoreVector) -> Ranking:
 def first_place_shares(profile: PreferenceProfile) -> ResponseDistribution:
     """Fraction of voters ranking each candidate first, as exact rationals."""
     m = profile.m
-    return ResponseDistribution(tuple(Fraction(c, m) for c in _first_place_counts(profile)))
+    return ResponseDistribution(tuple(Fraction(c, m) for c in profile.first_place_counts))

@@ -16,6 +16,7 @@ from prefaxiom import (
     EpsilonPolicy,
     ExhaustiveComplete,
     NoUniqueTopError,
+    NotCompleteProfileError,
     ORDINAL_AXIOMS,
     ORDINAL_RULES,
     PROBABILISTIC_AXIOMS,
@@ -25,9 +26,13 @@ from prefaxiom import (
     Ranking,
     ResponseDistribution,
     RuleKind,
+    RuleUnderTest,
     SpaceTooLargeError,
     TiePolicy,
+    ZeroProbabilityError,
     apply_permutation,
+    axiom_conclusion,
+    axiom_premise,
     check_condorcet,
     check_group_preference_matching,
     check_majority,
@@ -391,3 +396,127 @@ def test_search_gpm_alias():
 def test_run_check_rejects_unknown_axiom(four_voter):
     with pytest.raises(ValueError):
         run_check("iia", four_voter, Ranking((0, 1, 2)), tol=1e-6, epsilon_policy=None)
+
+
+# ------------------------------------------------- premise first, rule second
+
+RULE_AXIOM_PAIRS = [
+    (name, RuleKind.ORDINAL, axiom) for name in ORDINAL_RULES for axiom in ORDINAL_AXIOMS
+] + [
+    (name, RuleKind.PROBABILISTIC, axiom)
+    for name in PROBABILISTIC_RULES
+    for axiom in PROBABILISTIC_AXIOMS
+]
+SMALL_SPACES = st.one_of(
+    st.sampled_from([(2, 1), (2, 3), (2, 4), (3, 1), (3, 2)]).map(lambda nm: ExhaustiveComplete(*nm)),
+    st.builds(
+        RandomComplete, st.integers(2, 4), st.integers(1, 4), st.integers(1, 12), st.integers(0, 99)
+    ),
+    st.builds(Assumption1, st.integers(2, 4)),
+    st.builds(Assumption1, st.integers(2, 4), st.integers(1, 8), st.integers(0, 99)),
+)
+POLICIES = st.sampled_from([None, EpsilonPolicy.limit(), EpsilonPolicy.finite(Fraction(1, 100))])
+
+
+def _reference_search(rule, axiom, space, epsilon_policy):
+    """The search as a plain loop: the whole rule, then the whole check."""
+    examined = applicable = 0
+    for idx, profile in enumerate(iter_profiles(space)):
+        examined += 1
+        report = run_check(axiom, profile, rule(profile), epsilon_policy=epsilon_policy)
+        applicable += report.applicable
+        if report.violated:
+            return True, idx, examined, report, applicable
+    return False, None, examined, None, applicable
+
+
+@given(
+    st.sampled_from(RULE_AXIOM_PAIRS),
+    SMALL_SPACES,
+    st.sampled_from(list(TiePolicy)),
+    POLICIES,
+    POLICIES,
+)
+@settings(max_examples=80, deadline=None)
+def test_search_matches_rule_then_check_reference(pairing, space, tie_policy, rule_policy, check_policy):
+    name, kind, axiom = pairing
+    rule = make_rule(name, kind, tie_policy=tie_policy, epsilon_policy=rule_policy)
+    try:
+        expected = _reference_search(rule, axiom, space, check_policy)
+    except Exception as e:  # the search must fail the same way
+        with pytest.raises(type(e)) as caught:
+            counterexample_search(rule, axiom, space, epsilon_policy=check_policy)
+        assert str(caught.value) == str(e)
+        return
+    out = counterexample_search(rule, axiom, space, epsilon_policy=check_policy)
+    assert (out.found, out.index, out.examined, out.report, out.applicable) == expected
+    assert out.applicable + out.vacuous == out.examined
+
+
+def test_search_evaluates_the_rule_only_where_the_premise_holds():
+    base = make_rule("mle-standard", RuleKind.PROBABILISTIC)
+    evaluated = []
+
+    def evaluate(prepared):
+        evaluated.append(prepared)
+        return base.evaluate(prepared)
+
+    rule = RuleUnderTest(base.name, base.kind, base.domain, evaluate)
+    out = counterexample_search(rule, "preference-equivalence", ExhaustiveComplete(3, 4))
+    assert not out.found and out.examined == 1296
+    # at even m some electorates are symmetric under a swap of two candidates
+    assert (out.applicable, out.vacuous) == (270, 1026)
+    assert len(evaluated) == out.applicable
+
+
+def test_search_on_vacuous_profiles_still_raises_domain_errors():
+    # no profile of the space has two equally-preferred candidates (m is odd),
+    # yet the limit-policy gpm weights are undefined where a share is zero
+    rule = make_rule("mle-gpm", RuleKind.PROBABILISTIC, epsilon_policy=EpsilonPolicy.limit())
+    with pytest.raises(ZeroProbabilityError):
+        counterexample_search(rule, "preference-equivalence", ExhaustiveComplete(3, 3))
+    with pytest.raises(NotCompleteProfileError):
+        counterexample_search(
+            make_rule("mle-gpm", RuleKind.PROBABILISTIC), "preference-matching", Assumption1(3)
+        )
+
+
+def test_premise_and_conclusion_compose_to_run_check(four_voter, paradox):
+    ranking = make_rule("borda", RuleKind.ORDINAL)(four_voter)
+    dist = make_rule("mle-standard", RuleKind.PROBABILISTIC)(four_voter)
+    for axiom in ORDINAL_AXIOMS + PROBABILISTIC_AXIOMS:
+        output = ranking if axiom in ORDINAL_AXIOMS else dist
+        facts = axiom_premise(axiom, four_voter)
+        assert axiom_conclusion(axiom, facts, output) == run_check(axiom, four_voter, output)
+        assert run_check(axiom, four_voter, output).applicable == (facts is not None)
+    assert axiom_premise("condorcet", paradox) is None
+    assert axiom_premise("pareto", paradox) is None
+    with pytest.raises(ValueError):
+        axiom_conclusion("iia", None, ranking)
+
+
+@st.composite
+def swap_symmetric_profiles(draw):
+    """Each drawn voter together with its image under swapping candidates a and b."""
+    n = draw(st.integers(3, 5))
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    swap = {a: b, b: a}
+    labels = [f"c{i}" for i in range(n)]
+    rankings = []
+    for order in draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3)):
+        rankings.append([labels[k] for k in order])
+        rankings.append([labels[swap.get(k, k)] for k in order])
+    return complete_profile(labels, rankings), (min(a, b), max(a, b))
+
+
+@given(swap_symmetric_profiles())
+@settings(max_examples=40, deadline=None)
+def test_probabilistic_mle_rules_satisfy_preference_equivalence(drawn):
+    # the paper's claim, on electorates where the premise provably holds
+    profile, pair = drawn
+    assert equally_preferred(profile, *pair)
+    for name in ("mle-standard", "mle-copeland", "mle-gpm"):
+        report = check_preference_equivalence(
+            profile, make_rule(name, RuleKind.PROBABILISTIC)(profile)
+        )
+        assert report.applicable and report.satisfied, (name, report.witness)

@@ -323,6 +323,20 @@ def test_search_exhausted(runner):
     assert res.exit_code == 0 and not doc["found"] and doc["examined"] == 216
 
 
+def test_search_json_counts_applicable_and_vacuous_profiles(runner):
+    base = ["search", "--rule", "mle-standard", "--axiom", "preference-equivalence"]
+    res = runner.invoke(main, base + ["--space", "exhaustive-complete:n=3,m=3", "--format", "json"])
+    doc = json.loads(res.output)
+    # at odd m no two candidates are equally preferred: a vacuous clean scan
+    assert (doc["found"], doc["examined"], doc["applicable"], doc["vacuous"]) == (False, 216, 0, 216)
+    res = runner.invoke(main, base + ["--space", "exhaustive-complete:n=3,m=4", "--format", "json"])
+    doc = json.loads(res.output)
+    assert (doc["found"], doc["examined"], doc["applicable"], doc["vacuous"]) == (False, 1296, 270, 1026)
+    # markdown keeps its one summary line
+    res = runner.invoke(main, base + ["--space", "exhaustive-complete:n=3,m=3"])
+    assert res.output.splitlines()[-1] == "no violation; 216 instances examined"
+
+
 def test_search_unknown_space_exit_two(runner):
     res = runner.invoke(
         main, ["search", "--rule", "borda", "--axiom", "condorcet", "--space", "weird:n=3"]

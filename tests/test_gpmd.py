@@ -318,3 +318,18 @@ def test_pipeline_round_trip_random(n, m, seed):
     profile = generate_complete(n, m, seed)
     res = gpm_pipeline(profile, EpsilonPolicy.finite(Fraction(1, 1000)))
     assert res.recovered.linf_distance(res.target) <= 1e-6
+
+
+@pytest.mark.parametrize("block", [(0,), (0, 1)])
+@pytest.mark.parametrize("policy", [EpsilonPolicy.finite(Fraction(1, 10)), LIMIT], ids=["finite", "limit"])
+def test_block_pm_distribution_needs_full_rankings(block, policy):
+    # the pooled tally of the two comparison voters is 1/2 on every pair:
+    # interior and BT-consistent, yet no matching distribution is defined
+    profile = generalized_profile(
+        ["a", "b", "c"],
+        {"v1": [("a", "b"), ("b", "c"), ("a", "c")], "v2": [("b", "a"), ("c", "b"), ("c", "a")]},
+    )
+    with pytest.raises(NotCompleteProfileError):
+        block_pm_distribution(profile, block, policy)
+    with pytest.raises(NotCompleteProfileError):
+        block_embeddable(profile, block, policy)

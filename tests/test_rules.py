@@ -97,6 +97,15 @@ def test_majority_winner_requires_complete_profile():
         majority_winner(p)
 
 
+def test_first_place_counts_are_counted_once(four_voter):
+    counts = four_voter.first_place_counts
+    assert counts == (2, 1, 1)
+    assert four_voter.first_place_counts is counts
+    assert first_place_shares(four_voter).p == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    with pytest.raises(NotCompleteProfileError):
+        generalized_profile(["a", "b"], {"v1": [("a", "b")]}).first_place_counts
+
+
 def test_majority_winner_strict_majority(four_voter, paradox):
     # 2 of 4 first places is not a strict majority
     assert majority_winner(four_voter) is None
