@@ -6,8 +6,9 @@ needs: the unanimous pairs, the majority winner, the pairwise-majority
 order, the Condorcet winner, the BT-embeddable tally, the equally-preferred
 pairs or the group matching target.  It returns None where the axiom holds
 vacuously.  The conclusion (`axiom_conclusion`) judges a rule output against
-those facts.  Every checker, `run_check` included, is the premise followed
-by the conclusion, so each axiom has one implementation.
+those facts.  One table maps each axiom name to its rule kind, premise and
+conclusion, and `run_check` is the one checker: the premise followed by the
+conclusion.
 
 A checker returns an AxiomReport separating applicability (does the profile
 satisfy the axiom's premise?) from satisfaction (does the rule output honor
@@ -21,15 +22,19 @@ the rule raises on a profile and the evaluation proper.  So
 profile, and evaluates the rule only where the premise holds: a vacuous
 profile costs no solve, yet a profile outside the rule's domain still
 raises.
+
+Search spaces check their own parameters when built and know their size,
+whether they are exhaustive, and their deterministic profile stream.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping
+from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple
 
 from .distributions import ResponseDistribution
 from .errors import NotCompleteProfileError, SpaceTooLargeError
@@ -70,8 +75,11 @@ from .rules import (
 )
 
 ENUMERATION_BOUND = 10**7
-ORDINAL_AXIOMS = ("pareto", "majority", "pairwise-majority", "condorcet")
-PROBABILISTIC_AXIOMS = ("preference-matching", "preference-equivalence", "gpm")
+
+
+class RuleKind(Enum):
+    ORDINAL = "ordinal"
+    PROBABILISTIC = "probabilistic"
 
 
 @dataclass(frozen=True)
@@ -168,6 +176,133 @@ def _equally_preferred_pairs(profile: PreferenceProfile) -> list[tuple[int, int]
     return pairs or None
 
 
+# --------------------------------------------------------------- conclusions
+# Each conclusion takes the premise's facts, the rule output and the
+# tolerance, and returns the witness of a violation, or None.
+
+
+def _pareto(unanimous: list[tuple[int, int]], ranking: Ranking, tol: float) -> dict | None:
+    for i, j in unanimous:
+        if not ranking.strictly_above(i, j):
+            return {"pair": [i, j], "note": "unanimous pair not strictly separated"}
+    return None
+
+
+def _unique_top(key: str, winner: int, ranking: Ranking, tol: float) -> dict | None:
+    """The winner must be the ranking's unique top; `key` names it in the witness."""
+    top = ranking.top_class()
+    if top == (winner,):
+        return None
+    return {key: winner, "top_class": list(top)}
+
+
+def _pairwise_majority(expected: Ranking, ranking: Ranking, tol: float) -> dict | None:
+    if ranking.is_strict and ranking.order == expected.order:
+        return None
+    return {
+        "expected_order": list(expected.order),
+        "actual_order": list(ranking.order),
+        "actual_has_ties": not ranking.is_strict,
+    }
+
+
+def _preference_matching(t: PairwiseTally, dist: ResponseDistribution, tol: float) -> dict | None:
+    n = t.n
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            target = float(t.prop(i, j))
+            denom = float(dist[i]) + float(dist[j])
+            if denom == 0.0:
+                return {"pair": [i, j], "note": "both probabilities are zero"}
+            actual = float(dist[i]) / denom
+            if abs(actual - target) > tol:
+                return {"pair": [i, j], "target": target, "actual": actual}
+    return None
+
+
+def _preference_equivalence(
+    pairs: list[tuple[int, int]], dist: ResponseDistribution, tol: float
+) -> dict | None:
+    for i, j in pairs:
+        if abs(float(dist[i]) - float(dist[j])) > tol:
+            return {"pair": [i, j], "p_i": float(dist[i]), "p_j": float(dist[j])}
+    return None
+
+
+def _group_preference_matching(
+    target: ResponseDistribution, dist: ResponseDistribution, tol: float
+) -> dict | None:
+    gap = dist.linf_distance(target)
+    if gap <= tol:
+        return None
+    return {
+        "linf_gap": gap,
+        "target": [float(x) for x in target],
+        "actual": [float(x) for x in dist],
+    }
+
+
+# --------------------------------------------------------------- the table
+
+
+class _Axiom(NamedTuple):
+    kind: RuleKind
+    premise: Callable[[PreferenceProfile, EpsilonPolicy | None], object]
+    conclusion: Callable[[object, "Ranking | ResponseDistribution", float], "dict | None"]
+
+
+# The premises call tally, gpmd and the other statistics through this
+# module's globals at call time, so whoever rebinds those names (a tracer)
+# sees every call; the table holds no reference to them.
+_AXIOMS = {
+    "pareto": _Axiom(
+        RuleKind.ORDINAL, lambda p, eps: _unanimous_pairs(tally(p)), _pareto
+    ),
+    "majority": _Axiom(
+        RuleKind.ORDINAL,
+        lambda p, eps: _majority_premise(p),
+        functools.partial(_unique_top, "majority_winner"),
+    ),
+    "pairwise-majority": _Axiom(
+        RuleKind.ORDINAL, lambda p, eps: pm_consistent_ranking(tally(p)), _pairwise_majority
+    ),
+    "condorcet": _Axiom(
+        RuleKind.ORDINAL,
+        lambda p, eps: condorcet_winner(tally(p)),
+        functools.partial(_unique_top, "condorcet_winner"),
+    ),
+    "preference-matching": _Axiom(
+        RuleKind.PROBABILISTIC,
+        lambda p, eps: _bt_embeddable_tally(tally(p)),
+        _preference_matching,
+    ),
+    "preference-equivalence": _Axiom(
+        RuleKind.PROBABILISTIC, lambda p, eps: _equally_preferred_pairs(p), _preference_equivalence
+    ),
+    # the premise always holds: the group matching target, by default in the limit
+    "gpm": _Axiom(
+        RuleKind.PROBABILISTIC,
+        lambda p, eps: gpmd(p, eps or EpsilonPolicy.limit()),
+        _group_preference_matching,
+    ),
+}
+_ALIASES = {"group-preference-matching": "gpm"}
+
+ORDINAL_AXIOMS = tuple(a for a, e in _AXIOMS.items() if e.kind is RuleKind.ORDINAL)
+PROBABILISTIC_AXIOMS = tuple(a for a, e in _AXIOMS.items() if e.kind is RuleKind.PROBABILISTIC)
+
+
+def _lookup(axiom: str) -> tuple[str, _Axiom]:
+    """The canonical name and table entry of an axiom name or alias."""
+    name = _ALIASES.get(axiom, axiom)
+    entry = _AXIOMS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    return name, entry
+
+
 def axiom_premise(
     axiom: str, profile: PreferenceProfile, *, epsilon_policy: EpsilonPolicy | None = None
 ):
@@ -178,136 +313,7 @@ def axiom_premise(
     holds: its facts are the group matching target under `epsilon_policy`
     (default: the limit policy).
     """
-    if axiom == "pareto":
-        return _unanimous_pairs(tally(profile))
-    if axiom == "majority":
-        return _majority_premise(profile)
-    if axiom == "pairwise-majority":
-        return pm_consistent_ranking(tally(profile))
-    if axiom == "condorcet":
-        return condorcet_winner(tally(profile))
-    if axiom == "preference-matching":
-        return _bt_embeddable_tally(tally(profile))
-    if axiom == "preference-equivalence":
-        return _equally_preferred_pairs(profile)
-    if axiom in ("gpm", "group-preference-matching"):
-        return gpmd(profile, epsilon_policy or EpsilonPolicy.limit())
-    raise ValueError(f"unknown axiom {axiom!r}")
-
-
-# --------------------------------------------------------------- conclusions
-
-
-def _pareto(unanimous: list[tuple[int, int]], ranking: Ranking) -> AxiomReport:
-    for i, j in unanimous:
-        if not ranking.strictly_above(i, j):
-            return AxiomReport(
-                "pareto",
-                applicable=True,
-                satisfied=False,
-                witness={"pair": [i, j], "note": "unanimous pair not strictly separated"},
-            )
-    return AxiomReport("pareto", applicable=True, satisfied=True)
-
-
-def _majority(winner: int, ranking: Ranking) -> AxiomReport:
-    top = ranking.top_class()
-    if top == (winner,):
-        return AxiomReport("majority", applicable=True, satisfied=True)
-    return AxiomReport(
-        "majority",
-        applicable=True,
-        satisfied=False,
-        witness={"majority_winner": winner, "top_class": list(top)},
-    )
-
-
-def _pairwise_majority(expected: Ranking, ranking: Ranking) -> AxiomReport:
-    if ranking.is_strict and ranking.order == expected.order:
-        return AxiomReport("pairwise-majority", applicable=True, satisfied=True)
-    return AxiomReport(
-        "pairwise-majority",
-        applicable=True,
-        satisfied=False,
-        witness={
-            "expected_order": list(expected.order),
-            "actual_order": list(ranking.order),
-            "actual_has_ties": not ranking.is_strict,
-        },
-    )
-
-
-def _condorcet(winner: int, ranking: Ranking) -> AxiomReport:
-    top = ranking.top_class()
-    if top == (winner,):
-        return AxiomReport("condorcet", applicable=True, satisfied=True)
-    return AxiomReport(
-        "condorcet",
-        applicable=True,
-        satisfied=False,
-        witness={"condorcet_winner": winner, "top_class": list(top)},
-    )
-
-
-def _preference_matching(t: PairwiseTally, dist: ResponseDistribution, tol: float) -> AxiomReport:
-    axiom = "preference-matching"
-    n = t.n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            target = float(t.prop(i, j))
-            denom = float(dist[i]) + float(dist[j])
-            if denom == 0.0:
-                return AxiomReport(
-                    axiom,
-                    applicable=True,
-                    satisfied=False,
-                    witness={"pair": [i, j], "note": "both probabilities are zero"},
-                )
-            actual = float(dist[i]) / denom
-            if abs(actual - target) > tol:
-                return AxiomReport(
-                    axiom,
-                    applicable=True,
-                    satisfied=False,
-                    witness={"pair": [i, j], "target": target, "actual": actual},
-                )
-    return AxiomReport(axiom, applicable=True, satisfied=True)
-
-
-def _preference_equivalence(
-    pairs: list[tuple[int, int]], dist: ResponseDistribution, tol: float
-) -> AxiomReport:
-    axiom = "preference-equivalence"
-    for i, j in pairs:
-        if abs(float(dist[i]) - float(dist[j])) > tol:
-            return AxiomReport(
-                axiom,
-                applicable=True,
-                satisfied=False,
-                witness={"pair": [i, j], "p_i": float(dist[i]), "p_j": float(dist[j])},
-            )
-    return AxiomReport(axiom, applicable=True, satisfied=True)
-
-
-def _group_preference_matching(
-    target: ResponseDistribution, dist: ResponseDistribution, tol: float
-) -> AxiomReport:
-    axiom = "gpm"
-    gap = dist.linf_distance(target)
-    if gap <= tol:
-        return AxiomReport(axiom, applicable=True, satisfied=True)
-    return AxiomReport(
-        axiom,
-        applicable=True,
-        satisfied=False,
-        witness={
-            "linf_gap": gap,
-            "target": [float(x) for x in target],
-            "actual": [float(x) for x in dist],
-        },
-    )
+    return _lookup(axiom)[1].premise(profile, epsilon_policy)
 
 
 def axiom_conclusion(
@@ -318,83 +324,24 @@ def axiom_conclusion(
     None facts give the vacuous report; `tol` bounds the distributional
     comparisons.
     """
-    name = "gpm" if axiom == "group-preference-matching" else axiom
-    if name not in ORDINAL_AXIOMS + PROBABILISTIC_AXIOMS:
-        raise ValueError(f"unknown axiom {axiom!r}")
+    name, entry = _lookup(axiom)
     if facts is None:
         return AxiomReport.vacuous(name)
-    if name == "pareto":
-        return _pareto(facts, output)
-    if name == "majority":
-        return _majority(facts, output)
-    if name == "pairwise-majority":
-        return _pairwise_majority(facts, output)
-    if name == "condorcet":
-        return _condorcet(facts, output)
-    if name == "preference-matching":
-        return _preference_matching(facts, output, tol)
-    if name == "preference-equivalence":
-        return _preference_equivalence(facts, output, tol)
-    return _group_preference_matching(facts, output, tol)
+    witness = entry.conclusion(facts, output, tol)
+    return AxiomReport(name, applicable=True, satisfied=witness is None, witness=witness)
 
 
-# ------------------------------------------------------------------ checkers
-
-
-def check_pareto(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
-    """Unanimously preferred candidates must be ranked strictly higher.
-
-    Applicable iff some compared pair is unanimous; a tie class containing
-    both members of a unanimous pair violates.
-    """
-    return axiom_conclusion("pareto", _unanimous_pairs(tally(profile)), ranking)
-
-
-def check_majority(profile: PreferenceProfile, ranking: Ranking) -> AxiomReport:
-    """A candidate ranked first by over half the voters must be the unique top."""
-    return axiom_conclusion("majority", _majority_premise(profile), ranking)
-
-
-def check_pairwise_majority(t: PairwiseTally, ranking: Ranking) -> AxiomReport:
-    """When the majority relation is a strict linear order, return exactly it."""
-    return axiom_conclusion("pairwise-majority", pm_consistent_ranking(t), ranking)
-
-
-def check_condorcet(t: PairwiseTally, ranking: Ranking) -> AxiomReport:
-    """A candidate beating every other by majority must be the unique top."""
-    return axiom_conclusion("condorcet", condorcet_winner(t), ranking)
-
-
-def check_preference_matching(
-    t: PairwiseTally, dist: ResponseDistribution, tol: float = 1e-6
-) -> AxiomReport:
-    """On BT-embeddable tallies, p_i / (p_i + p_j) must reproduce each proportion."""
-    return axiom_conclusion("preference-matching", _bt_embeddable_tally(t), dist, tol=tol)
-
-
-def check_preference_equivalence(
-    profile: PreferenceProfile, dist: ResponseDistribution, tol: float = 1e-6
-) -> AxiomReport:
-    """Equally-preferred candidates must receive equal probability."""
-    return axiom_conclusion(
-        "preference-equivalence", _equally_preferred_pairs(profile), dist, tol=tol
-    )
-
-
-def check_group_preference_matching(
+def run_check(
+    axiom: str,
     profile: PreferenceProfile,
-    dist: ResponseDistribution,
-    epsilon_policy: EpsilonPolicy | None = None,
+    output: "Ranking | ResponseDistribution",
+    *,
     tol: float = 1e-6,
+    epsilon_policy: EpsilonPolicy | None = None,
 ) -> AxiomReport:
-    """The distribution must equal the group matching distribution within tol."""
-    target = axiom_premise("gpm", profile, epsilon_policy=epsilon_policy)
-    return axiom_conclusion("gpm", target, dist, tol=tol)
-
-
-class RuleKind(Enum):
-    ORDINAL = "ordinal"
-    PROBABILISTIC = "probabilistic"
+    """One axiom checker on a rule output: the premise, then the conclusion."""
+    facts = axiom_premise(axiom, profile, epsilon_policy=epsilon_policy)
+    return axiom_conclusion(axiom, facts, output, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -540,12 +487,39 @@ def make_rule(
     return RuleUnderTest(name, kind, lambda p: _mle_domain(weights(p)), _mle_distribution)
 
 
+def _require_at_least(space, **lows: int) -> None:
+    for key, low in lows.items():
+        value = getattr(space, key)
+        if value is not None and value < low:
+            raise ValueError(f"space parameter {key!r} must be at least {low}")
+
+
+def _require_seed(seed: int | None) -> None:
+    if seed is None:
+        raise ValueError("random spaces need a seed")
+
+
+def _derive(seed: int, t: int) -> int:
+    return seed * 1_000_003 + t
+
+
 @dataclass(frozen=True)
 class ExhaustiveComplete:
     """Every m-tuple of strict rankings over n candidates, lexicographic."""
 
     n: int
     m: int
+    exhaustive: ClassVar[bool] = True
+
+    def __post_init__(self):
+        _require_at_least(self, n=2, m=1)
+
+    @property
+    def size(self) -> int:
+        return math.factorial(self.n) ** self.m
+
+    def profiles(self) -> Iterator[PreferenceProfile]:
+        return _iter_exhaustive_complete(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -556,6 +530,18 @@ class RandomComplete:
     m: int
     trials: int
     seed: int
+    exhaustive: ClassVar[bool] = False
+
+    def __post_init__(self):
+        _require_at_least(self, n=2, m=1, trials=1)
+        _require_seed(self.seed)
+
+    @property
+    def size(self) -> int:
+        return self.trials
+
+    def profiles(self) -> Iterator[PreferenceProfile]:
+        return (generate_complete(self.n, self.m, _derive(self.seed, t)) for t in range(self.trials))
 
 
 @dataclass(frozen=True)
@@ -566,57 +552,40 @@ class Assumption1:
     trials: int | None = None
     seed: int | None = None
 
+    def __post_init__(self):
+        _require_at_least(self, n=2, trials=1)
+        if self.trials is not None:
+            _require_seed(self.seed)
 
-def _derive(seed: int, t: int) -> int:
-    return seed * 1_000_003 + t
+    @property
+    def exhaustive(self) -> bool:
+        return self.trials is None
+
+    @property
+    def size(self) -> int:
+        return 2 ** (self.n * (self.n - 1) // 2) if self.trials is None else self.trials
+
+    def profiles(self) -> Iterator[PreferenceProfile]:
+        if self.trials is None:
+            return _iter_tournaments(self.n)
+        return (generate_assumption1(self.n, _derive(self.seed, t)) for t in range(self.trials))
 
 
 def space_size(space) -> int:
-    if isinstance(space, ExhaustiveComplete):
-        return math.factorial(space.n) ** space.m
-    if isinstance(space, RandomComplete):
-        return space.trials
-    if isinstance(space, Assumption1):
-        if space.trials is not None:
-            return space.trials
-        return 2 ** (space.n * (space.n - 1) // 2)
-    raise TypeError(f"unknown search space {space!r}")
+    return space.size
 
 
 def iter_profiles(space) -> Iterator[PreferenceProfile]:
     """Deterministic profile stream for a search space.
 
-    Exhaustive spaces larger than the enumeration bound (10^7) are refused;
-    random spaces require a seed.
+    Exhaustive spaces larger than the enumeration bound (10^7) are refused
+    here, before the first profile.
     """
-    size = space_size(space)
-    if isinstance(space, (ExhaustiveComplete, Assumption1)) and (
-        not isinstance(space, Assumption1) or space.trials is None
-    ):
-        if size > ENUMERATION_BOUND:
-            raise SpaceTooLargeError(
-                f"{size} instances exceed the enumeration bound {ENUMERATION_BOUND}"
-            )
-    if isinstance(space, (RandomComplete,)) and space.seed is None:
-        raise ValueError("random spaces need a seed")
-    if isinstance(space, Assumption1) and space.trials is not None and space.seed is None:
-        raise ValueError("random spaces need a seed")
-
-    if isinstance(space, ExhaustiveComplete):
-        return _iter_exhaustive_complete(space.n, space.m)
-    if isinstance(space, RandomComplete):
-        return (
-            generate_complete(space.n, space.m, _derive(space.seed, t))
-            for t in range(space.trials)
+    if space.exhaustive and space.size > ENUMERATION_BOUND:
+        raise SpaceTooLargeError(
+            f"{space.size} instances exceed the enumeration bound {ENUMERATION_BOUND}"
         )
-    if isinstance(space, Assumption1):
-        if space.trials is None:
-            return _iter_tournaments(space.n)
-        return (
-            generate_assumption1(space.n, _derive(space.seed, t))
-            for t in range(space.trials)
-        )
-    raise TypeError(f"unknown search space {space!r}")
+    return space.profiles()
 
 
 def _iter_exhaustive_complete(n: int, m: int) -> Iterator[PreferenceProfile]:
@@ -640,19 +609,6 @@ def _iter_tournaments(n: int) -> Iterator[PreferenceProfile]:
             else:
                 winners.append((j, i))
         yield profile_from_pairs(n, winners)
-
-
-def run_check(
-    axiom: str,
-    profile: PreferenceProfile,
-    output: "Ranking | ResponseDistribution",
-    *,
-    tol: float = 1e-6,
-    epsilon_policy: EpsilonPolicy | None = None,
-) -> AxiomReport:
-    """One axiom checker on a rule output: the premise, then the conclusion."""
-    facts = axiom_premise(axiom, profile, epsilon_policy=epsilon_policy)
-    return axiom_conclusion(axiom, facts, output, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -689,10 +645,9 @@ def counterexample_search(
     (which raises what the rule would), then the axiom's premise; the rule
     is evaluated and the conclusion judged only where the premise holds.
     """
-    if axiom in ORDINAL_AXIOMS and rule.kind is not RuleKind.ORDINAL:
-        raise ValueError(f"axiom {axiom!r} needs an ordinal rule")
-    if axiom in PROBABILISTIC_AXIOMS and rule.kind is not RuleKind.PROBABILISTIC:
-        raise ValueError(f"axiom {axiom!r} needs a probabilistic rule")
+    name, entry = _lookup(axiom)
+    if rule.kind is not entry.kind:
+        raise ValueError(f"axiom {axiom!r} needs a rule of kind {entry.kind.value}")
 
     stream = iter_profiles(space)
     if budget is not None:
@@ -702,12 +657,12 @@ def counterexample_search(
     for idx, profile in enumerate(stream):
         examined += 1
         prepared = rule.domain(profile)
-        facts = axiom_premise(axiom, profile, epsilon_policy=epsilon_policy)
+        facts = entry.premise(profile, epsilon_policy)
         if facts is None:
             vacuous += 1
             continue
         applicable += 1
-        report = axiom_conclusion(axiom, facts, rule.evaluate(prepared), tol=tol)
+        report = axiom_conclusion(name, facts, rule.evaluate(prepared), tol=tol)
         if report.violated:
             return SearchOutcome(True, examined, idx, profile, report, applicable, vacuous)
     return SearchOutcome(False, examined, applicable=applicable, vacuous=vacuous)

@@ -11,6 +11,7 @@ violation found by `axioms`, 5 exhaustive space too large.
 from __future__ import annotations
 
 import csv as _csv
+import dataclasses
 import io
 import json
 import sys
@@ -29,7 +30,6 @@ from .axioms import (
     RULE_NAMES,
     RandomComplete,
     RuleKind,
-    check_pareto,
     counterexample_search,
     iter_profiles,
     make_rule,
@@ -430,6 +430,13 @@ def cmd_gpmd(input: str, epsilon: str, fmt: str):
     _emit(fmt, payload, md, rows)
 
 
+_SPACES = {
+    "exhaustive-complete": ExhaustiveComplete,
+    "random-complete": RandomComplete,
+    "assumption1": Assumption1,
+}
+
+
 def _parse_space(text: str, seed: int | None):
     kind, _, rest = text.partition(":")
     params = {}
@@ -443,26 +450,23 @@ def _parse_space(text: str, seed: int | None):
             params[key] = int(value)
         except ValueError:
             raise click.UsageError(f"space parameter {key!r} must be an integer")
-    for key, low in (("n", 2), ("m", 1), ("trials", 1)):
-        if params.get(key, low) < low:
-            raise click.UsageError(f"space parameter {key!r} must be at least {low}")
+    space_cls = _SPACES.get(kind)
+    if space_cls is None:
+        raise click.UsageError(
+            f"unknown space {kind!r}; expected exhaustive-complete, random-complete, or assumption1"
+        )
+    args = {}
+    for field in dataclasses.fields(space_cls):
+        if field.name == "seed":
+            args["seed"] = seed
+        elif field.name in params:
+            args[field.name] = params.pop(field.name)
+        elif field.default is dataclasses.MISSING:
+            raise click.UsageError(f"space {kind!r} needs parameter {field.name!r}")
     try:
-        if kind == "exhaustive-complete":
-            return ExhaustiveComplete(params.pop("n"), params.pop("m")), params
-        if kind == "random-complete":
-            if seed is None:
-                raise click.UsageError("--seed is required for random spaces")
-            return RandomComplete(params.pop("n"), params.pop("m"), params.pop("trials"), seed), params
-        if kind == "assumption1":
-            trials = params.pop("trials", None)
-            if trials is not None and seed is None:
-                raise click.UsageError("--seed is required for random spaces")
-            return Assumption1(params.pop("n"), trials, seed), params
-    except KeyError as e:
-        raise click.UsageError(f"space {kind!r} needs parameter {e.args[0]!r}")
-    raise click.UsageError(
-        f"unknown space {kind!r}; expected exhaustive-complete, random-complete, or assumption1"
-    )
+        return space_cls(**args), params
+    except ValueError as e:
+        raise click.UsageError(str(e))
 
 
 @main.command("search")
@@ -627,7 +631,7 @@ def _demo_single_voter_cycle() -> tuple[dict, list[str]]:
     transitive = is_transitive(profile.voters[0].comparisons)
     solution = solve_mle(weights_standard(t))
     ranking = rank_by_scores(weights_standard(t))
-    pareto = check_pareto(profile, ranking)
+    pareto = run_check("pareto", profile, ranking)
     payload = {
         "profile": json.loads(serialize_profile(profile)),
         "voter_transitive": transitive,

@@ -19,11 +19,12 @@ voter and candidate.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .distributions import ResponseDistribution
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     TiesNotAllowedError,
 )
 from .profiles import PairwiseTally, PreferenceProfile, ProfileKind, Ranking, tally
-from .reward import RewardVector, bt_embeddable, softmax, solve_mle, weights_gpm, weights_standard
+from .reward import bt_embeddable, softmax, weights_standard
 from .rules import first_place_shares
 
 
@@ -62,14 +63,19 @@ class EpsilonPolicy:
         return self.epsilon is None
 
 
-def _geometric_weights(epsilon: "Fraction | float", n: int) -> tuple[list[int], int]:
-    """Integer position weights g_k = a^k * b^(n-1-k), with c = a/b, and their sum."""
+@functools.lru_cache(maxsize=128)
+def _geometric_weights(epsilon: "Fraction | float", n: int) -> tuple[tuple[int, ...], int]:
+    """Integer position weights g_k = a^k * b^(n-1-k), with c = a/b, and their sum.
+
+    Memoized per (epsilon, n): a search calls gpmd once or twice per profile
+    at one smoothing level and candidate count.
+    """
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("epsilon must lie in (0, 1/2)")
     c = eps / (1 - eps)
     a, b = c.numerator, c.denominator
-    weights = [a**k * b ** (n - 1 - k) for k in range(n)]
+    weights = tuple(a**k * b ** (n - 1 - k) for k in range(n))
     return weights, sum(weights)
 
 
@@ -296,22 +302,3 @@ def enumerate_embeddable_partitions(
             if len(found) >= budget:
                 break
     return found
-
-
-class GpmPipelineResult(NamedTuple):
-    target: ResponseDistribution
-    fitted: RewardVector
-    recovered: ResponseDistribution
-
-
-def gpm_pipeline(profile: PreferenceProfile, policy: EpsilonPolicy) -> GpmPipelineResult:
-    """Target distribution -> GPM-weighted loss -> solved rewards -> softmax.
-
-    The stationary point of the weighted loss is log(target) up to a constant,
-    so the recovered softmax must reproduce the target (checked by callers;
-    a zero target entry under the limit policy is an error from the weights).
-    """
-    target = gpmd(profile, policy)
-    fitted = solve_mle(weights_gpm(target))
-    recovered = softmax(fitted)
-    return GpmPipelineResult(target, fitted, recovered)

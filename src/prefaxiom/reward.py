@@ -443,7 +443,7 @@ def scores(weights: WeightMatrix) -> ScoreVector:
         common = math.lcm(*(x.denominator for x in row))
         numerator = sum(x.numerator * (common // x.denominator) for x in row)
         values.append(Fraction(numerator * total.denominator, common * total.numerator))
-    return ScoreVector(tuple(values), "general")
+    return ScoreVector(tuple(values))
 
 
 def rank_by_scores(weights: WeightMatrix) -> Ranking:

@@ -18,10 +18,9 @@ from .profiles import (
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Exact per-candidate scores plus a tag naming the producing rule."""
+    """Exact per-candidate scores."""
 
     values: tuple[Fraction, ...]
-    rule_tag: str
 
     def __post_init__(self):
         object.__setattr__(
@@ -47,7 +46,7 @@ def borda_scores(t: PairwiseTally) -> ScoreVector:
         common = math.lcm(*(total for total in totals if total))
         numerator = sum(x * (common // total) for x, total in zip(row, totals) if total)
         values.append(Fraction(numerator, common))
-    return ScoreVector(tuple(values), "borda")
+    return ScoreVector(tuple(values))
 
 
 def copeland_scores(t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POINT) -> ScoreVector:
@@ -59,7 +58,7 @@ def copeland_scores(t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POI
         Fraction(sum(half_points.get(out, 0) for out in row), 2)
         for row in majority_relation(t).outcomes
     )
-    return ScoreVector(values, "copeland")
+    return ScoreVector(values)
 
 
 def condorcet_winner(t: PairwiseTally) -> int | None:

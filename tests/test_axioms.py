@@ -33,13 +33,6 @@ from prefaxiom import (
     apply_permutation,
     axiom_conclusion,
     axiom_premise,
-    check_condorcet,
-    check_group_preference_matching,
-    check_majority,
-    check_pairwise_majority,
-    check_pareto,
-    check_preference_equivalence,
-    check_preference_matching,
     complete_profile,
     counterexample_search,
     equally_preferred,
@@ -81,19 +74,19 @@ def test_pareto_violated_by_cyclic_unanimity():
         ["a", "b", "c"], {"v1": [("a", "b"), ("b", "c"), ("c", "a")]}
     )
     tied = Ranking((0, 1, 2), ((0, 1, 2),))
-    rep = check_pareto(profile, tied)
+    rep = run_check("pareto", profile, tied)
     assert rep.applicable and not rep.satisfied
     assert tuple(rep.witness["pair"]) in ((0, 1), (1, 2), (2, 0))
 
 
 def test_pareto_satisfied_on_unanimous_profile():
     p = complete_profile(["a", "b"], [["a", "b"], ["a", "b"]])
-    rep = check_pareto(p, Ranking((0, 1)))
+    rep = run_check("pareto", p, Ranking((0, 1)))
     assert rep.applicable and rep.satisfied
 
 
 def test_pareto_vacuous_without_unanimous_pair(paradox):
-    rep = check_pareto(paradox, Ranking((0, 1, 2)))
+    rep = run_check("pareto", paradox, Ranking((0, 1, 2)))
     assert not rep.applicable and rep.satisfied
 
 
@@ -101,42 +94,42 @@ def test_majority_checker():
     p = complete_profile(
         ["a", "b", "c"], [["a", "b", "c"], ["a", "c", "b"], ["b", "a", "c"]]
     )
-    assert check_majority(p, Ranking((0, 1, 2))).satisfied
-    bad = check_majority(p, Ranking((1, 0, 2)))
+    assert run_check("majority", p, Ranking((0, 1, 2))).satisfied
+    bad = run_check("majority", p, Ranking((1, 0, 2)))
     assert bad.applicable and not bad.satisfied and bad.witness["majority_winner"] == 0
     # no strict majority of first places -> vacuous
-    vac = check_majority(
-        complete_profile(["a", "b"], [["a", "b"], ["b", "a"]]), Ranking((0, 1))
+    vac = run_check(
+        "majority", complete_profile(["a", "b"], [["a", "b"], ["b", "a"]]), Ranking((0, 1))
     )
     assert not vac.applicable and vac.satisfied
 
 
 def test_majority_vacuous_on_generalized_profiles():
     p = generalized_profile(["a", "b"], {"v1": [("a", "b")]})
-    rep = check_majority(p, Ranking((0, 1)))
+    rep = run_check("majority", p, Ranking((0, 1)))
     assert not rep.applicable and rep.satisfied
 
 
 def test_pairwise_majority_checker(four_voter):
     p = generate_complete(4, 1, 8)
     want = p.voters[0].ranking
-    assert check_pairwise_majority(tally(p), want).satisfied
+    assert run_check("pairwise-majority", p, want).satisfied
     wrong = Ranking(tuple(reversed(want.order)))
-    rep = check_pairwise_majority(tally(p), wrong)
+    rep = run_check("pairwise-majority", p, wrong)
     assert rep.applicable and not rep.satisfied
     # majority relation has a tie -> not a strict linear order -> vacuous
-    assert not check_pairwise_majority(tally(four_voter), Ranking((0, 1, 2))).applicable
+    assert not run_check("pairwise-majority", four_voter, Ranking((0, 1, 2))).applicable
 
 
 def test_condorcet_checker(paradox):
     p = complete_profile(
         ["a", "b", "c"], [["a", "b", "c"], ["a", "c", "b"], ["b", "a", "c"]]
     )
-    assert check_condorcet(tally(p), Ranking((0, 1, 2))).satisfied
+    assert run_check("condorcet", p, Ranking((0, 1, 2))).satisfied
     tied_top = Ranking((0, 1, 2), ((0, 1), (2,)))
-    rep = check_condorcet(tally(p), tied_top)
+    rep = run_check("condorcet", p, tied_top)
     assert rep.applicable and not rep.satisfied
-    assert not check_condorcet(tally(paradox), Ranking((0, 1, 2))).applicable
+    assert not run_check("condorcet", paradox, Ranking((0, 1, 2))).applicable
 
 
 def test_preference_matching_checker():
@@ -144,14 +137,14 @@ def test_preference_matching_checker():
     p = complete_profile(
         ["a", "b"], [["a", "b"], ["a", "b"], ["a", "b"], ["b", "a"]]
     )
-    good = check_preference_matching(tally(p), ResponseDistribution((0.75, 0.25)))
+    good = run_check("preference-matching", p, ResponseDistribution((0.75, 0.25)))
     assert good.applicable and good.satisfied
-    bad = check_preference_matching(tally(p), ResponseDistribution((0.5, 0.5)))
+    bad = run_check("preference-matching", p, ResponseDistribution((0.5, 0.5)))
     assert bad.applicable and not bad.satisfied
 
 
 def test_preference_matching_vacuous_on_cycle(paradox):
-    rep = check_preference_matching(tally(paradox), ResponseDistribution.uniform(3))
+    rep = run_check("preference-matching", paradox, ResponseDistribution.uniform(3))
     assert not rep.applicable and rep.satisfied
 
 
@@ -161,9 +154,9 @@ def test_equally_preferred_and_equivalence_checker():
     )
     assert equally_preferred(sym, 0, 1)
     assert not equally_preferred(sym, 0, 2)
-    rep = check_preference_equivalence(sym, ResponseDistribution((0.4, 0.4, 0.2)))
+    rep = run_check("preference-equivalence", sym, ResponseDistribution((0.4, 0.4, 0.2)))
     assert rep.applicable and rep.satisfied
-    rep2 = check_preference_equivalence(sym, ResponseDistribution((0.5, 0.3, 0.2)))
+    rep2 = run_check("preference-equivalence", sym, ResponseDistribution((0.5, 0.3, 0.2)))
     assert rep2.applicable and not rep2.satisfied
     assert tuple(rep2.witness["pair"]) == (0, 1)
 
@@ -195,11 +188,11 @@ def test_equally_preferred_matches_the_permuted_profile(drawn):
 
 def test_gpm_checker_fixture_gap(four_voter):
     dist = make_rule("mle-standard", RuleKind.PROBABILISTIC)(four_voter)
-    rep = check_group_preference_matching(four_voter, dist)
+    rep = run_check("gpm", four_voter, dist)
     assert rep.applicable and not rep.satisfied
     assert abs(rep.witness["linf_gap"] - FIXTURE_GAP) < 1e-9
     # gpmd itself matches trivially
-    ok = check_group_preference_matching(four_voter, make_rule("gpmd-limit", RuleKind.PROBABILISTIC)(four_voter))
+    ok = run_check("gpm", four_voter, make_rule("gpmd-limit", RuleKind.PROBABILISTIC)(four_voter))
     assert ok.satisfied
 
 
@@ -343,6 +336,25 @@ def test_random_space_requires_seed():
         list(iter_profiles(RandomComplete(3, 3, 10, seed=None)))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ExhaustiveComplete(1, 3), id="exhaustive-n-1"),
+        pytest.param(lambda: ExhaustiveComplete(3, 0), id="exhaustive-m-0"),
+        pytest.param(lambda: RandomComplete(3, 0, 5, 1), id="random-m-0"),
+        pytest.param(lambda: RandomComplete(3, 3, -4, 1), id="random-trials-neg"),
+        pytest.param(lambda: RandomComplete(3, 3, 0, 1), id="random-trials-0"),
+        pytest.param(lambda: RandomComplete(3, 3, 5, None), id="random-no-seed"),
+        pytest.param(lambda: Assumption1(1), id="assumption1-n-1"),
+        pytest.param(lambda: Assumption1(3, 0, 1), id="assumption1-trials-0"),
+        pytest.param(lambda: Assumption1(3, 5), id="assumption1-no-seed"),
+    ],
+)
+def test_bad_space_is_refused_when_built(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_random_space_deterministic():
     a = [tuple(v.ranking.order for v in p.voters) for p in iter_profiles(RandomComplete(3, 4, 20, seed=5))]
     b = [tuple(v.ranking.order for v in p.voters) for p in iter_profiles(RandomComplete(3, 4, 20, seed=5))]
@@ -380,8 +392,9 @@ def test_search_budget_caps_examined():
 
 def test_search_rejects_mismatched_kind():
     rule = make_rule("borda", RuleKind.ORDINAL)
-    with pytest.raises(ValueError):
-        counterexample_search(rule, "gpm", ExhaustiveComplete(3, 3))
+    for axiom in ("gpm", "group-preference-matching"):
+        with pytest.raises(ValueError):
+            counterexample_search(rule, axiom, ExhaustiveComplete(3, 3))
 
 
 def test_search_gpm_alias():
@@ -516,7 +529,7 @@ def test_probabilistic_mle_rules_satisfy_preference_equivalence(drawn):
     profile, pair = drawn
     assert equally_preferred(profile, *pair)
     for name in ("mle-standard", "mle-copeland", "mle-gpm"):
-        report = check_preference_equivalence(
-            profile, make_rule(name, RuleKind.PROBABILISTIC)(profile)
+        report = run_check(
+            "preference-equivalence", profile, make_rule(name, RuleKind.PROBABILISTIC)(profile)
         )
         assert report.applicable and report.satisfied, (name, report.witness)

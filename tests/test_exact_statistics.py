@@ -28,12 +28,12 @@ from prefaxiom import (
     Voter,
     WeightMatrix,
     borda_scores,
-    check_pareto,
     default_labels,
     generate_complete,
     gpmd,
     majority_relation,
     ranking_from_scores,
+    run_check,
     scores,
     tally,
     tally_from_props,
@@ -175,7 +175,7 @@ def test_gpm_weights_and_scores_match_fraction_sums(n, m, seed, eps):
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_ranking_from_scores_matches_the_negated_key_sort(values):
-    ranking = ranking_from_scores(ScoreVector(tuple(values), "test"))
+    ranking = ranking_from_scores(ScoreVector(tuple(values)))
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))
     assert ranking.order == tuple(order)
     classes = [list(g) for _, g in itertools.groupby(order, key=lambda i: values[i])]
@@ -211,4 +211,4 @@ def test_pareto_integer_test_matches_unanimous_proportions(n, m, seed, complete,
     cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
     ties = [tuple(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
     ranking = Ranking(tuple(order), tuple(ties))
-    assert check_pareto(profile, ranking) == fraction_pareto(profile, ranking)
+    assert run_check("pareto", profile, ranking) == fraction_pareto(profile, ranking)

@@ -16,6 +16,7 @@ from prefaxiom import (
     Partition,
     Ranking,
     ResponseDistribution,
+    RuleKind,
     apply_permutation,
     block_embeddable,
     block_pm_distribution,
@@ -24,13 +25,16 @@ from prefaxiom import (
     first_place_shares,
     generalized_profile,
     generate_complete,
-    gpm_pipeline,
     gpmd,
     gpmd_via_partition,
     limit_embeddable,
+    make_rule,
     partition_discrepancy,
     pm_geometric,
+    softmax,
+    solve_mle,
     tally,
+    weights_gpm,
 )
 
 LIMIT = EpsilonPolicy.limit()
@@ -289,9 +293,10 @@ def test_partition_discrepancy_reports_finite_eps_gap():
 # -------------------------------------------------------------------- pipeline
 
 def test_pipeline_round_trip(four_voter):
-    res = gpm_pipeline(four_voter, EpsilonPolicy.finite(Fraction(1, 1000)))
-    assert res.fitted.converged
-    assert res.recovered.linf_distance(res.target) <= 1e-9
+    target = gpmd(four_voter, EpsilonPolicy.finite(Fraction(1, 1000)))
+    fitted = solve_mle(weights_gpm(target))
+    assert fitted.converged
+    assert softmax(fitted).linf_distance(target) <= 1e-9
 
 
 def test_pipeline_limit_policy_rejects_zero_shares():
@@ -302,22 +307,24 @@ def test_pipeline_limit_policy_rejects_zero_shares():
         ["a", "b", "c"], [["a", "b", "c"], ["b", "a", "c"]]
     )
     with pytest.raises(ZeroProbabilityError):
-        gpm_pipeline(profile, LIMIT)
+        make_rule("mle-gpm", RuleKind.PROBABILISTIC, epsilon_policy=LIMIT)(profile)
 
 
 def test_pipeline_round_trip_wide_reward_range():
     # 40 candidates at epsilon 1/1000: log-targets span hundreds of units
-    res = gpm_pipeline(generate_complete(40, 10, 1), EpsilonPolicy.finite(Fraction(1, 1000)))
-    assert res.fitted.converged
-    assert res.recovered.linf_distance(res.target) <= 1e-9
+    target = gpmd(generate_complete(40, 10, 1), EpsilonPolicy.finite(Fraction(1, 1000)))
+    fitted = solve_mle(weights_gpm(target))
+    assert fitted.converged
+    assert softmax(fitted).linf_distance(target) <= 1e-9
 
 
 @given(st.integers(2, 6), st.integers(1, 9), st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
 def test_pipeline_round_trip_random(n, m, seed):
     profile = generate_complete(n, m, seed)
-    res = gpm_pipeline(profile, EpsilonPolicy.finite(Fraction(1, 1000)))
-    assert res.recovered.linf_distance(res.target) <= 1e-6
+    policy = EpsilonPolicy.finite(Fraction(1, 1000))
+    recovered = make_rule("mle-gpm", RuleKind.PROBABILISTIC, epsilon_policy=policy)(profile)
+    assert recovered.linf_distance(gpmd(profile, policy)) <= 1e-6
 
 
 @pytest.mark.parametrize("block", [(0,), (0, 1)])

@@ -140,7 +140,7 @@ def test_pm_ranking_matches_copeland_when_it_exists(n, m, seed):
 def test_ranking_from_scores_tie_handling():
     from prefaxiom import ScoreVector
 
-    sv = ScoreVector((Fraction(1), Fraction(2), Fraction(1)), "borda")
+    sv = ScoreVector((Fraction(1), Fraction(2), Fraction(1)))
     grouped = ranking_from_scores(sv)
     assert grouped.classes() == ((1,), (0, 2))
 
