@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -50,6 +51,7 @@ from .profiles import (
     default_labels,
     generate_assumption1,
     generate_complete,
+    majority_relation,
     profile_from_pairs,
     tally,
 )
@@ -57,7 +59,8 @@ from .reward import (
     WeightMatrix,
     bt_embeddable,
     minimizer_exists,
-    rank_by_scores,
+    require_constant,
+    require_positive,
     softmax,
     solve_mle,
     top_component,
@@ -68,6 +71,7 @@ from .reward import (
 from .rules import (
     borda_scores,
     condorcet_winner,
+    copeland_half_points,
     copeland_scores,
     majority_winner,
     pm_consistent_ranking,
@@ -303,6 +307,11 @@ def _lookup(axiom: str) -> tuple[str, _Axiom]:
     return name, entry
 
 
+def axiom_kind(axiom: str) -> RuleKind:
+    """The rule kind an axiom name or alias judges; ValueError for unknown names."""
+    return _lookup(axiom)[1].kind
+
+
 def axiom_premise(
     axiom: str, profile: PreferenceProfile, *, epsilon_policy: EpsilonPolicy | None = None
 ):
@@ -397,10 +406,37 @@ def _complete_tally(profile: PreferenceProfile) -> PairwiseTally:
     return t
 
 
-def _score_domain(weights: WeightMatrix) -> WeightMatrix:
-    """Weights whose MLE order the exact score shortcut can read off."""
-    weights.require_constant_total()
-    return weights
+def _standard_key(profile: PreferenceProfile) -> tuple[int, ...]:
+    """mle-standard's key: integer win row sums, once every pair has one total.
+
+    With a common pair total T the exact scores are these sums over T.
+    """
+    t = tally(profile)
+    require_constant(t.constant_total)
+    return tuple(sum(row) for row in t.wins)
+
+
+def _copeland_key(profile: PreferenceProfile, tie_policy: TiePolicy) -> tuple[int, ...]:
+    """mle-copeland's key: Copeland's half points, once every pair is compared.
+
+    Under STRICT_ONLY a tied pair weighs 0 both ways while every other pair
+    weighs 1, so pair totals agree only where the majority has no tie.
+    """
+    t = tally(profile)
+    t.require_all_pairs()
+    if tie_policy is TiePolicy.STRICT_ONLY:
+        require_constant(None if majority_relation(t).has_ties() else 1)
+    return copeland_half_points(t, tie_policy)
+
+
+def _gpm_key(profile: PreferenceProfile, policy: EpsilonPolicy) -> tuple:
+    """mle-gpm's key: the group matching probabilities, all of them positive.
+
+    Over a common denominator p_i = N_i / D, and the score
+    s_i = sum_j N_i / (N_i + N_j) is strictly increasing in N_i, so sorting
+    p* gives the score order, ties included.
+    """
+    return require_positive(gpmd(profile, policy)).p
 
 
 def _mle_domain(weights: WeightMatrix) -> tuple[WeightMatrix, tuple[int, ...] | None]:
@@ -444,24 +480,30 @@ def make_rule(
 ) -> RuleUnderTest:
     """Construct a registry rule; raises ValueError for unsupported pairings.
 
-    ORDINAL_RULES and PROBABILISTIC_RULES list the names each kind accepts;
-    the mle-* rules take their weights from rule_weights.  Ordinal rules
-    group equal scores into tie classes.  Ordinal MLE rules route through the
-    exact score shortcut (rank_by_scores), the sanctioned path for axiom
-    verdicts.  Probabilistic MLE rules softmax the solved rewards when a
-    finite MLE exists (the positive-weight digraph is strongly connected).
-    Otherwise they return the exact ridge -> 0 limit of the regularized
-    softmax: the top component's own softmax, zero elsewhere.  A generalized
-    profile whose condensation has several source components has no such top
-    and raises NoUniqueTopError.
+    ORDINAL_RULES and PROBABILISTIC_RULES list the names each kind accepts.
+    Ordinal rules group equal scores into tie classes through
+    ranking_from_scores.  Ordinal MLE rules rank by an exact integer or
+    rational key with the order and ties of their exact scores
+    (rank_by_scores(rule_weights(...))), read off the tally or gpmd without
+    a weight matrix: mle-standard by integer win row sums, mle-copeland by
+    Copeland's half points, mle-gpm by the group matching distribution p*
+    itself.  Probabilistic MLE rules take their weights from rule_weights and
+    softmax the solved rewards when a finite MLE exists (the positive-weight
+    digraph is strongly connected).  Otherwise they return the exact
+    ridge -> 0 limit of the regularized softmax: the top component's own
+    softmax, zero elsewhere.  A generalized profile whose condensation has
+    several source components has no such top and raises NoUniqueTopError.
 
     Each rule's domain step does everything up to the evaluation and raises
     what the rule raises: the tally and its every-pair check for Borda and
-    Copeland, the weights (gpmd included, for mle-gpm) and the constant-total
-    check for ordinal MLE, the weights and top_component for probabilistic
-    MLE, and gpmd itself for gpmd-limit.  counterexample_search runs it on
-    every profile, and the evaluation (scores and ranking, or solve and
-    softmax) only where the axiom's premise holds.
+    Copeland, the key for ordinal MLE (raising what the weights and their
+    constant-total check raise: NotConstantTotalError for mle-standard,
+    UndefinedPairError and then, under STRICT_ONLY, NotConstantTotalError
+    for mle-copeland, gpmd's errors and then ZeroProbabilityError for
+    mle-gpm), the weights and top_component for probabilistic MLE, and gpmd
+    itself for gpmd-limit.  counterexample_search runs it on every profile,
+    and the evaluation (scores and ranking, or solve and softmax) only where
+    the axiom's premise holds.
     """
     if name not in (ORDINAL_RULES if kind is RuleKind.ORDINAL else PROBABILISTIC_RULES):
         raise ValueError(f"rule {name!r} has no {kind.value} form")
@@ -479,18 +521,33 @@ def make_rule(
     if name == "gpmd-limit":
         return RuleUnderTest(name, kind, lambda p: gpmd(p, EpsilonPolicy.limit()), lambda d: d)
 
+    if kind is RuleKind.ORDINAL:
+        # the keys and the evaluation call tally, gpmd and ranking_from_scores
+        # through this module's globals, so a tracer that rebinds them sees them
+        if name == "mle-standard":
+            key = _standard_key
+        elif name == "mle-copeland":
+            key = functools.partial(_copeland_key, tie_policy=tie_policy)
+        else:
+            key = functools.partial(_gpm_key, policy=epsilon_policy or EpsilonPolicy.finite())
+        return RuleUnderTest(name, kind, key, lambda k: ranking_from_scores(k))
+
     def weights(p: PreferenceProfile) -> WeightMatrix:
         return rule_weights(name, p, tie_policy=tie_policy, epsilon_policy=epsilon_policy)
 
-    if kind is RuleKind.ORDINAL:
-        return RuleUnderTest(name, kind, lambda p: _score_domain(weights(p)), rank_by_scores)
     return RuleUnderTest(name, kind, lambda p: _mle_domain(weights(p)), _mle_distribution)
 
 
 def _require_at_least(space, **lows: int) -> None:
     for key, low in lows.items():
         value = getattr(space, key)
-        if value is not None and value < low:
+        if value is None:
+            continue
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"space parameter {key!r} must be an integer") from None
+        if value < low:
             raise ValueError(f"space parameter {key!r} must be at least {low}")
 
 

@@ -30,6 +30,7 @@ from .axioms import (
     RULE_NAMES,
     RandomComplete,
     RuleKind,
+    axiom_kind,
     counterexample_search,
     iter_profiles,
     make_rule,
@@ -354,31 +355,33 @@ def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str
     policy = _tie_policy(tie_policy)
     eps_policy = _parse_epsilon(epsilon)
 
-    has_ordinal = rule in ORDINAL_RULES
-    has_prob = rule in PROBABILISTIC_RULES
+    has_form = {
+        RuleKind.ORDINAL: rule in ORDINAL_RULES,
+        RuleKind.PROBABILISTIC: rule in PROBABILISTIC_RULES,
+    }
     if checks == "all":
-        selected = [a for a in ORDINAL_AXIOMS if has_ordinal] + [
-            a for a in PROBABILISTIC_AXIOMS if has_prob
-        ]
+        selected = [a for a in AXIOM_CHOICES if has_form[axiom_kind(a)]]
     else:
         selected = [c.strip() for c in checks.split(",") if c.strip()]
         for c in selected:
-            if c not in AXIOM_CHOICES:
+            try:
+                kind = axiom_kind(c)
+            except ValueError:
                 raise click.UsageError(f"unknown axiom {c!r}")
-            if c in ORDINAL_AXIOMS and not has_ordinal:
-                raise click.UsageError(f"rule {rule!r} has no ordinal form for {c!r}")
-            if c in PROBABILISTIC_AXIOMS and not has_prob:
-                raise click.UsageError(f"rule {rule!r} has no probabilistic form for {c!r}")
+            if not has_form[kind]:
+                raise click.UsageError(f"rule {rule!r} has no {kind.value} form for {c!r}")
 
-    outputs = {}
-    if any(a in ORDINAL_AXIOMS for a in selected):
-        outputs[RuleKind.ORDINAL] = make_rule(rule, RuleKind.ORDINAL, tie_policy=policy)(profile)
-    if any(a in PROBABILISTIC_AXIOMS for a in selected):
-        outputs[RuleKind.PROBABILISTIC] = make_rule(rule, RuleKind.PROBABILISTIC, tie_policy=policy)(profile)
-    reports = []
-    for axiom in selected:
-        output = outputs[RuleKind.ORDINAL if axiom in ORDINAL_AXIOMS else RuleKind.PROBABILISTIC]
-        reports.append(run_check(axiom, profile, output, tol=tol, epsilon_policy=eps_policy))
+    kinds = [axiom_kind(a) for a in selected]
+    # ordinal first: where both forms raise, the ordinal error is the one reported
+    outputs = {
+        kind: make_rule(rule, kind, tie_policy=policy)(profile)
+        for kind in (RuleKind.ORDINAL, RuleKind.PROBABILISTIC)
+        if kind in kinds
+    }
+    reports = [
+        run_check(axiom, profile, outputs[kind], tol=tol, epsilon_policy=eps_policy)
+        for axiom, kind in zip(selected, kinds)
+    ]
 
     payload = {
         "command": "axioms",
@@ -484,7 +487,7 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
     space_obj, extra = _parse_space(space, seed)
     if extra:
         raise click.UsageError(f"unknown space parameters {sorted(extra)}")
-    kind = RuleKind.ORDINAL if axiom in ORDINAL_AXIOMS else RuleKind.PROBABILISTIC
+    kind = axiom_kind(axiom)
     eps_policy = _parse_epsilon(epsilon)
     try:
         rule_obj = make_rule(rule, kind)

@@ -67,8 +67,8 @@ class EpsilonPolicy:
 def _geometric_weights(epsilon: "Fraction | float", n: int) -> tuple[tuple[int, ...], int]:
     """Integer position weights g_k = a^k * b^(n-1-k), with c = a/b, and their sum.
 
-    Memoized per (epsilon, n): a search calls gpmd once or twice per profile
-    at one smoothing level and candidate count.
+    Memoized per (epsilon, n): a search calls gpmd on every profile at one
+    smoothing level and candidate count.
     """
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
@@ -105,10 +105,19 @@ def gpmd(profile: PreferenceProfile, policy: EpsilonPolicy) -> ResponseDistribut
     """Per-voter average of individual matching distributions, exact throughout.
 
     At finite epsilon: candidate i's summed integer position weights over
-    m * S (see the module docstring).
+    m * S (see the module docstring).  Computed once per profile and policy:
+    later calls return the same distribution.
     """
     if profile.kind is not ProfileKind.COMPLETE:
         raise NotCompleteProfileError("group matching needs full rankings")
+    known = profile.group_matching
+    dist = known.get(policy)
+    if dist is None:
+        dist = known[policy] = _group_matching(profile, policy)
+    return dist
+
+
+def _group_matching(profile: PreferenceProfile, policy: EpsilonPolicy) -> ResponseDistribution:
     if policy.is_limit:
         return first_place_shares(profile)
     weights, total = _geometric_weights(policy.epsilon, profile.n)

@@ -5,11 +5,13 @@ candidate set, either as full strict rankings or as sets of pairwise
 comparisons.  Tallies and majority relations are kept in exact integer and
 rational arithmetic so that downstream majority and score decisions never
 depend on floating-point rounding.  Each profile is tallied once, counts
-its first places once, and each tally derives its majority relation once:
-all three are cached on first use.
+its first places once and keeps its group matching distribution per
+epsilon policy; each tally scans its pair totals once and derives its
+majority relation once: all are cached on first use.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -234,7 +236,13 @@ class PreferenceProfile:
             else:
                 for c in v.comparisons:
                     wins[c.winner][c.loser] += 1
-        return PairwiseTally(tuple(tuple(row) for row in wins))
+        # nonnegative integers, square and zero on the diagonal by construction
+        return PairwiseTally._of_counts(tuple(tuple(row) for row in wins))
+
+    @cached_property
+    def group_matching(self) -> dict:
+        """Group matching distributions by epsilon policy; `gpmd` fills this in."""
+        return {}
 
     @cached_property
     def first_place_counts(self) -> tuple[int, ...]:
@@ -302,6 +310,13 @@ class PairwiseTally:
         if any(x < 0 for row in rows for x in row):
             raise ValueError("win counts must be nonnegative")
 
+    @classmethod
+    def _of_counts(cls, wins: tuple[tuple[int, ...], ...]) -> "PairwiseTally":
+        """A tally of counts already known to be valid: no conversion, no checks."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "wins", wins)
+        return t
+
     @property
     def n(self) -> int:
         return len(self.wins)
@@ -315,17 +330,36 @@ class PairwiseTally:
             return None
         return Fraction(self.wins[i][j], t)
 
+    @cached_property
+    def _pair_totals(self) -> tuple[tuple[int, int] | None, int | None]:
+        """The first pair (i < j) never compared, and the common pair total.
+
+        The total is None unless every pair has the same positive one.  One
+        scan per tally serves every later question about pair totals.
+        """
+        w = self.wins
+        totals = set()
+        for i, row in enumerate(w):
+            for j in range(i + 1, len(w)):
+                total = row[j] + w[j][i]
+                if total == 0:
+                    return (i, j), None
+                totals.add(total)
+        return None, totals.pop() if len(totals) == 1 else None
+
     @property
     def defined_on_all_pairs(self) -> bool:
-        n = self.n
-        return all(self.total(i, j) > 0 for i in range(n) for j in range(i + 1, n))
+        return self._pair_totals[0] is None
 
     def require_all_pairs(self) -> None:
-        n = self.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.total(i, j) == 0:
-                    raise UndefinedPairError(f"pair ({i}, {j}) has no comparisons")
+        missing = self._pair_totals[0]
+        if missing is not None:
+            raise UndefinedPairError(f"pair {missing} has no comparisons")
+
+    @property
+    def constant_total(self) -> int | None:
+        """The common positive total of every pair, or None when pairs differ."""
+        return self._pair_totals[1]
 
     @cached_property
     def majority(self) -> "MajorityRelation":
@@ -501,16 +535,30 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"y{i + 1}" for i in range(n))
 
 
+@functools.lru_cache(maxsize=16)
+def _default_candidates(n: int) -> CandidateSet:
+    return CandidateSet(default_labels(n))
+
+
+@functools.lru_cache(maxsize=1024)
+def _seated_voter(seat: int, order: tuple[int, ...]) -> Voter:
+    """Voter v{seat + 1} holding `order`, validated once while it stays cached."""
+    return Voter(id=f"v{seat + 1}", ranking=Ranking(order))
+
+
 def generate_complete(n: int, m: int, seed: int) -> PreferenceProfile:
-    """m voters, each an independent uniform strict ranking of n candidates."""
+    """m voters, each an independent uniform strict ranking of n candidates.
+
+    Voters and candidate sets are immutable, so profiles share them: a
+    bounded cache holds one per (seat, order) and one per n.
+    """
     rng = random.Random(seed)
-    cset = CandidateSet(default_labels(n))
     voters = []
     for k in range(m):
         order = list(range(n))
         rng.shuffle(order)
-        voters.append(Voter(id=f"v{k + 1}", ranking=Ranking(tuple(order))))
-    return PreferenceProfile(cset, tuple(voters))
+        voters.append(_seated_voter(k, tuple(order)))
+    return PreferenceProfile(_default_candidates(n), tuple(voters))
 
 
 @dataclass(frozen=True)

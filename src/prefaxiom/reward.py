@@ -138,6 +138,20 @@ def _condensation(rows: tuple[tuple[Fraction, ...], ...]) -> Condensation:
     )
 
 
+def require_constant(total: "Fraction | int | None") -> "Fraction | int":
+    """A common per-pair total, or NotConstantTotalError in place of None."""
+    if total is None:
+        raise NotConstantTotalError("scores need a constant per-pair total")
+    return total
+
+
+def require_positive(pstar: ResponseDistribution) -> ResponseDistribution:
+    """pstar itself, or ZeroProbabilityError when some probability is not positive."""
+    if any(x <= 0 for x in pstar):
+        raise ZeroProbabilityError("GPM weights need strictly positive probabilities")
+    return pstar
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """Nonnegative per-ordered-pair weights, exact.
@@ -191,10 +205,7 @@ class WeightMatrix:
 
     def require_constant_total(self) -> Fraction:
         """The common pair total; NotConstantTotalError when pairs differ."""
-        total = self.pair_total
-        if total is None:
-            raise NotConstantTotalError("scores need a constant per-pair total")
-        return total
+        return require_constant(self.pair_total)
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -502,9 +513,7 @@ def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
     Over the distribution's common denominator D, p_i = N_i / D with integer
     N_i, so w_ij = N_i / (N_i + N_j): one exact division per entry.
     """
-    if any(x <= 0 for x in pstar):
-        raise ZeroProbabilityError("GPM weights need strictly positive probabilities")
-    p = [Fraction(x) for x in pstar]
+    p = [Fraction(x) for x in require_positive(pstar)]
     common = math.lcm(*(x.denominator for x in p))
     numerators = [x.numerator * (common // x.denominator) for x in p]
     zero = Fraction(0)

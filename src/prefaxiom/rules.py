@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .distributions import ResponseDistribution
 from .profiles import (
@@ -49,16 +50,21 @@ def borda_scores(t: PairwiseTally) -> ScoreVector:
     return ScoreVector(tuple(values))
 
 
+def copeland_half_points(
+    t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POINT
+) -> tuple[int, ...]:
+    """Copeland scores in half points: 2 per majority win, 1 per half-split under HALF_POINT."""
+    t.require_all_pairs()
+    half_points = {Outcome.WIN: 2, Outcome.TIE: 1 if tie_policy is TiePolicy.HALF_POINT else 0}
+    return tuple(
+        sum(half_points.get(out, 0) for out in row) for row in majority_relation(t).outcomes
+    )
+
+
 def copeland_scores(t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POINT) -> ScoreVector:
     """One point per majority win; exact half-splits score per the tie policy."""
-    t.require_all_pairs()
     # counted in half points, so each score is one exact division by 2
-    half_points = {Outcome.WIN: 2, Outcome.TIE: 1 if tie_policy is TiePolicy.HALF_POINT else 0}
-    values = tuple(
-        Fraction(sum(half_points.get(out, 0) for out in row), 2)
-        for row in majority_relation(t).outcomes
-    )
-    return ScoreVector(values)
+    return ScoreVector(tuple(Fraction(h, 2) for h in copeland_half_points(t, tie_policy)))
 
 
 def condorcet_winner(t: PairwiseTally) -> int | None:
@@ -89,13 +95,18 @@ def pm_consistent_ranking(t: PairwiseTally) -> Ranking | None:
     return Ranking(order)
 
 
-def ranking_from_scores(scores: ScoreVector) -> Ranking:
-    """Descending-score ranking; equal scores share a tie class, ascending by index."""
+def ranking_from_scores(scores: "ScoreVector | Sequence") -> Ranking:
+    """Descending-score ranking; equal scores share a tie class, ascending by index.
+
+    `scores` is a ScoreVector or any sequence of exactly comparable values,
+    such as the integer key an ordinal MLE rule ranks by.
+    """
+    values = scores.values if isinstance(scores, ScoreVector) else scores
     # a stable descending sort keeps equal scores in ascending index order
-    order = tuple(sorted(range(scores.n), key=scores.values.__getitem__, reverse=True))
+    order = tuple(sorted(range(len(values)), key=values.__getitem__, reverse=True))
     classes: list[list[int]] = []
     for i in order:
-        if classes and scores.values[classes[-1][0]] == scores.values[i]:
+        if classes and values[classes[-1][0]] == values[i]:
             classes[-1].append(i)
         else:
             classes.append([i])

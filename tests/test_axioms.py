@@ -32,6 +32,7 @@ from prefaxiom import (
     ZeroProbabilityError,
     apply_permutation,
     axiom_conclusion,
+    axiom_kind,
     axiom_premise,
     complete_profile,
     counterexample_search,
@@ -353,6 +354,32 @@ def test_random_space_requires_seed():
 def test_bad_space_is_refused_when_built(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ExhaustiveComplete(3, 2.5), id="exhaustive-m-float"),
+        pytest.param(lambda: ExhaustiveComplete(3.0, 2), id="exhaustive-n-integral-float"),
+        pytest.param(lambda: RandomComplete(3, 3, 2.5, 1), id="random-trials-float"),
+        pytest.param(lambda: RandomComplete(3, Fraction(3), 5, 1), id="random-m-fraction"),
+        pytest.param(lambda: Assumption1(3.5), id="assumption1-n-float"),
+        pytest.param(lambda: Assumption1(3, 2.0, 1), id="assumption1-trials-float"),
+    ],
+)
+def test_non_integer_space_parameter_is_refused_when_built(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+def test_axiom_kind_reads_the_table_and_resolves_the_alias():
+    assert [axiom_kind(a) for a in ORDINAL_AXIOMS] == [RuleKind.ORDINAL] * len(ORDINAL_AXIOMS)
+    assert [axiom_kind(a) for a in PROBABILISTIC_AXIOMS] == [RuleKind.PROBABILISTIC] * len(
+        PROBABILISTIC_AXIOMS
+    )
+    assert axiom_kind("group-preference-matching") is RuleKind.PROBABILISTIC
+    with pytest.raises(ValueError, match="unknown axiom"):
+        axiom_kind("monotonicity")
 
 
 def test_random_space_deterministic():

@@ -165,6 +165,21 @@ def test_axioms_rejects_impossible_check(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("fmt", ["markdown", "json"])
+def test_axioms_alias_check_runs_as_gpm(runner, tmp_path, fmt):
+    path = _write(tmp_path, FOUR_VOTER)
+    base = ["axioms", path, "--rule", "mle-standard", "--format", fmt, "--checks"]
+    alias = runner.invoke(main, base + ["group-preference-matching"])
+    canonical = runner.invoke(main, base + ["gpm"])
+    assert alias.exit_code == canonical.exit_code == 4
+    assert alias.output == canonical.output
+    refused = runner.invoke(
+        main, ["axioms", path, "--rule", "borda", "--checks", "group-preference-matching"]
+    )
+    assert refused.exit_code == 2
+    assert "has no probabilistic form for 'group-preference-matching'" in refused.output
+
+
 def test_gpmd_exact_output(runner, tmp_path):
     res = runner.invoke(
         main, ["gpmd", _write(tmp_path, FOUR_VOTER), "--epsilon", "limit", "--format", "json"]

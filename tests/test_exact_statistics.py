@@ -1,9 +1,10 @@
 """Integer statistics paths against the Fraction-sum formulas they replaced.
 
-Tallies and majority relations are computed once per profile, and scores
-are summed as integer numerators over each row's lcm.  Every test here
+Tallies and majority relations are computed once per profile, scores are
+summed as integer numerators over each row's lcm, and ordinal MLE rules
+rank by exact keys instead of weight-matrix scores.  Every test here
 recomputes the same quantity the plain way (Fraction sums, proportions
-against 1) and asserts exact equality.
+against 1, the weight-matrix path) and asserts exact equality.
 """
 from __future__ import annotations
 
@@ -16,23 +17,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefaxiom import (
+    Assumption1,
     AxiomReport,
     CandidateSet,
     Comparison,
     EpsilonPolicy,
+    ExhaustiveComplete,
     NotConstantTotalError,
+    ORDINAL_AXIOMS,
+    PrefaxiomError,
     PreferenceProfile,
+    RandomComplete,
     Ranking,
+    RuleKind,
     ScoreVector,
     TiePolicy,
     Voter,
     WeightMatrix,
     borda_scores,
+    counterexample_search,
     default_labels,
     generate_complete,
     gpmd,
+    make_rule,
     majority_relation,
+    rank_by_scores,
     ranking_from_scores,
+    rule_weights,
     run_check,
     scores,
     tally,
@@ -41,6 +52,8 @@ from prefaxiom import (
     weights_gpm,
     weights_standard,
 )
+
+MLE_RULES = ("mle-standard", "mle-copeland", "mle-gpm")
 
 
 def comparison_profile(n: int, m: int, seed: int, *, all_pairs: bool) -> PreferenceProfile:
@@ -180,6 +193,74 @@ def test_ranking_from_scores_matches_the_negated_key_sort(values):
     assert ranking.order == tuple(order)
     classes = [list(g) for _, g in itertools.groupby(order, key=lambda i: values[i])]
     assert ranking.classes() == tuple(tuple(c) for c in classes)
+
+
+# ------------------------------------------------- ordinal MLE rules by key
+
+def outcome(call):
+    """The Ranking a call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except PrefaxiomError as e:
+        return type(e), str(e)
+
+
+def assert_key_matches_weights(profile: PreferenceProfile, policy: EpsilonPolicy | None) -> None:
+    for name in MLE_RULES:
+        for tie_policy in TiePolicy:
+            rule = make_rule(name, RuleKind.ORDINAL, tie_policy=tie_policy, epsilon_policy=policy)
+            expected = outcome(lambda: rank_by_scores(
+                rule_weights(name, profile, tie_policy=tie_policy, epsilon_policy=policy)
+            ))
+            assert outcome(lambda: rule(profile)) == expected, (name, tie_policy, policy)
+
+
+EPSILON_POLICIES = st.one_of(
+    st.none(),
+    st.just(EpsilonPolicy.limit()),
+    st.builds(
+        lambda den, num: EpsilonPolicy.finite(Fraction(num % ((den - 1) // 2) + 1, den)),
+        st.integers(3, 1000),
+        st.integers(0, 10**6),
+    ),
+)
+
+
+@given(*PROFILE_ARGS, st.booleans(), EPSILON_POLICIES)
+@settings(max_examples=150, deadline=None)
+def test_ordinal_mle_keys_rank_like_weight_scores(n, m, seed, complete, all_pairs, policy):
+    # complete profiles (pair total m), comparison profiles with every pair
+    # compared (uneven totals) and with some pair never compared
+    assert_key_matches_weights(random_profile(n, m, seed, complete, all_pairs=all_pairs), policy)
+
+
+@pytest.mark.parametrize(
+    "space", [ExhaustiveComplete(3, 4), ExhaustiveComplete(4, 2), Assumption1(4)], ids=repr
+)
+def test_ordinal_mle_keys_rank_like_weight_scores_exhaustively(space):
+    # even m splits pairs and first places evenly: tie classes in every key
+    for profile in space.profiles():
+        for policy in (None, EpsilonPolicy.limit(), EpsilonPolicy.finite(Fraction(49, 100))):
+            assert_key_matches_weights(profile, policy)
+
+
+def test_ordinal_mle_search_builds_no_weight_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an ordinal MLE search built a WeightMatrix")
+
+    monkeypatch.setattr(WeightMatrix, "__post_init__", refuse)
+    spaces = (ExhaustiveComplete(3, 3), RandomComplete(4, 4, 50, 3), Assumption1(3))
+    for name in MLE_RULES:
+        for tie_policy in TiePolicy:
+            rule = make_rule(name, RuleKind.ORDINAL, tie_policy=tie_policy)
+            for axiom in ORDINAL_AXIOMS:
+                for space in spaces:
+                    try:
+                        counterexample_search(rule, axiom, space)
+                    except PrefaxiomError:
+                        pass  # a profile outside the rule's domain stops the scan
+    with pytest.raises(AssertionError):
+        weights_standard(tally(generate_complete(3, 3, 1)))
 
 
 # ------------------------------------------------------------------- pareto

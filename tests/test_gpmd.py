@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from prefaxiom import (
     BlockNotEmbeddableError,
     EpsilonPolicy,
+    ExhaustiveComplete,
     NotCompleteProfileError,
     PairwiseTally,
     Partition,
@@ -21,6 +22,7 @@ from prefaxiom import (
     block_embeddable,
     block_pm_distribution,
     complete_profile,
+    counterexample_search,
     enumerate_embeddable_partitions,
     first_place_shares,
     generalized_profile,
@@ -98,6 +100,40 @@ def test_gpmd_requires_complete_profile():
     p = generalized_profile(["a", "b"], {"v1": [("a", "b")]})
     with pytest.raises(NotCompleteProfileError):
         gpmd(p, LIMIT)
+
+
+def test_gpmd_is_computed_once_per_profile_and_policy(four_voter, monkeypatch):
+    import importlib
+
+    # the package namespace binds the name gpmd to the function
+    gpmd_module = importlib.import_module("prefaxiom.gpmd")
+    finite = EpsilonPolicy.finite(Fraction(1, 1000))
+    first = gpmd(four_voter, finite)
+    # an equal policy built anew finds the same distribution
+    assert gpmd(four_voter, EpsilonPolicy.finite(Fraction(1, 1000))) is first
+    assert gpmd(four_voter, LIMIT) is gpmd(four_voter, LIMIT) != first
+    fresh = complete_profile(
+        four_voter.candidates.names,
+        [[four_voter.candidates.label(i) for i in v.ranking.order] for v in four_voter.voters],
+    )
+    assert gpmd(fresh, finite) == first
+
+    computed = []
+    original = gpmd_module._group_matching
+
+    def counting(profile, policy):
+        computed.append(policy)
+        return original(profile, policy)
+
+    monkeypatch.setattr(gpmd_module, "_group_matching", counting)
+    # the rule's domain step and the gpm premise both ask for the target
+    space = ExhaustiveComplete(3, 2)
+    for name, policy in (("mle-gpm", finite), ("gpmd-limit", LIMIT)):
+        computed.clear()
+        rule = make_rule(name, RuleKind.PROBABILISTIC, epsilon_policy=policy)
+        outcome = counterexample_search(rule, "gpm", space, epsilon_policy=policy)
+        assert outcome.applicable == outcome.examined == len(computed)
+        assert set(computed) == {policy}
 
 
 def test_gpmd_finite_is_positive_and_near_limit(four_voter):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from prefaxiom import (
     Ranking,
     SchemaError,
     TiesNotAllowedError,
+    UndefinedPairError,
     Voter,
     apply_permutation,
     complete_profile,
@@ -128,6 +130,43 @@ def test_props_undefined_where_no_comparisons():
     assert t.prop(0, 1) == 1
     assert t.prop(0, 2) is None
     assert not t.defined_on_all_pairs
+
+
+@given(st.integers(2, 6), st.integers(1, 7), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_pair_totals_are_scanned_once_and_match_a_naive_scan(n, m, seed, complete):
+    import random
+
+    if complete:
+        profile = generate_complete(n, m, seed)
+    else:
+        rng = random.Random(seed)
+        pairs = list(itertools.combinations(range(n), 2))
+        profile = generalized_profile(
+            list(default_labels(n)),
+            {
+                f"v{k + 1}": [
+                    (f"y{i + 1}", f"y{j + 1}") if rng.random() < 0.5 else (f"y{j + 1}", f"y{i + 1}")
+                    for i, j in rng.sample(pairs, rng.randint(1, len(pairs)))
+                ]
+                for k in range(m)
+            },
+        )
+    t = tally(profile)
+    # the profile's own tally and one built from the same counts agree
+    assert PairwiseTally(t.wins) == t
+    totals = {(i, j): t.total(i, j) for i, j in itertools.combinations(range(n), 2)}
+    missing = [pair for pair, total in totals.items() if total == 0]
+    assert t.defined_on_all_pairs == (not missing)
+    if missing:
+        with pytest.raises(UndefinedPairError, match=re.escape(f"pair {missing[0]} has")):
+            t.require_all_pairs()
+    else:
+        t.require_all_pairs()
+    common = set(totals.values())
+    assert t.constant_total == (common.pop() if len(common) == 1 and not missing else None)
+    if complete:
+        assert t.constant_total == m
 
 
 def test_tally_from_props_round_trip():
@@ -250,6 +289,36 @@ def test_generate_complete_deterministic():
     assert serialize_profile(a) == serialize_profile(b)
     c = generate_complete(4, 5, 124)
     assert serialize_profile(a) != serialize_profile(c)
+
+
+# sha256 of the voter ids and orders of the first 8 profiles of the stream
+# generate_complete(n, m, seed * 1000003 + t), as RandomComplete draws them;
+# computed before voters were shared between profiles
+PINNED_STREAMS = {
+    (3, 3, 0): "a84d2cf49a7d0a6a50505dcf1201d91d6f0b15930689459b702e07a9a0438b44",
+    (4, 5, 1): "33d643b45b453094d48e2689c59458997fc061d281198bf73607c5db242f13de",
+    (4, 5, 31000095): "9f133a5a6fa9f05e332fd02ee66fa4a285030a35725ecf17503e8677bc7e6004",
+    (10, 3, 12345): "52227474a350bb93771af2a5cacd8c3a945cb4f495c07391e33aad7e8ae5da09",
+}
+
+
+@pytest.mark.parametrize("n,m,seed", list(PINNED_STREAMS))
+def test_generate_complete_stream_is_pinned(n, m, seed):
+    import hashlib
+
+    h = hashlib.sha256()
+    for t in range(8):
+        profile = generate_complete(n, m, seed * 1_000_003 + t)
+        h.update(repr([(v.id, v.ranking.order) for v in profile.voters]).encode())
+    assert h.hexdigest() == PINNED_STREAMS[n, m, seed]
+
+
+def test_generate_complete_shares_voters_and_candidates():
+    a = generate_complete(4, 5, 123)
+    b = generate_complete(4, 5, 123)
+    assert a == b
+    assert a.candidates is b.candidates
+    assert all(x is y for x, y in zip(a.voters, b.voters))
 
 
 def test_generate_complete_is_roughly_uniform():
