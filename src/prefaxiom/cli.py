@@ -140,6 +140,9 @@ def _read_profile(path: str) -> PreferenceProfile:
     except FileNotFoundError:
         click.echo(f"error: no such file: {path}", err=True)
         sys.exit(EXIT_SCHEMA)
+    except OSError as e:
+        click.echo(f"error: cannot read {path}: {e.strerror or e}", err=True)
+        sys.exit(EXIT_SCHEMA)
 
 
 def _parse_epsilon(value: str) -> EpsilonPolicy:
@@ -149,6 +152,15 @@ def _parse_epsilon(value: str) -> EpsilonPolicy:
         return EpsilonPolicy.finite(Fraction(value))
     except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"--epsilon must be a number in (0, 1/2) or 'limit', got {value!r}")
+
+
+def _axiom_name(ctx, param, value: str) -> str:
+    """An axiom name or alias, checked against the axiom table."""
+    try:
+        axiom_kind(value)
+    except ValueError:
+        raise click.BadParameter(f"unknown axiom {value!r}; expected one of {', '.join(AXIOM_CHOICES)}")
+    return value
 
 
 def _tie_policy(value: str) -> TiePolicy:
@@ -474,7 +486,12 @@ def _parse_space(text: str, seed: int | None):
 
 @main.command("search")
 @click.option("--rule", type=click.Choice(RULE_NAMES), required=True)
-@click.option("--axiom", type=click.Choice(AXIOM_CHOICES), required=True)
+@click.option(
+    "--axiom",
+    required=True,
+    callback=_axiom_name,
+    help=f"One of {', '.join(AXIOM_CHOICES)}, or an alias such as group-preference-matching.",
+)
 @click.option("--space", required=True, help="e.g. exhaustive-complete:n=3,m=3 or random-complete:n=3,m=4,trials=10000")
 @click.option("--seed", type=int, default=None, help="Required for random spaces.")
 @click.option("--tol", type=float, default=1e-6, show_default=True)

@@ -51,10 +51,14 @@ class CandidateSet:
     def n(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.names)}
+
     def index(self, label: str) -> int:
         try:
-            return self.names.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise ValueError(f"unknown candidate label {label!r}") from None
 
     def label(self, i: int) -> str:
@@ -700,6 +704,7 @@ def parse_profile(data: "bytes | str") -> PreferenceProfile:
     if not isinstance(raw_voters, list) or len(raw_voters) == 0:
         raise SchemaError("must be a non-empty list", field="voters")
 
+    sorted_labels = sorted(labels)
     voters = []
     seen_ids = set()
     for k, rv in enumerate(raw_voters):
@@ -725,7 +730,7 @@ def parse_profile(data: "bytes | str") -> PreferenceProfile:
             rk = rv["ranking"]
             if not isinstance(rk, list) or not all(isinstance(x, str) for x in rk):
                 raise SchemaError("ranking must be a list of labels", field=f"{where}.ranking")
-            if sorted(rk) != sorted(labels):
+            if sorted(rk) != sorted_labels:
                 raise SchemaError(
                     "ranking must list every candidate exactly once", field=f"{where}.ranking"
                 )
@@ -749,7 +754,7 @@ def parse_profile(data: "bytes | str") -> PreferenceProfile:
                         field=f"{where_c}[{t}]",
                     )
                 w, l = entry
-                if w not in labels or l not in labels:
+                if w not in cset._positions or l not in cset._positions:
                     raise SchemaError(
                         f"unknown candidate in pair {entry!r}", field=f"{where_c}[{t}]"
                     )

@@ -9,6 +9,11 @@ convex in r and invariant under adding a constant to every reward.  When every
 pair carries the same total weight, the minimizer orders candidates exactly by
 the normalized row sums of the weight matrix, so converged solves can be
 cross-checked against exact rational scores.
+
+Everything here is exact except the float solve: its numpy code lives in the
+private `_newton` module, which the float functions (`solve_mle`, `loss`,
+`gradient`, `softmax`, `WeightMatrix.array`) import on first call, so that
+exact-only work never pays numpy's import.
 """
 from __future__ import annotations
 
@@ -17,13 +22,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .distributions import ResponseDistribution
 from .errors import (
-    DimensionMismatchError,
     DisconnectedGraphError,
     NoUniqueTopError,
     NotConstantTotalError,
@@ -32,6 +34,9 @@ from .errors import (
 )
 from .profiles import Outcome, PairwiseTally, Ranking, TiePolicy, majority_relation
 from .rules import ScoreVector, ranking_from_scores
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 # solver stop: largest absolute gradient entry at convergence
 GRAD_TOL = 1e-10
@@ -208,11 +213,11 @@ class WeightMatrix:
         return require_constant(self.pair_total)
 
     @cached_property
-    def array(self) -> np.ndarray:
+    def array(self) -> ndarray:
         """The weights as a float matrix, built once and read-only."""
-        a = np.array([[float(x) for x in row] for row in self.w], dtype=float)
-        a.flags.writeable = False
-        return a
+        from . import _newton
+
+        return _newton.weight_array(self.w)
 
     @cached_property
     def condensation(self) -> Condensation:
@@ -256,44 +261,22 @@ class RewardVector:
         return self.status.kind is StatusKind.CONVERGED
 
 
-def _as_vector(r: "Sequence[float] | RewardVector", n: int) -> np.ndarray:
-    values = r.r if isinstance(r, RewardVector) else r
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (n,):
-        raise DimensionMismatchError(f"reward vector must have length {n}")
-    return arr
-
-
-def _sigmoid(d: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * d))
-
-
-def _nll(w: np.ndarray, r: np.ndarray) -> np.float64:
-    d = r[:, None] - r[None, :]
-    # -log sigma(d) == softplus(-d), stable in both tails
-    sp = np.logaddexp(0.0, -d)
-    np.fill_diagonal(sp, 0.0)
-    return (w * sp).sum()
-
-
-def _nll_grad(w: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Gradient of _nll; t = w + w.T is passed in so solver loops build it once."""
-    s = _sigmoid(r[:, None] - r[None, :])
-    g = t * s - w
-    np.fill_diagonal(g, 0.0)
-    return g.sum(axis=1)
+def _values(r: "Sequence[float] | RewardVector") -> Sequence[float]:
+    return r.r if isinstance(r, RewardVector) else r
 
 
 def loss(weights: WeightMatrix, r: "Sequence[float] | RewardVector") -> float:
     """Negative log likelihood under the weighted pairwise-logistic model."""
-    return float(_nll(weights.array, _as_vector(r, weights.n)))
+    from . import _newton
+
+    return _newton.loss(weights.array, _values(r))
 
 
 def gradient(weights: WeightMatrix, r: "Sequence[float] | RewardVector") -> tuple[float, ...]:
     """dL/dr_k = -sum_{j != k} [ w_kj - (w_kj + w_jk) * sigma(r_k - r_j) ]."""
-    arr = _as_vector(r, weights.n)
-    w = weights.array
-    return tuple(_nll_grad(w, w + w.T, arr))
+    from . import _newton
+
+    return _newton.gradient(weights.array, _values(r))
 
 
 def _check_connected(weights: WeightMatrix) -> None:
@@ -359,69 +342,16 @@ def solve_mle(
     the objective strictly convex, so every connected instance then has a
     finite optimum and never reports DIVERGED.
     """
+    from . import _newton
+
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     _check_connected(weights)
-    n = weights.n
-    w = weights.array
-    t = w + w.T
-
-    def objective(r: np.ndarray) -> float:
-        return float(_nll(w, r) + ridge * (r * r).sum())
-
-    def grad(r: np.ndarray) -> np.ndarray:
-        return _nll_grad(w, t, r) + 2.0 * ridge * r
-
-    r = np.zeros(n)
-    gnorm = float(np.max(np.abs(grad(r))))
-    at_tol = False
-    steps = max_iters
-    for iters in range(1, max_iters + 1):
-        g = grad(r)
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= GRAD_TOL:
-            at_tol, steps = True, iters - 1
-            break
-
-        d = r[:, None] - r[None, :]
-        s = _sigmoid(d)
-        curv = t * s * (1.0 - s)
-        np.fill_diagonal(curv, 0.0)
-        hess = np.diag(curv.sum(axis=1)) - curv + 2.0 * ridge * np.eye(n)
-        # rank-one shift along the all-ones null direction keeps the
-        # system nonsingular without disturbing sum-zero solutions
-        shift = max(float(np.trace(hess)) / n, 1e-12)
-        try:
-            direction = np.linalg.solve(hess + shift * np.ones((n, n)) / n, -g)
-        except np.linalg.LinAlgError:
-            direction = -g
-        if not np.all(np.isfinite(direction)):
-            direction = -g
-        direction = direction - direction.mean()
-        slope = float(g @ direction)
-        if slope >= 0.0:
-            direction = -(g - g.mean())
-            slope = float(g @ direction)
-        stalled = slope >= 0.0
-        if not stalled:
-            base = objective(r)
-            # near the optimum the true decrease sinks below the objective's
-            # float resolution; without this slack Armijo rejects full Newton
-            # steps on roundoff noise and the iterate crawls
-            slack = 16.0 * np.finfo(float).eps * (1.0 + abs(base))
-            alpha = 1.0
-            while objective(r + alpha * direction) > base + 1e-4 * alpha * slope + slack:
-                alpha *= 0.5
-                if alpha < 1e-14:
-                    break
-            stalled = alpha < 1e-14
-        if stalled:
-            steps = iters
-            break
-        r = r + alpha * direction
-        r = r - r.mean()
-
-    if ridge == 0.0 and not minimizer_exists(weights):
+    diverged = ridge == 0.0 and not minimizer_exists(weights)
+    r, gnorm, at_tol, steps = _newton.newton(
+        weights.array, ridge, max_iters, GRAD_TOL, recenter=not diverged
+    )
+    if diverged:
         cond = weights.condensation
         status = SolverStatus(
             StatusKind.DIVERGED,
@@ -431,11 +361,10 @@ def solve_mle(
             tuple(sorted(i for c in cond.sinks for i in c)),
         )
     elif at_tol:
-        r = r - r.mean()
         status = SolverStatus(StatusKind.CONVERGED, gnorm, steps)
     else:
         status = SolverStatus(StatusKind.MAX_ITERS, gnorm, steps)
-    return RewardVector(tuple(float(x) for x in r), status)
+    return RewardVector(r, status)
 
 
 def scores(weights: WeightMatrix) -> ScoreVector:
@@ -464,16 +393,11 @@ def rank_by_scores(weights: WeightMatrix) -> Ranking:
 
 def softmax(r: "RewardVector | Sequence[float]") -> ResponseDistribution:
     """Softmax of rewards; RewardVector inputs must be converged."""
-    if isinstance(r, RewardVector):
-        if not r.converged:
-            raise NotConvergedError("softmax needs a converged reward vector")
-        values = np.asarray(r.r, dtype=float)
-    else:
-        values = np.asarray(r, dtype=float)
-    shifted = values - values.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-    return ResponseDistribution(tuple(float(x) for x in p))
+    from . import _newton
+
+    if isinstance(r, RewardVector) and not r.converged:
+        raise NotConvergedError("softmax needs a converged reward vector")
+    return ResponseDistribution(_newton.softmax(_values(r)))
 
 
 def weights_standard(t: PairwiseTally) -> WeightMatrix:

@@ -204,6 +204,10 @@ def test_schema_error_exit_two(runner, tmp_path):
     assert res.exit_code == 2
     res2 = runner.invoke(main, ["tally", str(tmp_path / "missing.json")])
     assert res2.exit_code == 2
+    # a directory is not a readable file: the same exit code, no traceback
+    res_dir = runner.invoke(main, ["tally", str(tmp_path)])
+    assert res_dir.exit_code == 2 and isinstance(res_dir.exception, SystemExit)
+    assert res_dir.stderr.startswith(f"error: cannot read {tmp_path}: ")
     # an empty label and bytes that are not UTF-8: exit 2 with a location, no traceback
     empty_label = json.dumps({"candidates": ["", "a"], "voters": []}).encode()
     for data, where in ((empty_label, "(field: candidates)"), (b"\xff\xfe{}", "(line: 1)")):
@@ -350,6 +354,25 @@ def test_search_json_counts_applicable_and_vacuous_profiles(runner):
     # markdown keeps its one summary line
     res = runner.invoke(main, base + ["--space", "exhaustive-complete:n=3,m=3"])
     assert res.output.splitlines()[-1] == "no violation; 216 instances examined"
+
+
+def test_search_accepts_axiom_alias(runner):
+    base = ["search", "--rule", "gpmd-limit", "--space", "exhaustive-complete:n=3,m=2", "--format", "json"]
+    counts = []
+    for axiom in ("group-preference-matching", "gpm"):
+        res = runner.invoke(main, base + ["--axiom", axiom])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        counts.append((doc["examined"], doc["applicable"], doc["found"]))
+    assert counts[0] == counts[1]
+
+
+def test_search_unknown_axiom_exit_two(runner):
+    res = runner.invoke(
+        main, ["search", "--rule", "borda", "--axiom", "bogus", "--space", "exhaustive-complete:n=3,m=3"]
+    )
+    assert res.exit_code == 2
+    assert "unknown axiom 'bogus'" in res.stderr
 
 
 def test_search_unknown_space_exit_two(runner):

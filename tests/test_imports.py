@@ -1,0 +1,74 @@
+"""numpy is loaded by the float solve alone, checked in fresh interpreters.
+
+The suite's own process already holds numpy (test_reward imports it), so
+every case runs its commands in a new interpreter and reports, after each
+command, its exit code, the sha256 of its stdout and whether numpy is in
+`sys.modules`.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from prefaxiom import serialize_profile
+from test_cli import PINNED
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# argv: a JSON list of command lines; prints one [exit, digest, numpy loaded] per command
+PROBE = """
+import hashlib, json, sys
+import prefaxiom, prefaxiom.cli
+from click.testing import CliRunner
+report = [["import", None, "numpy" in sys.modules]]
+runner = CliRunner()
+for args in json.loads(sys.argv[1]):
+    res = runner.invoke(prefaxiom.cli.main, args)
+    report.append([res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest(), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def _probe(commands: list[list[str]]) -> list[list]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.fixture
+def profile_path(tmp_path, paradox) -> str:
+    path = tmp_path / "paradox.json"
+    path.write_bytes(serialize_profile(paradox))
+    return str(path)
+
+
+def test_import_leaves_numpy_unloaded():
+    assert _probe([]) == [["import", None, False]]
+
+
+def test_exact_commands_leave_numpy_unloaded(profile_path):
+    commands = [
+        ["tally", profile_path],
+        ["rank", profile_path, "--rule", "borda"],
+        ["gpmd", profile_path, "--epsilon", "1/100"],
+        ["axioms", profile_path, "--rule", "copeland"],
+        ["search", "--rule", "copeland", "--axiom", "condorcet", "--space", "exhaustive-complete:n=3,m=3"],
+        ["experiment-cycles", "--trials", "20", "--seed", "1"],
+    ]
+    report = _probe(commands)
+    assert [loaded for _, _, loaded in report] == [False] * (len(commands) + 1)
+    assert [code for code, _, _ in report[1:]] == [0] * len(commands)
+
+
+def test_first_float_solve_loads_numpy_and_matches_pinned_output(profile_path):
+    report = _probe([["rank", profile_path, "--rule", "mle-standard", "--format", "json"]])
+    assert [loaded for _, _, loaded in report] == [False, True]
+    assert tuple(report[1][:2]) == PINNED["rank-mle-standard-paradox-json"]

@@ -53,6 +53,16 @@ def test_candidate_set_rejects_duplicates_and_small_n():
         CandidateSet(("a",))
 
 
+def test_candidate_set_index_reads_positions():
+    cset = CandidateSet(("c", "a", "b"))
+    assert [cset.index(x) for x in ("a", "b", "c")] == [1, 2, 0]
+    assert cset == CandidateSet(("c", "a", "b")) and hash(cset) == hash(CandidateSet(("c", "a", "b")))
+    with pytest.raises(ValueError, match="unknown candidate label 'z'"):
+        cset.index("z")
+    with pytest.raises(ValueError, match="unknown candidate label 'z'"):
+        complete_profile(["a", "b"], [["a", "z"]])
+
+
 def test_comparison_rejects_self_pair():
     with pytest.raises(ValueError):
         Comparison("v1", 1, 1)
