@@ -17,11 +17,14 @@ satisfied=True: axioms hold vacuously where their premise fails, and search
 treats such instances as non-witnesses.
 
 A rule under test splits the same way, into a domain step that raises what
-the rule raises on a profile and the evaluation proper.  So
-`counterexample_search` runs the domain step and the premise on every
-profile, and evaluates the rule only where the premise holds: a vacuous
-profile costs no solve, yet a profile outside the rule's domain still
-raises.
+the rule raises on a profile and the evaluation proper.  A second table maps
+each rule name to its forms: the ordinal domain step and the exact key the
+rule ranks by, and the MLE weights or the distribution of its probabilistic
+form.  Borda and mle-standard rank by one key, Copeland and mle-copeland by
+another, and differ only in their domain steps.  So `counterexample_search`
+runs the domain step and the premise on every profile, and evaluates the
+rule only where the premise holds: a vacuous profile costs no solve, yet a
+profile outside the rule's domain still raises.
 
 Search spaces check their own parameters when built and know their size,
 whether they are exhaustive, and their deterministic profile stream.
@@ -69,10 +72,9 @@ from .reward import (
     weights_standard,
 )
 from .rules import (
-    borda_scores,
+    borda_points,
     condorcet_winner,
     copeland_half_points,
-    copeland_scores,
     majority_winner,
     pm_consistent_ranking,
     ranking_from_scores,
@@ -153,22 +155,10 @@ def _swap_invariant(orders: Counter, i: int, j: int) -> bool:
     )
 
 
-def _orders(profile: PreferenceProfile) -> Counter:
+def _equally_preferred_pairs(profile: PreferenceProfile) -> list[tuple[int, int]] | None:
     if profile.kind is not ProfileKind.COMPLETE:
         raise NotCompleteProfileError("preference equivalence needs full rankings")
-    return Counter(v.ranking.order for v in profile.voters)
-
-
-def equally_preferred(profile: PreferenceProfile, i: int, j: int) -> bool:
-    """Whether swapping candidates i and j maps the electorate onto itself."""
-    orders = _orders(profile)
-    if i == j:
-        raise ValueError("need two distinct candidates")
-    return _swap_invariant(orders, i, j)
-
-
-def _equally_preferred_pairs(profile: PreferenceProfile) -> list[tuple[int, int]] | None:
-    orders = _orders(profile)
+    orders = Counter(v.ranking.order for v in profile.voters)
     w = tally(profile).wins
     # a swap-invariant electorate splits the swapped pair evenly, a cheap
     # test on the cached tally that rules out most pairs (every pair, at odd m)
@@ -371,34 +361,6 @@ class RuleUnderTest:
         return self.evaluate(self.domain(profile))
 
 
-ORDINAL_RULES = ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm")
-PROBABILISTIC_RULES = ("mle-standard", "mle-copeland", "mle-gpm", "gpmd-limit")
-RULE_NAMES = tuple(dict.fromkeys(ORDINAL_RULES + PROBABILISTIC_RULES))
-
-
-def rule_weights(
-    name: str,
-    profile: PreferenceProfile,
-    *,
-    tie_policy: TiePolicy = TiePolicy.HALF_POINT,
-    epsilon_policy: EpsilonPolicy | None = None,
-) -> WeightMatrix:
-    """The weight matrix whose pairwise-logistic MLE is the named rule.
-
-    mle-standard weighs raw win counts (its MLE orders by Borda), mle-copeland
-    majority indicators (Copeland), and mle-gpm the weights whose stationary
-    point is the group matching distribution under `epsilon_policy`
-    (default: the finite policy).
-    """
-    if name == "mle-standard":
-        return weights_standard(tally(profile))
-    if name == "mle-copeland":
-        return weights_copeland(tally(profile), tie_policy)
-    if name == "mle-gpm":
-        return weights_gpm(gpmd(profile, epsilon_policy or EpsilonPolicy.finite()))
-    raise ValueError(f"rule {name!r} is not an MLE rule")
-
-
 def _complete_tally(profile: PreferenceProfile) -> PairwiseTally:
     """The tally of a profile that compares every pair (UndefinedPairError otherwise)."""
     t = tally(profile)
@@ -406,37 +368,23 @@ def _complete_tally(profile: PreferenceProfile) -> PairwiseTally:
     return t
 
 
-def _standard_key(profile: PreferenceProfile) -> tuple[int, ...]:
-    """mle-standard's key: integer win row sums, once every pair has one total.
-
-    With a common pair total T the exact scores are these sums over T.
-    """
+def _constant_total_tally(profile: PreferenceProfile) -> PairwiseTally:
+    """The tally of a profile whose pairs share one total (NotConstantTotalError otherwise)."""
     t = tally(profile)
     require_constant(t.constant_total)
-    return tuple(sum(row) for row in t.wins)
+    return t
 
 
-def _copeland_key(profile: PreferenceProfile, tie_policy: TiePolicy) -> tuple[int, ...]:
-    """mle-copeland's key: Copeland's half points, once every pair is compared.
+def _copeland_weights_tally(profile: PreferenceProfile, tie_policy: TiePolicy) -> PairwiseTally:
+    """The tally, raising what mle-copeland's weights and their constant-total check raise.
 
     Under STRICT_ONLY a tied pair weighs 0 both ways while every other pair
     weighs 1, so pair totals agree only where the majority has no tie.
     """
-    t = tally(profile)
-    t.require_all_pairs()
+    t = _complete_tally(profile)
     if tie_policy is TiePolicy.STRICT_ONLY:
         require_constant(None if majority_relation(t).has_ties() else 1)
-    return copeland_half_points(t, tie_policy)
-
-
-def _gpm_key(profile: PreferenceProfile, policy: EpsilonPolicy) -> tuple:
-    """mle-gpm's key: the group matching probabilities, all of them positive.
-
-    Over a common denominator p_i = N_i / D, and the score
-    s_i = sum_j N_i / (N_i + N_j) is strictly increasing in N_i, so sorting
-    p* gives the score order, ties included.
-    """
-    return require_positive(gpmd(profile, policy)).p
+    return t
 
 
 def _mle_domain(weights: WeightMatrix) -> tuple[WeightMatrix, tuple[int, ...] | None]:
@@ -471,6 +419,84 @@ def _mle_distribution(
     return ResponseDistribution(tuple(probs))
 
 
+class _Rule(NamedTuple):
+    """A rule's forms; a form is None where the rule has none.
+
+    Every callable takes the tie policy and the epsilon policy after its
+    argument.  The ordinal form is `domain`, which takes the profile and
+    raises what the rule raises, and `key`, which reads what the domain
+    returns and has the order and the ties of the rule's exact scores.  The
+    probabilistic form is `weights`, the weight matrix of an MLE rule, or
+    `distribution`, computed with no solve.
+    """
+
+    domain: Callable | None = None
+    key: Callable | None = None
+    weights: Callable[..., WeightMatrix] | None = None
+    distribution: Callable[..., ResponseDistribution] | None = None
+
+
+# Borda and mle-standard share one key, Copeland and mle-copeland another:
+# within each pair only the domain step differs.  The entries call tally,
+# gpmd and majority_relation through this module's globals at call time, so
+# whoever rebinds those names (a tracer) sees every call.
+_RULES = {
+    "borda": _Rule(
+        domain=lambda p, tie, eps: _complete_tally(p),
+        key=lambda t, tie, eps: borda_points(t),
+    ),
+    "copeland": _Rule(
+        domain=lambda p, tie, eps: _complete_tally(p),
+        key=lambda t, tie, eps: copeland_half_points(t, tie),
+    ),
+    "mle-standard": _Rule(
+        domain=lambda p, tie, eps: _constant_total_tally(p),
+        key=lambda t, tie, eps: borda_points(t),
+        weights=lambda p, tie, eps: weights_standard(tally(p)),
+    ),
+    "mle-copeland": _Rule(
+        domain=lambda p, tie, eps: _copeland_weights_tally(p, tie),
+        key=lambda t, tie, eps: copeland_half_points(t, tie),
+        weights=lambda p, tie, eps: weights_copeland(tally(p), tie),
+    ),
+    # over a common denominator p_i = N_i / D, and the score
+    # s_i = sum_j N_i / (N_i + N_j) is strictly increasing in N_i, so p*
+    # itself ranks like the scores, ties included
+    "mle-gpm": _Rule(
+        domain=lambda p, tie, eps: require_positive(gpmd(p, eps or EpsilonPolicy.finite())),
+        key=lambda pstar, tie, eps: pstar.p,
+        weights=lambda p, tie, eps: weights_gpm(gpmd(p, eps or EpsilonPolicy.finite())),
+    ),
+    "gpmd-limit": _Rule(distribution=lambda p, tie, eps: gpmd(p, EpsilonPolicy.limit())),
+}
+
+ORDINAL_RULES = tuple(name for name, e in _RULES.items() if e.key is not None)
+PROBABILISTIC_RULES = tuple(
+    name for name, e in _RULES.items() if e.weights is not None or e.distribution is not None
+)
+RULE_NAMES = tuple(_RULES)
+
+
+def rule_weights(
+    name: str,
+    profile: PreferenceProfile,
+    *,
+    tie_policy: TiePolicy = TiePolicy.HALF_POINT,
+    epsilon_policy: EpsilonPolicy | None = None,
+) -> WeightMatrix:
+    """The weight matrix whose pairwise-logistic MLE is the named rule.
+
+    mle-standard weighs raw win counts (its MLE orders by Borda), mle-copeland
+    majority indicators (Copeland), and mle-gpm the weights whose stationary
+    point is the group matching distribution under `epsilon_policy`
+    (default: the finite policy).
+    """
+    weights = _RULES[name].weights if name in _RULES else None
+    if weights is None:
+        raise ValueError(f"rule {name!r} is not an MLE rule")
+    return weights(profile, tie_policy, epsilon_policy)
+
+
 def make_rule(
     name: str,
     kind: RuleKind,
@@ -481,61 +507,44 @@ def make_rule(
     """Construct a registry rule; raises ValueError for unsupported pairings.
 
     ORDINAL_RULES and PROBABILISTIC_RULES list the names each kind accepts.
-    Ordinal rules group equal scores into tie classes through
-    ranking_from_scores.  Ordinal MLE rules rank by an exact integer or
-    rational key with the order and ties of their exact scores
-    (rank_by_scores(rule_weights(...))), read off the tally or gpmd without
-    a weight matrix: mle-standard by integer win row sums, mle-copeland by
-    Copeland's half points, mle-gpm by the group matching distribution p*
-    itself.  Probabilistic MLE rules take their weights from rule_weights and
-    softmax the solved rewards when a finite MLE exists (the positive-weight
-    digraph is strongly connected).  Otherwise they return the exact
-    ridge -> 0 limit of the regularized softmax: the top component's own
-    softmax, zero elsewhere.  A generalized profile whose condensation has
-    several source components has no such top and raises NoUniqueTopError.
+    An ordinal rule ranks by an exact integer or rational key with the order
+    and ties of its exact scores, and ranking_from_scores groups equal keys
+    into tie classes: Borda and mle-standard by borda_points, Copeland and
+    mle-copeland by Copeland's half points, mle-gpm by the group matching
+    distribution p* itself.  So an ordinal MLE rule ranks like
+    rank_by_scores(rule_weights(...)) without a weight matrix.  Probabilistic
+    MLE rules take their weights from rule_weights and softmax the solved
+    rewards when a finite MLE exists (the positive-weight digraph is strongly
+    connected).  Otherwise they return the exact ridge -> 0 limit of the
+    regularized softmax: the top component's own softmax, zero elsewhere.  A
+    generalized profile whose condensation has several source components has
+    no such top and raises NoUniqueTopError.
 
     Each rule's domain step does everything up to the evaluation and raises
     what the rule raises: the tally and its every-pair check for Borda and
-    Copeland, the key for ordinal MLE (raising what the weights and their
-    constant-total check raise: NotConstantTotalError for mle-standard,
-    UndefinedPairError and then, under STRICT_ONLY, NotConstantTotalError
-    for mle-copeland, gpmd's errors and then ZeroProbabilityError for
-    mle-gpm), the weights and top_component for probabilistic MLE, and gpmd
-    itself for gpmd-limit.  counterexample_search runs it on every profile,
-    and the evaluation (scores and ranking, or solve and softmax) only where
-    the axiom's premise holds.
+    Copeland; for ordinal MLE, what the weights and their constant-total
+    check raise (NotConstantTotalError for mle-standard, UndefinedPairError
+    and then, under STRICT_ONLY, NotConstantTotalError for mle-copeland,
+    gpmd's errors and then ZeroProbabilityError for mle-gpm); the weights and
+    top_component for probabilistic MLE; and gpmd itself for gpmd-limit.
+    counterexample_search runs it on every profile, and the evaluation (key
+    and ranking, or solve and softmax) only where the axiom's premise holds.
     """
     if name not in (ORDINAL_RULES if kind is RuleKind.ORDINAL else PROBABILISTIC_RULES):
         raise ValueError(f"rule {name!r} has no {kind.value} form")
-    if name == "borda":
-        return RuleUnderTest(
-            name, kind, _complete_tally, lambda t: ranking_from_scores(borda_scores(t))
-        )
-    if name == "copeland":
-        return RuleUnderTest(
-            name,
-            kind,
-            _complete_tally,
-            lambda t: ranking_from_scores(copeland_scores(t, tie_policy)),
-        )
-    if name == "gpmd-limit":
-        return RuleUnderTest(name, kind, lambda p: gpmd(p, EpsilonPolicy.limit()), lambda d: d)
-
+    entry = _RULES[name]
+    tie, eps = tie_policy, epsilon_policy
     if kind is RuleKind.ORDINAL:
-        # the keys and the evaluation call tally, gpmd and ranking_from_scores
-        # through this module's globals, so a tracer that rebinds them sees them
-        if name == "mle-standard":
-            key = _standard_key
-        elif name == "mle-copeland":
-            key = functools.partial(_copeland_key, tie_policy=tie_policy)
-        else:
-            key = functools.partial(_gpm_key, policy=epsilon_policy or EpsilonPolicy.finite())
-        return RuleUnderTest(name, kind, key, lambda k: ranking_from_scores(k))
-
-    def weights(p: PreferenceProfile) -> WeightMatrix:
-        return rule_weights(name, p, tie_policy=tie_policy, epsilon_policy=epsilon_policy)
-
-    return RuleUnderTest(name, kind, lambda p: _mle_domain(weights(p)), _mle_distribution)
+        domain, key = entry.domain, entry.key
+        # ranking_from_scores too is looked up each time the rule runs
+        return RuleUnderTest(
+            name, kind, lambda p: domain(p, tie, eps), lambda x: ranking_from_scores(key(x, tie, eps))
+        )
+    if entry.distribution is not None:
+        distribution = entry.distribution
+        return RuleUnderTest(name, kind, lambda p: distribution(p, tie, eps), lambda d: d)
+    weights = entry.weights
+    return RuleUnderTest(name, kind, lambda p: _mle_domain(weights(p, tie, eps)), _mle_distribution)
 
 
 def _require_at_least(space, **lows: int) -> None:

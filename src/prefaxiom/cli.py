@@ -288,13 +288,9 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     score_block = None
 
     if rule == "borda":
-        sv = borda_scores(tally(profile))
-        ranking = ranking_from_scores(sv)
-        score_block = sv
+        score_block = borda_scores(tally(profile))
     elif rule == "copeland":
-        sv = copeland_scores(tally(profile), policy)
-        ranking = ranking_from_scores(sv)
-        score_block = sv
+        score_block = copeland_scores(tally(profile), policy)
     else:
         eps_policy = None
         if rule == "mle-gpm":
@@ -303,9 +299,7 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
         weights = rule_weights(rule, profile, tie_policy=policy, epsilon_policy=eps_policy)
         solution = solve_mle(weights)
         if weights.is_constant_total:
-            sv = weight_scores(weights)
-            ranking = ranking_from_scores(sv)
-            score_block = sv
+            score_block = weight_scores(weights)
         else:
             notes.append("pair totals differ, score shortcut unavailable; ranking from solved rewards")
             ranking = _ranking_from_rewards(solution.r)
@@ -313,10 +307,12 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
         if solution.converged:
             dist_block = softmax(solution)
 
+    if score_block is not None:
+        ranking = ranking_from_scores(score_block)
     payload["ranking"] = ranking.as_label_classes(profile.candidates)
     md.append(f"ranking: {_ranking_text(ranking, labels)}")
     if score_block is not None:
-        rendered = [_frac(v) for v in score_block.values]
+        rendered = [_frac(v) for v in score_block]
         payload["scores"] = dict(zip(labels, rendered))
         md.append("")
         md += _md_table(["candidate", "score"], [list(row) for row in zip(labels, rendered)])
@@ -461,6 +457,8 @@ def _parse_space(text: str, seed: int | None):
         key, _, value = item.partition("=")
         if not value:
             raise click.UsageError(f"bad space parameter {item!r}")
+        if key in params:
+            raise click.UsageError(f"space parameter {key!r} given more than once")
         try:
             params[key] = int(value)
         except ValueError:
@@ -540,8 +538,12 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
         md.append("")
         md.append(f"witness: {json.dumps(_round_floats(outcome.report.to_json_dict()['witness']))}")
         if output:
-            with open(output, "wb") as handle:
-                handle.write(serialize_profile(outcome.profile))
+            try:
+                with open(output, "wb") as handle:
+                    handle.write(serialize_profile(outcome.profile))
+            except OSError as e:
+                click.echo(f"error: cannot write {output}: {e.strerror or e}", err=True)
+                sys.exit(EXIT_SCHEMA)
             md.append("")
             md.append(f"profile written to {output}")
     else:
@@ -610,8 +612,8 @@ def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
         "profile": json.loads(serialize_profile(profile)),
         "props": [[None if t.prop(i, j) is None else _frac(t.prop(i, j)) for j in range(3)] for i in range(3)],
         "cycle": [labels[i] for i in witness],
-        "borda": [_frac(v) for v in borda.values],
-        "copeland": [_frac(v) for v in copeland.values],
+        "borda": [_frac(v) for v in borda],
+        "copeland": [_frac(v) for v in copeland],
         "mle_rewards": [_jnum(x) for x in solution.r],
         "softmax": [_jnum(x) for x in dist],
         "embedding_residual": _jnum(residual),
@@ -625,8 +627,8 @@ def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
         "",
         f"majority cycle: {' -> '.join(labels[i] for i in witness)} -> {labels[witness[0]]}",
         "",
-        f"Borda scores: {', '.join(_frac(v) for v in borda.values)} (three-way tie)",
-        f"Copeland scores: {', '.join(_frac(v) for v in copeland.values)} (three-way tie)",
+        f"Borda scores: {', '.join(_frac(v) for v in borda)} (three-way tie)",
+        f"Copeland scores: {', '.join(_frac(v) for v in copeland)} (three-way tie)",
         "",
         "The pairwise-logistic MLE agrees with the tie: it converges to equal",
         f"rewards ({', '.join(_fmt(x) for x in solution.r)}) and the uniform softmax",
@@ -693,9 +695,9 @@ def _demo_borda_vs_copeland() -> tuple[dict, list[str]]:
         "profile": json.loads(serialize_profile(profile)),
         "search_index": outcome.index,
         "condorcet_winner": labels[winner],
-        "borda_scores": [_frac(v) for v in borda_scores(t).values],
+        "borda_scores": [_frac(v) for v in borda_scores(t)],
         "borda_ranking": borda_ranking.as_label_classes(profile.candidates),
-        "copeland_scores": [_frac(v) for v in copeland_scores(t).values],
+        "copeland_scores": [_frac(v) for v in copeland_scores(t)],
         "copeland_ranking": copeland_ranking.as_label_classes(profile.candidates),
         "witness": _round_floats(outcome.report.to_json_dict()["witness"]),
     }
@@ -709,10 +711,10 @@ def _demo_borda_vs_copeland() -> tuple[dict, list[str]]:
         "```",
         "",
         f"{labels[winner]} beats every rival by majority, but the Borda scores are",
-        f"{', '.join(_frac(v) for v in borda_scores(t).values)}, ranking {_ranking_text(borda_ranking, labels)}:",
+        f"{', '.join(_frac(v) for v in borda_scores(t))}, ranking {_ranking_text(borda_ranking, labels)}:",
         f"the Condorcet winner is not the unique top.",
         "",
-        f"Copeland scores {', '.join(_frac(v) for v in copeland_scores(t).values)} give {_ranking_text(copeland_ranking, labels)},",
+        f"Copeland scores {', '.join(_frac(v) for v in copeland_scores(t))} give {_ranking_text(copeland_ranking, labels)},",
         "with the Condorcet winner strictly first, as its majority-margin",
         "construction guarantees.",
     ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterator, Sequence
+from typing import Iterator
 
 Prob = "float | Fraction"
 
@@ -23,9 +23,10 @@ class ResponseDistribution:
         object.__setattr__(self, "p", tuple(self.p))
         if len(self.p) < 2:
             raise ValueError("distribution needs at least two candidates")
-        if any(x < 0 for x in self.p):
+        # written so that a NaN entry fails: every comparison with NaN is false
+        if not all(x >= 0 for x in self.p):
             raise ValueError("probabilities must be nonnegative")
-        if abs(float(sum(self.p)) - 1.0) > 1e-12:
+        if not abs(float(sum(self.p)) - 1.0) <= 1e-12:
             raise ValueError(f"probabilities must sum to 1, got {float(sum(self.p))!r}")
 
     @property
@@ -45,9 +46,6 @@ class ResponseDistribution:
     def is_exact(self) -> bool:
         return all(isinstance(x, Rational) for x in self.p)
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.p)
-
     def linf_distance(self, other: "ResponseDistribution") -> float:
         if len(self.p) != len(other.p):
             raise ValueError("distributions differ in length")
@@ -62,18 +60,3 @@ class ResponseDistribution:
         if not 0 <= index < n:
             raise ValueError("point mass index out of range")
         return cls(tuple(Fraction(1) if i == index else Fraction(0) for i in range(n)))
-
-    @classmethod
-    def from_weights(cls, values: Sequence) -> "ResponseDistribution":
-        """Normalize nonnegative weights to a distribution, exactly when rational."""
-        if any(v < 0 for v in values):
-            raise ValueError("weights must be nonnegative")
-        if all(isinstance(v, Rational) for v in values):
-            total = sum(Fraction(v) for v in values)
-            if total == 0:
-                raise ValueError("weights sum to zero")
-            return cls(tuple(Fraction(v) / total for v in values))
-        total = float(sum(values))
-        if total <= 0:
-            raise ValueError("weights sum to zero")
-        return cls(tuple(float(v) / total for v in values))

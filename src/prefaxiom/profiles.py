@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -304,7 +305,10 @@ class PairwiseTally:
     wins: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.wins)
+        try:
+            rows = tuple(tuple(operator.index(x) for x in row) for row in self.wins)
+        except TypeError:
+            raise ValueError("win counts must be integers") from None
         object.__setattr__(self, "wins", rows)
         n = len(rows)
         if n < 2 or any(len(row) != n for row in rows):
@@ -565,45 +569,18 @@ def generate_complete(n: int, m: int, seed: int) -> PreferenceProfile:
     return PreferenceProfile(_default_candidates(n), tuple(voters))
 
 
-@dataclass(frozen=True)
-class RandomTournament:
-    """Each pair oriented by a fair coin, independently."""
-
-
-@dataclass(frozen=True)
-class FromLatentRanking:
-    """Pairs oriented by a random latent ranking, each flipped with prob `noise`."""
-
-    noise: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.noise <= 1.0:
-            raise ValueError("noise must lie in [0, 1]")
-
-
-def generate_assumption1(
-    n: int, seed: int, model: "RandomTournament | FromLatentRanking" = RandomTournament()
-) -> PreferenceProfile:
+def generate_assumption1(n: int, seed: int) -> PreferenceProfile:
     """Exactly one comparison per unordered pair across the whole profile.
 
-    Each pair is judged by its own voter, so every per-pair total is 1 and all
-    proportions are 0 or 1 (a tournament).
+    Each pair is judged by its own voter and oriented by a fair coin, so
+    every per-pair total is 1 and all proportions are 0 or 1 (a tournament).
     """
     rng = random.Random(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if isinstance(model, FromLatentRanking):
-        latent = list(range(n))
-        rng.shuffle(latent)
-        rank_of = {c: k for k, c in enumerate(latent)}
     voters = []
     for k, (i, j) in enumerate(pairs):
         vid = f"v{k + 1}"
-        if isinstance(model, RandomTournament):
-            winner, loser = (i, j) if rng.random() < 0.5 else (j, i)
-        else:
-            winner, loser = (i, j) if rank_of[i] < rank_of[j] else (j, i)
-            if rng.random() < model.noise:
-                winner, loser = loser, winner
+        winner, loser = (i, j) if rng.random() < 0.5 else (j, i)
         voters.append(Voter(id=vid, comparisons=(Comparison(vid, winner, loser),)))
     return PreferenceProfile(CandidateSet(default_labels(n)), tuple(voters))
 

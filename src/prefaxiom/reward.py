@@ -33,7 +33,7 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .profiles import Outcome, PairwiseTally, Ranking, TiePolicy, majority_relation
-from .rules import ScoreVector, ranking_from_scores
+from .rules import ranking_from_scores
 
 if TYPE_CHECKING:
     from numpy import ndarray
@@ -367,7 +367,7 @@ def solve_mle(
     return RewardVector(r, status)
 
 
-def scores(weights: WeightMatrix) -> ScoreVector:
+def scores(weights: WeightMatrix) -> tuple[Fraction, ...]:
     """Exact normalized row sums m_k = sum_j w_kj / pair_total.
 
     In constant-total mode the loss minimizer orders candidates exactly by
@@ -383,7 +383,7 @@ def scores(weights: WeightMatrix) -> ScoreVector:
         common = math.lcm(*(x.denominator for x in row))
         numerator = sum(x.numerator * (common // x.denominator) for x in row)
         values.append(Fraction(numerator * total.denominator, common * total.numerator))
-    return ScoreVector(tuple(values))
+    return tuple(values)
 
 
 def rank_by_scores(weights: WeightMatrix) -> Ranking:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,37 +16,40 @@ from .profiles import (
 )
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Exact per-candidate scores."""
+def _borda_over_lcm(t: PairwiseTally) -> tuple[int, tuple[int, ...]]:
+    """L and every Borda score times L, all integers.
 
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-def borda_scores(t: PairwiseTally) -> ScoreVector:
-    """Sum of win proportions against every opponent (unnormalized).
-
-    Each row sums integer win counts over the lcm of that row's pair totals,
-    so one exact division per candidate replaces n - 1 Fraction adds.
+    L is the lcm of the distinct pair totals.  Each total is at most m, so L
+    stays small, and when every pair has the same total T it is T itself and
+    the points are the win row sums.
     """
     t.require_all_pairs()
     w = t.wins
-    values = []
-    for i, row in enumerate(w):
-        totals = [x + w[j][i] for j, x in enumerate(row)]  # 0 only on the diagonal
-        common = math.lcm(*(total for total in totals if total))
-        numerator = sum(x * (common // total) for x, total in zip(row, totals) if total)
-        values.append(Fraction(numerator, common))
-    return ScoreVector(tuple(values))
+    common = t.constant_total
+    if common is not None:
+        return common, tuple(sum(row) for row in w)
+    totals = [[x + w[j][i] for j, x in enumerate(row)] for i, row in enumerate(w)]
+    common = math.lcm(*{total for row in totals for total in row if total})
+    return common, tuple(
+        # a zero total is the diagonal's
+        sum(x * (common // total) for x, total in zip(row, row_totals) if total)
+        for row, row_totals in zip(w, totals)
+    )
+
+
+def borda_points(t: PairwiseTally) -> tuple[int, ...]:
+    """Borda scores as integer numerators over L, the lcm of the distinct pair totals.
+
+    One common denominator ranks like the scores themselves, so Borda and
+    mle-standard both rank by these points.
+    """
+    return _borda_over_lcm(t)[1]
+
+
+def borda_scores(t: PairwiseTally) -> tuple[Fraction, ...]:
+    """Sum of win proportions against every opponent (unnormalized): borda_points over L."""
+    common, points = _borda_over_lcm(t)
+    return tuple(Fraction(p, common) for p in points)
 
 
 def copeland_half_points(
@@ -61,10 +63,12 @@ def copeland_half_points(
     )
 
 
-def copeland_scores(t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POINT) -> ScoreVector:
+def copeland_scores(
+    t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POINT
+) -> tuple[Fraction, ...]:
     """One point per majority win; exact half-splits score per the tie policy."""
     # counted in half points, so each score is one exact division by 2
-    return ScoreVector(tuple(Fraction(h, 2) for h in copeland_half_points(t, tie_policy)))
+    return tuple(Fraction(h, 2) for h in copeland_half_points(t, tie_policy))
 
 
 def condorcet_winner(t: PairwiseTally) -> int | None:
@@ -95,13 +99,12 @@ def pm_consistent_ranking(t: PairwiseTally) -> Ranking | None:
     return Ranking(order)
 
 
-def ranking_from_scores(scores: "ScoreVector | Sequence") -> Ranking:
+def ranking_from_scores(values: Sequence) -> Ranking:
     """Descending-score ranking; equal scores share a tie class, ascending by index.
 
-    `scores` is a ScoreVector or any sequence of exactly comparable values,
-    such as the integer key an ordinal MLE rule ranks by.
+    `values` is any sequence of exactly comparable scores, such as the
+    Fractions of borda_scores or the integer key an ordinal rule ranks by.
     """
-    values = scores.values if isinstance(scores, ScoreVector) else scores
     # a stable descending sort keeps equal scores in ascending index order
     order = tuple(sorted(range(len(values)), key=values.__getitem__, reverse=True))
     classes: list[list[int]] = []

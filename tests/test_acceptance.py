@@ -224,9 +224,8 @@ def test_criterion_08_gpm_weights_recover_target():
     worst = 0.0
     for _ in range(200):
         n = rng.randint(2, 8)
-        target = ResponseDistribution.from_weights(
-            [rng.randint(1, 50) for _ in range(n)]
-        )
+        weights = [rng.randint(1, 50) for _ in range(n)]
+        target = ResponseDistribution(tuple(Fraction(w, sum(weights)) for w in weights))
         sol = solve_mle(weights_gpm(target))
         assert sol.status.kind is StatusKind.CONVERGED
         worst = max(worst, softmax(sol).linf_distance(target))

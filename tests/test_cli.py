@@ -140,7 +140,7 @@ def test_rank_mle_gpm_wide_rewards_converge_and_print_exact_scores(runner, tmp_p
         printed = tuple(Fraction(doc["scores"][label]) for label in profile.candidates.names)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert printed == expected.values
+    assert printed == expected
     assert max(len(v) for v in doc["scores"].values()) > limit
 
 
@@ -333,6 +333,21 @@ def test_search_writes_counterexample(runner, tmp_path):
     assert doc["profile"]["voters"][2]["ranking"] == ["y2", "y3", "y1"]
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_search_unwritable_output_exit_two(runner, tmp_path, where):
+    out_path = tmp_path / "missing" / "found.json" if where == "missing-dir" else tmp_path
+    res = runner.invoke(
+        main,
+        [
+            "search", "--rule", "borda", "--axiom", "condorcet",
+            "--space", "exhaustive-complete:n=3,m=3", "--output", str(out_path),
+        ],
+    )
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(f"error: cannot write {out_path}: ")
+    assert res.stdout == ""
+
+
 def test_search_exhausted(runner):
     res = runner.invoke(
         main,
@@ -380,6 +395,15 @@ def test_search_unknown_space_exit_two(runner):
         main, ["search", "--rule", "borda", "--axiom", "condorcet", "--space", "weird:n=3"]
     )
     assert res.exit_code == 2
+
+
+def test_search_repeated_space_parameter_exit_two(runner):
+    res = runner.invoke(
+        main,
+        ["search", "--rule", "borda", "--axiom", "condorcet", "--space", "exhaustive-complete:n=3,m=3,n=4"],
+    )
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "space parameter 'n' given more than once" in res.stderr
 
 
 # assumption1 profiles are comparison voters: these pairings need full rankings

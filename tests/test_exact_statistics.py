@@ -1,8 +1,8 @@
 """Integer statistics paths against the Fraction-sum formulas they replaced.
 
 Tallies and majority relations are computed once per profile, scores are
-summed as integer numerators over each row's lcm, and ordinal MLE rules
-rank by exact keys instead of weight-matrix scores.  Every test here
+summed as integer numerators over a common lcm, and ordinal rules rank by
+exact integer keys instead of Fraction scores or weight-matrix scores.  Every test here
 recomputes the same quantity the plain way (Fraction sums, proportions
 against 1, the weight-matrix path) and asserts exact equality.
 """
@@ -30,11 +30,12 @@ from prefaxiom import (
     RandomComplete,
     Ranking,
     RuleKind,
-    ScoreVector,
     TiePolicy,
+    UndefinedPairError,
     Voter,
     WeightMatrix,
     borda_scores,
+    copeland_scores,
     counterexample_search,
     default_labels,
     generate_complete,
@@ -114,7 +115,7 @@ def assert_scores_match(weights: WeightMatrix) -> None:
         with pytest.raises(NotConstantTotalError):
             scores(weights)
     else:
-        assert scores(weights).values == expected
+        assert scores(weights) == expected
 
 
 def proportion_tally(n: int, seed: int):
@@ -152,9 +153,9 @@ def test_tally_is_counted_once_and_matches_a_naive_count(n, m, seed, complete):
 @settings(max_examples=80, deadline=None)
 def test_borda_matches_fraction_sums_on_uneven_totals(n, m, seed, complete):
     t = tally(random_profile(n, m, seed, complete, all_pairs=True))
-    assert borda_scores(t).values == fraction_borda(t)
+    assert borda_scores(t) == fraction_borda(t)
     t = proportion_tally(n, seed)
-    assert borda_scores(t).values == fraction_borda(t)
+    assert borda_scores(t) == fraction_borda(t)
 
 
 @given(*PROFILE_ARGS)
@@ -188,22 +189,92 @@ def test_gpm_weights_and_scores_match_fraction_sums(n, m, seed, eps):
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=1, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_ranking_from_scores_matches_the_negated_key_sort(values):
-    ranking = ranking_from_scores(ScoreVector(tuple(values)))
+    ranking = ranking_from_scores(tuple(values))
     order = sorted(range(len(values)), key=lambda i: (-values[i], i))
     assert ranking.order == tuple(order)
     classes = [list(g) for _, g in itertools.groupby(order, key=lambda i: values[i])]
     assert ranking.classes() == tuple(tuple(c) for c in classes)
 
 
-# ------------------------------------------------- ordinal MLE rules by key
+# ------------------------------------------------- Borda and Copeland by key
 
 def outcome(call):
-    """The Ranking a call returns, or the type and message of what it raises."""
+    """What a call returns, or the type and message of what it raises."""
     try:
         return call()
     except PrefaxiomError as e:
         return type(e), str(e)
 
+
+def pair_oracle(t, name: str, tie_policy: TiePolicy) -> tuple[Fraction, ...]:
+    """Borda or Copeland scores summed pair by pair over Fraction proportions."""
+    n = t.n
+    for i, j in itertools.combinations(range(n), 2):
+        if t.total(i, j) == 0:
+            raise UndefinedPairError(f"pair {(i, j)} has no comparisons")
+    half = Fraction(1, 2)
+    tie = half if tie_policy is TiePolicy.HALF_POINT else Fraction(0)
+
+    def points(p: Fraction) -> Fraction:
+        if name == "borda":
+            return p
+        return Fraction(1) if p > half else tie if p == half else Fraction(0)
+
+    return tuple(
+        sum((points(t.prop(i, j)) for j in range(n) if j != i), Fraction(0)) for i in range(n)
+    )
+
+
+def tally_profile(t) -> PreferenceProfile:
+    """Comparison voters whose tally is t: voter k casts the k-th judgment of each pair."""
+    judgments: dict[int, list[tuple[int, int]]] = {}
+    for i, j in itertools.combinations(range(t.n), 2):
+        pair = [(i, j)] * t.wins[i][j] + [(j, i)] * t.wins[j][i]
+        for k, judgment in enumerate(pair):
+            judgments.setdefault(k, []).append(judgment)
+    voters = tuple(
+        Voter(f"v{k + 1}", comparisons=tuple(Comparison(f"v{k + 1}", *c) for c in judgments[k]))
+        for k in sorted(judgments)
+    )
+    return PreferenceProfile(CandidateSet(default_labels(t.n)), voters)
+
+
+def assert_rules_match_pair_oracle(profile: PreferenceProfile) -> None:
+    t = tally(profile)
+    for tie_policy in TiePolicy:
+        expected = outcome(lambda: pair_oracle(t, "borda", tie_policy))
+        assert outcome(lambda: borda_scores(t)) == expected
+        expected = outcome(lambda: pair_oracle(t, "copeland", tie_policy))
+        assert outcome(lambda: copeland_scores(t, tie_policy)) == expected
+        for name in ("borda", "copeland"):
+            rule = make_rule(name, RuleKind.ORDINAL, tie_policy=tie_policy)
+            expected = outcome(lambda: ranking_from_scores(pair_oracle(t, name, tie_policy)))
+            assert outcome(lambda: rule(profile)) == expected, (name, tie_policy)
+
+
+@given(*PROFILE_ARGS, st.sampled_from(["complete-or-comparison", "all-pairs", "uneven"]))
+@settings(max_examples=150, deadline=None)
+def test_borda_and_copeland_rank_like_a_per_pair_fraction_oracle(n, m, seed, complete, shape):
+    # complete profiles (pair total m), comparison voters that may leave a
+    # pair uncompared, comparison voters covering every pair, and voters
+    # realizing random proportions (a different total on nearly every pair)
+    if shape == "uneven":
+        t = proportion_tally(n, seed)
+        profile = tally_profile(t)
+        assert tally(profile).wins == t.wins
+    else:
+        profile = random_profile(n, m, seed, complete, all_pairs=shape == "all-pairs")
+    assert_rules_match_pair_oracle(profile)
+
+
+@pytest.mark.parametrize("space", [ExhaustiveComplete(3, 4), Assumption1(4)], ids=repr)
+def test_borda_and_copeland_rank_like_a_per_pair_fraction_oracle_exhaustively(space):
+    # even m splits pairs evenly: tie classes under both tie policies
+    for profile in space.profiles():
+        assert_rules_match_pair_oracle(profile)
+
+
+# ------------------------------------------------- ordinal MLE rules by key
 
 def assert_key_matches_weights(profile: PreferenceProfile, policy: EpsilonPolicy | None) -> None:
     for name in MLE_RULES:

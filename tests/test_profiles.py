@@ -15,12 +15,10 @@ from prefaxiom import (
     CandidateSet,
     Comparison,
     DimensionMismatchError,
-    FromLatentRanking,
     Outcome,
     PairwiseTally,
     PreferenceProfile,
     ProfileKind,
-    RandomTournament,
     Ranking,
     SchemaError,
     TiesNotAllowedError,
@@ -342,8 +340,14 @@ def test_generate_complete_is_roughly_uniform():
         assert abs(c - 1000) < 150, (perm, c)
 
 
+@pytest.mark.parametrize("count", [1.5, 2.0, Fraction(3, 2)], ids=repr)
+def test_tally_refuses_non_integer_counts(count):
+    with pytest.raises(ValueError, match="win counts must be integers"):
+        PairwiseTally(((0, count), (1, 0)))
+
+
 def test_generate_assumption1_one_voter_per_pair():
-    profile = generate_assumption1(4, seed=9, model=RandomTournament())
+    profile = generate_assumption1(4, seed=9)
     assert profile.kind is ProfileKind.GENERALIZED
     assert profile.m == 6
     t = tally(profile)
@@ -355,22 +359,13 @@ def test_generate_assumption1_one_voter_per_pair():
 def test_generate_assumption1_covers_many_orientations():
     codes = set()
     for seed in range(200):
-        t = tally(generate_assumption1(4, seed=seed, model=RandomTournament()))
+        t = tally(generate_assumption1(4, seed=seed))
         code = 0
         for bit, (i, j) in enumerate(itertools.combinations(range(4), 2)):
             if t.wins[i][j]:
                 code |= 1 << bit
         codes.add(code)
     assert len(codes) > 40  # out of 64 possible tournaments
-
-
-def test_from_latent_ranking_transitive_at_zero_noise():
-    # zero noise reproduces the (seed-dependent) latent strict order exactly
-    for seed in range(10):
-        t = tally(generate_assumption1(6, seed=seed, model=FromLatentRanking(noise=0.0)))
-        rel = majority_relation(t)
-        assert rel.is_strict_linear_order()
-        assert not has_condorcet_cycle(rel)[0]
 
 
 def test_profile_from_pairs():

@@ -156,7 +156,7 @@ def test_four_voter_fixture_matches_bisection_oracle(four_voter):
     assert abs(sol.r[1]) < 1e-9
     assert abs(sol.r[2] + FIXED_POINT_S) < 1e-9
     p = softmax(sol)
-    for got, want in zip(p.as_floats(), FIXTURE_SOFTMAX):
+    for got, want in zip(p, FIXTURE_SOFTMAX):
         assert abs(got - want) < 1e-9
 
 
@@ -308,10 +308,10 @@ def test_solver_respects_config():
 
 def test_scores_match_borda_and_copeland(four_voter):
     t = tally(four_voter)
-    assert scores(weights_standard(t)).values == borda_scores(t).values
+    assert scores(weights_standard(t)) == borda_scores(t)
     assert (
-        scores(weights_copeland(t, TiePolicy.HALF_POINT)).values
-        == copeland_scores(t, TiePolicy.HALF_POINT).values
+        scores(weights_copeland(t, TiePolicy.HALF_POINT))
+        == copeland_scores(t, TiePolicy.HALF_POINT)
     )
 
 
@@ -396,7 +396,7 @@ def test_embedding_residual_none_on_boundary():
 # ------------------------------------------------------------------ gpm bridge
 
 def test_weights_gpm_stationary_at_log_target():
-    target = ResponseDistribution.from_weights([5, 3, 2])
+    target = ResponseDistribution((Fraction(5, 10), Fraction(3, 10), Fraction(2, 10)))
     w = weights_gpm(target)
     sol = solve_mle(w)
     assert sol.status.kind is StatusKind.CONVERGED
