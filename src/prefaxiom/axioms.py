@@ -315,14 +315,20 @@ def axiom_premise(
     return _lookup(axiom)[1].premise(profile, epsilon_policy)
 
 
+def _require_tol(tol: float) -> None:
+    if not (tol >= 0 and math.isfinite(tol)):  # NaN fails too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def axiom_conclusion(
     axiom: str, facts, output: "Ranking | ResponseDistribution", *, tol: float = 1e-6
 ) -> AxiomReport:
     """Judge a rule output against the facts `axiom_premise` returned.
 
     None facts give the vacuous report; `tol` bounds the distributional
-    comparisons.
+    comparisons and must be finite and nonnegative (else ValueError).
     """
+    _require_tol(tol)
     name, entry = _lookup(axiom)
     if facts is None:
         return AxiomReport.vacuous(name)
@@ -710,7 +716,9 @@ def counterexample_search(
     lowest-index one.  Each profile goes through the rule's domain step
     (which raises what the rule would), then the axiom's premise; the rule
     is evaluated and the conclusion judged only where the premise holds.
+    A non-finite or negative `tol` raises ValueError before any profile.
     """
+    _require_tol(tol)
     name, entry = _lookup(axiom)
     if rule.kind is not entry.kind:
         raise ValueError(f"axiom {axiom!r} needs a rule of kind {entry.kind.value}")

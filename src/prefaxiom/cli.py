@@ -14,6 +14,7 @@ import csv as _csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -163,10 +164,31 @@ def _axiom_name(ctx, param, value: str) -> str:
     return value
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    if not (value >= 0 and math.isfinite(value)):  # NaN fails too
+        raise click.BadParameter(f"must be finite and nonnegative, got {value!r}")
+    return value
+
+
+def _rule_epsilon(policy: EpsilonPolicy) -> EpsilonPolicy | None:
+    # mle-gpm is built at a finite --epsilon; built in the limit it would raise
+    # wherever some candidate is never ranked first, so there it keeps 1/1000
+    return None if policy.is_limit else policy
+
+
 def _tie_policy(value: str) -> TiePolicy:
     return TiePolicy.HALF_POINT if value == "half" else TiePolicy.STRICT_ONLY
 
 
+TOL_OPTION = click.option(
+    "--tol", type=float, default=1e-6, show_default=True, callback=_tolerance,
+    help="Tolerance of the distributional checks: finite and nonnegative.",
+)
+EPSILON_OPTION = click.option(
+    "--epsilon", default="limit", show_default=True,
+    help="Policy for the gpm check: a number in (0, 1/2) or 'limit'.  A number "
+    "also smooths mle-gpm, which is built at 0.001 otherwise.",
+)
 FORMAT_OPTION = click.option(
     "--format",
     "fmt",
@@ -354,8 +376,8 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
 @click.option("--rule", type=click.Choice(RULE_NAMES), required=True)
 @click.option("--checks", default="all", show_default=True, help="'all' or comma-separated axiom names.")
 @click.option("--tie-policy", type=click.Choice(["half", "strict"]), default="half", show_default=True)
-@click.option("--epsilon", default="limit", show_default=True, help="Policy for the gpm check.")
-@click.option("--tol", type=float, default=1e-6, show_default=True)
+@EPSILON_OPTION
+@TOL_OPTION
 @FORMAT_OPTION
 def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str, tol: float, fmt: str):
     """Run axiom checkers against one rule's output on a profile."""
@@ -382,7 +404,7 @@ def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str
     kinds = [axiom_kind(a) for a in selected]
     # ordinal first: where both forms raise, the ordinal error is the one reported
     outputs = {
-        kind: make_rule(rule, kind, tie_policy=policy)(profile)
+        kind: make_rule(rule, kind, tie_policy=policy, epsilon_policy=_rule_epsilon(eps_policy))(profile)
         for kind in (RuleKind.ORDINAL, RuleKind.PROBABILISTIC)
         if kind in kinds
     }
@@ -492,8 +514,8 @@ def _parse_space(text: str, seed: int | None):
 )
 @click.option("--space", required=True, help="e.g. exhaustive-complete:n=3,m=3 or random-complete:n=3,m=4,trials=10000")
 @click.option("--seed", type=int, default=None, help="Required for random spaces.")
-@click.option("--tol", type=float, default=1e-6, show_default=True)
-@click.option("--epsilon", default="limit", show_default=True, help="Policy for the gpm check.")
+@TOL_OPTION
+@EPSILON_OPTION
 @click.option("--budget", type=click.IntRange(min=0), default=None, help="Cap on examined instances.")
 @click.option("--output", type=click.Path(), default=None, help="Write a found profile here.")
 @FORMAT_OPTION
@@ -505,7 +527,7 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
     kind = axiom_kind(axiom)
     eps_policy = _parse_epsilon(epsilon)
     try:
-        rule_obj = make_rule(rule, kind)
+        rule_obj = make_rule(rule, kind, epsilon_policy=_rule_epsilon(eps_policy))
     except ValueError as e:
         raise click.UsageError(str(e))
     outcome = counterexample_search(

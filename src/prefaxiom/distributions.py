@@ -2,11 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational
 from typing import Iterator
-
-Prob = "float | Fraction"
 
 
 @dataclass(frozen=True)
@@ -42,21 +38,8 @@ class ResponseDistribution:
     def __iter__(self) -> Iterator:
         return iter(self.p)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(x, Rational) for x in self.p)
-
     def linf_distance(self, other: "ResponseDistribution") -> float:
         if len(self.p) != len(other.p):
             raise ValueError("distributions differ in length")
         return max(abs(float(a - b)) for a, b in zip(self.p, other.p))
 
-    @classmethod
-    def uniform(cls, n: int) -> "ResponseDistribution":
-        return cls(tuple(Fraction(1, n) for _ in range(n)))
-
-    @classmethod
-    def point_mass(cls, n: int, index: int) -> "ResponseDistribution":
-        if not 0 <= index < n:
-            raise ValueError("point mass index out of range")
-        return cls(tuple(Fraction(1) if i == index else Fraction(0) for i in range(n)))

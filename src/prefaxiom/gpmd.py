@@ -33,7 +33,7 @@ from .errors import (
     TiesNotAllowedError,
 )
 from .profiles import PairwiseTally, PreferenceProfile, ProfileKind, Ranking, tally
-from .reward import bt_embeddable, softmax, weights_standard
+from .reward import bt_odds, weights_standard
 from .rules import first_place_shares
 
 
@@ -93,12 +93,6 @@ def pm_geometric(ranking: Ranking, epsilon: "Fraction | float") -> ResponseDistr
     for k, candidate in enumerate(ranking.order):
         probs[candidate] = Fraction(weights[k], total)
     return ResponseDistribution(tuple(probs))
-
-
-def _limit_pm(ranking: Ranking) -> ResponseDistribution:
-    if not ranking.is_strict:
-        raise TiesNotAllowedError("limit matching needs a strict ranking")
-    return ResponseDistribution.point_mass(ranking.n, ranking.top())
 
 
 def gpmd(profile: PreferenceProfile, policy: EpsilonPolicy) -> ResponseDistribution:
@@ -173,31 +167,12 @@ def limit_embeddable(t: PairwiseTally) -> bool:
     - a true tier is an interior clique, hence strongly connected, so it lies
       inside one component.
 
-    So only each component's inside is checked: every pair interior, and odds
-    that factor through per-candidate weights.  Single rankings pass (each
-    candidate its own component); majority cycles on interior proportions fail.
+    So only each component's inside is checked, by `bt_odds`.  Single rankings
+    pass (each candidate its own component); majority cycles on interior
+    proportions fail.
     """
     t.require_all_pairs()
-    for members in weights_standard(t).condensation.components:
-        anchor, rest = members[0], members[1:]
-        rho = {}
-        for a in rest:
-            p = t.prop(a, anchor)
-            if not 0 < p < 1:
-                return False
-            rho[a] = p / (1 - p)
-        for a, b in itertools.combinations(rest, 2):
-            p = t.prop(a, b)
-            if not 0 < p < 1 or p / (1 - p) != rho[a] / rho[b]:
-                return False
-    return True
-
-
-def _identical_rankings(profile: PreferenceProfile) -> Ranking | None:
-    first = profile.voters[0].ranking
-    if all(v.ranking == first for v in profile.voters):
-        return first
-    return None
+    return all(bt_odds(t, c) is not None for c in weights_standard(t).condensation.components)
 
 
 def block_embeddable(
@@ -214,49 +189,46 @@ def block_embeddable(
 def block_pm_distribution(
     profile: PreferenceProfile, block: Sequence[int], policy: EpsilonPolicy
 ) -> ResponseDistribution:
-    """Matching distribution of one block.
+    """Matching distribution of one block, exact.
 
-    Limit policy: the block's first-place shares (the epsilon -> 0 limit of the
-    member average, exact).  Finite policy: the geometric closed form when all
-    members agree, else the softmax of the pooled tally's recovered rewards;
-    pooled tallies with boundary proportions are rejected.  Any profile with a
-    comparison voter raises NotCompleteProfileError, whatever the block.
+    The block's own group matching distribution when all its members agree,
+    or under the limit policy when its pooled tally is a BT limit (then the
+    first-place shares).  A mixed block at finite epsilon gets the pooled
+    tally's Bradley-Terry odds, normalized to sum 1: the softmax of its
+    recovered rewards, with no float in between.  Other blocks raise
+    BlockNotEmbeddableError.  Any profile with a comparison voter raises
+    NotCompleteProfileError, whatever the block.
     """
     if profile.kind is not ProfileKind.COMPLETE:
         raise NotCompleteProfileError("group matching needs full rankings")
     sub = _block_profile(profile, block)
-    if len(block) == 1:
-        ranking = sub.voters[0].ranking
-        return _limit_pm(ranking) if policy.is_limit else pm_geometric(ranking, policy.epsilon)
+    first = sub.voters[0].ranking
+    if all(v.ranking == first for v in sub.voters) or (
+        policy.is_limit and limit_embeddable(tally(sub))
+    ):
+        return gpmd(sub, policy)
     if policy.is_limit:
-        if not limit_embeddable(tally(sub)):
-            raise BlockNotEmbeddableError(tuple(block), "pooled tally is not a BT limit")
-        return first_place_shares(sub)
-    common = _identical_rankings(sub)
-    if common is not None:
-        return pm_geometric(common, policy.epsilon)
-    recovered = bt_embeddable(tally(sub))
-    if recovered is None:
+        raise BlockNotEmbeddableError(tuple(block), "pooled tally is not a BT limit")
+    odds = bt_odds(tally(sub))
+    if odds is None:
         raise BlockNotEmbeddableError(tuple(block), "pooled proportions are not BT-consistent")
-    return softmax(recovered)
+    total = sum(odds)
+    return ResponseDistribution(tuple(x / total for x in odds))
 
 
 def gpmd_via_partition(
     profile: PreferenceProfile, partition: Partition, policy: EpsilonPolicy
 ) -> ResponseDistribution:
-    """Block-size-weighted average of block matching distributions."""
+    """Block-size-weighted average of block matching distributions, exact."""
     if profile.kind is not ProfileKind.COMPLETE:
         raise NotCompleteProfileError("group matching needs full rankings")
     if not partition.covers(profile.m):
         raise ValueError("partition must cover every voter exactly once")
-    m = profile.m
-    parts = [block_pm_distribution(profile, block, policy) for block in partition.blocks]
-    exact = all(part.is_exact for part in parts)
-    acc = [Fraction(0) if exact else 0.0] * profile.n
-    for block, part in zip(partition.blocks, parts):
-        share = Fraction(len(block), m)
-        for i, x in enumerate(part):
-            acc[i] = acc[i] + (share * Fraction(x) if exact else float(share) * float(x))
+    acc = [Fraction(0)] * profile.n
+    for block in partition.blocks:
+        share = Fraction(len(block), profile.m)
+        for i, x in enumerate(block_pm_distribution(profile, block, policy)):
+            acc[i] += share * x
     return ResponseDistribution(tuple(acc))
 
 
@@ -267,14 +239,13 @@ def partition_discrepancy(
 
     The uniqueness argument treats these as equal; at finite epsilon that is
     an approximation for genuinely mixed blocks, so the gap is surfaced as a
-    diagnostic instead of being assumed away.
+    diagnostic instead of being assumed away.  Both sides are exact, so the
+    gap is rounded to float once.
     """
     worst = 0.0
     for block in partition.blocks:
-        pooled = block_pm_distribution(profile, block, policy)
-        sub = _block_profile(profile, block)
-        averaged = gpmd(sub, policy)
-        worst = max(worst, pooled.linf_distance(averaged))
+        averaged = gpmd(_block_profile(profile, block), policy)
+        worst = max(worst, block_pm_distribution(profile, block, policy).linf_distance(averaged))
     return worst
 
 

@@ -17,6 +17,7 @@ exact-only work never pays numpy's import.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -448,55 +449,67 @@ def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
     return WeightMatrix(rows)
 
 
-def _anchored_embedding(t: PairwiseTally) -> "tuple[list[float], float] | None":
-    """Log-odds against candidate 0 as rewards, and their worst pair residual.
+def bt_odds(t: PairwiseTally, members: Sequence[int] | None = None) -> tuple[Fraction, ...] | None:
+    """Each member's exact Bradley-Terry odds against the first, or None.
 
-    None when some proportion is 0 or 1 (no finite embedding exists at all).
+    The members (default: every candidate) embed in a Bradley-Terry model
+    iff every pair among them was judged both ways and the pair odds factor
+    through the odds against the first member, the anchor 0:
+    w_ab * w_0a * w_b0 == w_ba * w_a0 * w_0b for every pair a, b, decided by
+    integer cross-multiplication alone.  Then member a's odds are
+    w_a0 / w_0a = exp(r_a - r_0) for the embedding's rewards r, and the
+    anchor's are 1.
     """
-    t.require_all_pairs()
-    n = t.n
-    s = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            p = t.prop(i, j)
-            if p == 0 or p == 1:
-                return None
-            s[i][j] = math.log(p.numerator) - math.log(p.denominator - p.numerator)
-    r = [s[i][0] for i in range(n)]
-    residual = max(
-        abs(s[i][j] - (r[i] - r[j])) for i in range(n) for j in range(n) if i != j
-    )
-    return r, residual
+    w = t.wins
+    if members is None:
+        members = range(t.n)
+    anchor, rest = members[0], members[1:]
+    to_anchor = w[anchor]
+    if not all(w[a][anchor] and to_anchor[a] for a in rest):
+        return None
+    for a, b in itertools.combinations(rest, 2):
+        ab, ba = w[a][b], w[b][a]
+        if not (ab and ba) or ab * to_anchor[a] * w[b][anchor] != ba * w[a][anchor] * to_anchor[b]:
+            return None
+    return (Fraction(1),) + tuple(Fraction(w[a][anchor], to_anchor[a]) for a in rest)
+
+
+def _log(x: Fraction) -> float:
+    """log of a positive Fraction, from its integer parts (no float overflow)."""
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def embedding_residual(t: PairwiseTally) -> float | None:
-    """Worst additive inconsistency of the log-odds under the anchored embedding.
+    """Worst additive inconsistency of the log-odds, anchored at candidate 0.
 
+    A float diagnostic of how far the proportions sit from a Bradley-Terry
+    model: 3 log 2 on the Condorcet paradox.  `bt_odds` decides embeddability.
     None when some proportion is 0 or 1 (no finite embedding exists at all).
     """
-    embedding = _anchored_embedding(t)
-    return None if embedding is None else embedding[1]
+    t.require_all_pairs()
+    w, n = t.wins, t.n
+    if not all(w[i][j] for i in range(n) for j in range(n) if i != j):
+        return None
+    # row i beside column i pairs each w_ij with w_ji; the diagonal stays 0.0
+    s = [[_log(Fraction(x, y)) if x else 0.0 for x, y in zip(row, col)] for row, col in zip(w, zip(*w))]
+    return max(abs(s[i][j] - (s[i][0] - s[j][0])) for i in range(n) for j in range(n) if i != j)
 
 
-def bt_embeddable(t: PairwiseTally, tol: float = 1e-8) -> RewardVector | None:
+def bt_embeddable(t: PairwiseTally) -> RewardVector | None:
     """Recover rewards with sigma(r_i - r_j) = P_ij, or None if impossible.
 
-    All proportions must be strictly interior and their log-odds additively
-    consistent within `tol` (anchored at candidate 0, checked on every pair).
-    The returned vector is re-centered to the sum-zero gauge; its status
-    records the residual in grad_norm.
+    Decided exactly by `bt_odds`.  The rewards are the log-odds against
+    candidate 0, re-centered to the sum-zero gauge; no solve runs, so the
+    status is CONVERGED with grad_norm 0.0.
     """
-    embedding = _anchored_embedding(t)
-    if embedding is None:
+    t.require_all_pairs()
+    odds = bt_odds(t)
+    if odds is None:
         return None
-    r, residual = embedding
-    if residual > tol:
-        return None
+    r = [_log(x) for x in odds]
     n = t.n
     mean = sum(r) / n
     centered = [x - mean for x in r]
     shift = sum(centered) / n  # second pass kills the last rounding drift
     centered = tuple(x - shift for x in centered)
-    return RewardVector(centered, SolverStatus(StatusKind.CONVERGED, residual, 0))
+    return RewardVector(centered, SolverStatus(StatusKind.CONVERGED, 0.0, 0))

@@ -39,6 +39,7 @@ from prefaxiom import (
     counterexample_search,
     generalized_profile,
     generate_complete,
+    gpmd,
     iter_profiles,
     make_rule,
     minimizer_exists,
@@ -155,7 +156,7 @@ def test_distribution_with_a_nan_entry_is_refused(probs):
 
 
 def test_preference_matching_vacuous_on_cycle(paradox):
-    rep = run_check("preference-matching", paradox, ResponseDistribution.uniform(3))
+    rep = run_check("preference-matching", paradox, ResponseDistribution((Fraction(1, 3),) * 3))
     assert not rep.applicable and rep.satisfied
 
 
@@ -442,6 +443,33 @@ def test_search_gpm_alias():
         rule, "group-preference-matching", ExhaustiveComplete(3, 2), tol=1e-9
     )
     # gpmd matches itself everywhere
+    assert not out.found and out.examined == 36
+
+
+BAD_TOLS = pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+
+
+@BAD_TOLS
+def test_checkers_reject_a_bad_tolerance(four_voter, tol):
+    # unchecked, NaN passed any output and -1 failed gpm on gpmd itself
+    target = gpmd(four_voter, EpsilonPolicy.limit())
+    for axiom, output in (("preference-equivalence", ResponseDistribution((0.9, 0.05, 0.05))), ("gpm", target)):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            run_check(axiom, four_voter, output, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            axiom_conclusion(axiom, axiom_premise(axiom, four_voter), output, tol=tol)
+
+
+@BAD_TOLS
+def test_search_rejects_a_bad_tolerance_before_any_profile(tol):
+    rule = make_rule("gpmd-limit", RuleKind.PROBABILISTIC)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        counterexample_search(rule, "gpm", ExhaustiveComplete(3, 2), tol=tol, budget=0)
+
+
+def test_zero_tolerance_is_accepted():
+    rule = make_rule("gpmd-limit", RuleKind.PROBABILISTIC)
+    out = counterexample_search(rule, "gpm", ExhaustiveComplete(3, 2), tol=0.0)
     assert not out.found and out.examined == 36
 
 

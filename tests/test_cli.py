@@ -406,6 +406,39 @@ def test_search_repeated_space_parameter_exit_two(runner):
     assert "space parameter 'n' given more than once" in res.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["axioms", "search"])
+def test_bad_tolerance_exit_two(runner, tmp_path, command, tol):
+    # unchecked, `search --tol nan` reported no violation and `--tol -1` a false one
+    if command == "axioms":
+        args = ["axioms", _write(tmp_path, FOUR_VOTER), "--rule", "gpmd-limit"]
+    else:
+        args = ["search", "--rule", "gpmd-limit", "--axiom", "gpm", "--space", "exhaustive-complete:n=3,m=3"]
+    res = runner.invoke(main, args + ["--tol", tol])
+    assert res.exit_code == 2, res.output
+    assert "must be finite and nonnegative" in res.stderr
+
+
+def test_search_builds_mle_gpm_at_the_finite_epsilon(runner):
+    # built at its default 1/1000 against a 1/100 target, mle-gpm failed at index 0
+    base = ["search", "--rule", "mle-gpm", "--axiom", "gpm", "--space", "exhaustive-complete:n=3,m=3"]
+    res = runner.invoke(main, base + ["--epsilon", "1/100", "--format", "json"])
+    doc = json.loads(res.output)
+    assert res.exit_code == 0 and (doc["found"], doc["examined"]) == (False, 216)
+    # under the limit the rule keeps its default: a limit-built mle-gpm would
+    # raise on every profile where some candidate is never ranked first
+    res = runner.invoke(main, base + ["--format", "json"])
+    doc = json.loads(res.output)
+    assert res.exit_code == 0 and (doc["found"], doc["index"]) == (True, 0)
+
+
+def test_axioms_builds_mle_gpm_at_the_finite_epsilon(runner, tmp_path):
+    args = ["axioms", _write(tmp_path, FOUR_VOTER), "--rule", "mle-gpm", "--checks", "gpm", "--format", "json"]
+    res = runner.invoke(main, args + ["--epsilon", "1/100"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["reports"][0]["satisfied"]
+
+
 # assumption1 profiles are comparison voters: these pairings need full rankings
 COMPARISON_VOTER_SEARCHES = (
     [(rule, axiom) for rule in ("mle-standard", "mle-copeland") for axiom in ("preference-equivalence", "gpm")]

@@ -326,6 +326,26 @@ def test_partition_discrepancy_reports_finite_eps_gap():
     assert gap >= 0.0  # surfaced, not assumed zero
 
 
+def test_mixed_finite_block_pools_exact_bt_odds():
+    # reversed rankings pool to 1/2 on every pair: odds 1 : 1 : 1, so the
+    # pooled block is uniform, exactly, while the member average is not
+    profile = complete_profile(["a", "b", "c"], [["a", "b", "c"], ["c", "b", "a"]])
+    eps = EpsilonPolicy.finite(Fraction(1, 100))
+    assert block_pm_distribution(profile, (0, 1), eps).p == (Fraction(1, 3),) * 3
+    assert gpmd(profile, eps).p == (Fraction(4901, 9901), Fraction(99, 9901), Fraction(4901, 9901))
+    merged = Partition(((0, 1),))
+    assert gpmd_via_partition(profile, merged, eps).p == (Fraction(1, 3),) * 3
+    assert partition_discrepancy(profile, merged, eps) == float(Fraction(9604, 29703))
+    parts = enumerate_embeddable_partitions(profile, eps)
+    assert [p.blocks for p in parts] == [((0,), (1,)), ((0, 1),)]
+
+
+def test_mixed_finite_block_rejects_inconsistent_odds(paradox):
+    eps = EpsilonPolicy.finite(Fraction(1, 100))
+    with pytest.raises(BlockNotEmbeddableError, match="not BT-consistent"):
+        block_pm_distribution(paradox, (0, 1, 2), eps)
+
+
 # -------------------------------------------------------------------- pipeline
 
 def test_pipeline_round_trip(four_voter):

@@ -3,7 +3,7 @@
 The suite's own process already holds numpy (test_reward imports it), so
 every case runs its commands in a new interpreter and reports, after each
 command, its exit code, the sha256 of its stdout and whether numpy is in
-`sys.modules`.
+`sys.modules`; the library probe reports the last alone.
 """
 from __future__ import annotations
 
@@ -34,13 +34,32 @@ print(json.dumps(report))
 """
 
 
-def _probe(commands: list[list[str]]) -> list[list]:
+# the finite-epsilon block path, through the library: prints whether numpy loaded
+LIBRARY_PROBE = """
+import sys
+from fractions import Fraction
+from prefaxiom import (EpsilonPolicy, Partition, block_pm_distribution, complete_profile,
+                       enumerate_embeddable_partitions, gpmd_via_partition)
+profile = complete_profile(["a", "b", "c"], [["a", "b", "c"], ["c", "b", "a"], ["b", "a", "c"]])
+eps = EpsilonPolicy.finite(Fraction(1, 100))
+assert block_pm_distribution(profile, (0, 1), eps).p == (Fraction(1, 3),) * 3
+gpmd_via_partition(profile, Partition(((0, 1), (2,))), eps)
+assert len(enumerate_embeddable_partitions(profile, eps)) > 1
+print("numpy" in sys.modules)
+"""
+
+
+def _run(code: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    return json.loads(done.stdout)
+    return done.stdout
+
+
+def _probe(commands: list[list[str]]) -> list[list]:
+    return json.loads(_run(PROBE, json.dumps(commands)))
 
 
 @pytest.fixture
@@ -72,3 +91,8 @@ def test_first_float_solve_loads_numpy_and_matches_pinned_output(profile_path):
     report = _probe([["rank", profile_path, "--rule", "mle-standard", "--format", "json"]])
     assert [loaded for _, _, loaded in report] == [False, True]
     assert tuple(report[1][:2]) == PINNED["rank-mle-standard-paradox-json"]
+
+
+def test_finite_epsilon_blocks_leave_numpy_unloaded():
+    # a mixed block at finite epsilon normalizes exact BT odds: no softmax
+    assert _run(LIBRARY_PROBE).strip() == "False"

@@ -16,12 +16,14 @@ from prefaxiom import (
     DisconnectedGraphError,
     NotConstantTotalError,
     NotConvergedError,
+    PairwiseTally,
     ResponseDistribution,
     StatusKind,
     TiePolicy,
     WeightMatrix,
     ZeroProbabilityError,
     bt_embeddable,
+    bt_odds,
     borda_scores,
     copeland_scores,
     embedding_residual,
@@ -146,7 +148,7 @@ def test_paradox_converges_to_zero(paradox):
     sol = solve_mle(weights_standard(tally(paradox)))
     assert sol.status.kind is StatusKind.CONVERGED
     assert max(abs(x) for x in sol.r) < 1e-9
-    assert softmax(sol).linf_distance(ResponseDistribution.uniform(3)) < 1e-9
+    assert softmax(sol).linf_distance(ResponseDistribution((Fraction(1, 3),) * 3)) < 1e-9
 
 
 def test_four_voter_fixture_matches_bisection_oracle(four_voter):
@@ -393,6 +395,64 @@ def test_embedding_residual_none_on_boundary():
     assert bt_embeddable(t) is None
 
 
+def test_bt_odds_are_exact_strength_ratios():
+    # strengths 3, 1, 2, each pair scaled by i + j
+    strengths = (3, 1, 2)
+    t = PairwiseTally([[0 if i == j else strengths[i] * (i + j) for j in range(3)] for i in range(3)])
+    assert bt_odds(t) == (1, Fraction(1, 3), Fraction(2, 3))
+    assert bt_odds(t, (2, 0)) == (1, Fraction(3, 2))
+    assert bt_odds(t, (1,)) == (1,)
+
+
+def test_bt_odds_none_on_cycles_and_boundaries(paradox):
+    assert bt_odds(tally(paradox)) is None
+    assert bt_odds(tally(generate_complete(3, 1, 4))) is None
+    # inside a one-sided pair's members only: still judged one way
+    assert bt_odds(PairwiseTally([[0, 2, 1], [0, 0, 1], [1, 1, 0]]), (0, 1)) is None
+
+
+def _anchored_log_odds(t: PairwiseTally) -> tuple[float, ...]:
+    """Log-odds against candidate 0, centered twice to the sum-zero gauge."""
+    n = t.n
+    r = [0.0]
+    for i in range(1, n):
+        p = t.prop(i, 0)
+        r.append(math.log(p.numerator) - math.log(p.denominator - p.numerator))
+    mean = sum(r) / n
+    centered = [x - mean for x in r]
+    shift = sum(centered) / n
+    return tuple(x - shift for x in centered)
+
+
+@st.composite
+def _small_tallies(draw):
+    """Small integer tallies with every pair compared: built from integer BT
+    strengths, then some counts nudged, so both outcomes occur."""
+    n = draw(st.integers(2, 5))
+    strength = [draw(st.integers(1, 4)) for _ in range(n)]
+    wins = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            scale = draw(st.integers(1, 3))
+            wins[i][j] = max(0, strength[i] * scale + draw(st.integers(-1, 1)))
+            wins[j][i] = max(0, strength[j] * scale + draw(st.integers(-1, 1)))
+            if wins[i][j] + wins[j][i] == 0:
+                wins[i][j] = 1
+    return wins
+
+
+@given(_small_tallies())
+@settings(max_examples=400, deadline=None)
+def test_exact_bt_decision_agrees_with_the_float_residual(wins):
+    t = PairwiseTally(wins)
+    fitted = bt_embeddable(t)
+    residual = embedding_residual(t)
+    assert (fitted is not None) == (residual is not None and residual <= 1e-8)
+    if fitted is not None:
+        assert fitted.r == _anchored_log_odds(t)
+        assert fitted.status.grad_norm == 0.0
+
+
 # ------------------------------------------------------------------ gpm bridge
 
 def test_weights_gpm_stationary_at_log_target():
@@ -405,9 +465,9 @@ def test_weights_gpm_stationary_at_log_target():
 
 def test_weights_gpm_rejects_boundary():
     with pytest.raises(ZeroProbabilityError):
-        weights_gpm(ResponseDistribution.point_mass(3, 0))
+        weights_gpm(ResponseDistribution((Fraction(1), Fraction(0), Fraction(0))))
 
 
 def test_softmax_accepts_raw_sequences():
     p = softmax([0.0, 0.0])
-    assert p.linf_distance(ResponseDistribution.uniform(2)) < 1e-15
+    assert p.linf_distance(ResponseDistribution((Fraction(1, 2),) * 2)) < 1e-15
