@@ -47,7 +47,6 @@ from .profiles import (
     CandidateSet,
     PairwiseTally,
     PreferenceProfile,
-    ProfileKind,
     Ranking,
     TiePolicy,
     Voter,
@@ -156,9 +155,7 @@ def _swap_invariant(orders: Counter, i: int, j: int) -> bool:
 
 
 def _equally_preferred_pairs(profile: PreferenceProfile) -> list[tuple[int, int]] | None:
-    if profile.kind is not ProfileKind.COMPLETE:
-        raise NotCompleteProfileError("preference equivalence needs full rankings")
-    orders = Counter(v.ranking.order for v in profile.voters)
+    orders = Counter(profile.orders)
     w = tally(profile).wins
     # a swap-invariant electorate splits the swapped pair evenly, a cheap
     # test on the cached tally that rules out most pairs (every pair, at odd m)
@@ -553,15 +550,19 @@ def make_rule(
     return RuleUnderTest(name, kind, lambda p: _mle_domain(weights(p, tie, eps)), _mle_distribution)
 
 
+def _require_integer(key: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"space parameter {key!r} must be an integer") from None
+
+
 def _require_at_least(space, **lows: int) -> None:
     for key, low in lows.items():
         value = getattr(space, key)
         if value is None:
             continue
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"space parameter {key!r} must be an integer") from None
+        _require_integer(key, value)
         if value < low:
             raise ValueError(f"space parameter {key!r} must be at least {low}")
 
@@ -569,6 +570,7 @@ def _require_at_least(space, **lows: int) -> None:
 def _require_seed(seed: int | None) -> None:
     if seed is None:
         raise ValueError("random spaces need a seed")
+    _require_integer("seed", seed)
 
 
 def _derive(seed: int, t: int) -> int:

@@ -53,7 +53,6 @@ from .profiles import (
     generalized_profile,
     has_condorcet_cycle,
     is_transitive,
-    majority_relation,
     parse_profile,
     serialize_profile,
     tally,
@@ -393,6 +392,8 @@ def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str
         selected = [a for a in AXIOM_CHOICES if has_form[axiom_kind(a)]]
     else:
         selected = [c.strip() for c in checks.split(",") if c.strip()]
+        if not selected:
+            raise click.UsageError("--checks names no axiom")
         for c in selected:
             try:
                 kind = axiom_kind(c)
@@ -622,8 +623,7 @@ def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
     profile = _paradox_profile()
     t = tally(profile)
     labels = profile.candidates.names
-    rel = majority_relation(t)
-    cyclic, witness = has_condorcet_cycle(rel)
+    cyclic, witness = has_condorcet_cycle(t)
     borda = borda_scores(t)
     copeland = copeland_scores(t)
     solution = solve_mle(weights_standard(t))

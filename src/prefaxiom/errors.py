@@ -23,10 +23,6 @@ class UndefinedPairError(PrefaxiomError):
     """A queried candidate pair has no recorded comparisons."""
 
 
-class IncompleteRelationError(PrefaxiomError):
-    """The majority relation is undefined on at least one pair."""
-
-
 class NotCompleteProfileError(PrefaxiomError):
     """Operation requires a profile in which every voter holds a full ranking."""
 

@@ -27,12 +27,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .distributions import ResponseDistribution
-from .errors import (
-    BlockNotEmbeddableError,
-    NotCompleteProfileError,
-    TiesNotAllowedError,
-)
-from .profiles import PairwiseTally, PreferenceProfile, ProfileKind, Ranking, tally
+from .errors import BlockNotEmbeddableError
+from .profiles import PairwiseTally, PreferenceProfile, tally
 from .reward import bt_odds, weights_standard
 from .rules import first_place_shares
 
@@ -64,35 +60,17 @@ class EpsilonPolicy:
 
 
 @functools.lru_cache(maxsize=128)
-def _geometric_weights(epsilon: "Fraction | float", n: int) -> tuple[tuple[int, ...], int]:
+def _geometric_weights(epsilon: Fraction, n: int) -> tuple[tuple[int, ...], int]:
     """Integer position weights g_k = a^k * b^(n-1-k), with c = a/b, and their sum.
 
+    `epsilon` is an EpsilonPolicy's, so already checked to lie in (0, 1/2).
     Memoized per (epsilon, n): a search calls gpmd on every profile at one
     smoothing level and candidate count.
     """
-    eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, 2):
-        raise ValueError("epsilon must lie in (0, 1/2)")
-    c = eps / (1 - eps)
+    c = epsilon / (1 - epsilon)
     a, b = c.numerator, c.denominator
     weights = tuple(a**k * b ** (n - 1 - k) for k in range(n))
     return weights, sum(weights)
-
-
-def pm_geometric(ranking: Ranking, epsilon: "Fraction | float") -> ResponseDistribution:
-    """Exact matching distribution of one strict ranking at smoothing epsilon.
-
-    The candidate at position k (1-based) receives
-    (1 - c) * c^(k-1) / (1 - c^n) with c = epsilon / (1 - epsilon), which makes
-    every adjacent win probability exactly 1 - epsilon.
-    """
-    if not ranking.is_strict:
-        raise TiesNotAllowedError("geometric matching needs a strict ranking")
-    weights, total = _geometric_weights(epsilon, ranking.n)
-    probs = [Fraction(0)] * ranking.n
-    for k, candidate in enumerate(ranking.order):
-        probs[candidate] = Fraction(weights[k], total)
-    return ResponseDistribution(tuple(probs))
 
 
 def gpmd(profile: PreferenceProfile, policy: EpsilonPolicy) -> ResponseDistribution:
@@ -100,10 +78,9 @@ def gpmd(profile: PreferenceProfile, policy: EpsilonPolicy) -> ResponseDistribut
 
     At finite epsilon: candidate i's summed integer position weights over
     m * S (see the module docstring).  Computed once per profile and policy:
-    later calls return the same distribution.
+    later calls return the same distribution.  Raises NotCompleteProfileError,
+    from `profile.orders`, when some voter gives comparisons.
     """
-    if profile.kind is not ProfileKind.COMPLETE:
-        raise NotCompleteProfileError("group matching needs full rankings")
     known = profile.group_matching
     dist = known.get(policy)
     if dist is None:
@@ -116,8 +93,8 @@ def _group_matching(profile: PreferenceProfile, policy: EpsilonPolicy) -> Respon
         return first_place_shares(profile)
     weights, total = _geometric_weights(policy.epsilon, profile.n)
     acc = [0] * profile.n
-    for v in profile.voters:
-        for k, candidate in enumerate(v.ranking.order):
+    for order in profile.orders:
+        for k, candidate in enumerate(order):
             acc[candidate] += weights[k]
     denominator = profile.m * total
     return ResponseDistribution(tuple(Fraction(x, denominator) for x in acc))
@@ -197,13 +174,13 @@ def block_pm_distribution(
     tally's Bradley-Terry odds, normalized to sum 1: the softmax of its
     recovered rewards, with no float in between.  Other blocks raise
     BlockNotEmbeddableError.  Any profile with a comparison voter raises
-    NotCompleteProfileError, whatever the block.
+    NotCompleteProfileError, whatever the block: the orders read are the
+    whole profile's, not the block's.
     """
-    if profile.kind is not ProfileKind.COMPLETE:
-        raise NotCompleteProfileError("group matching needs full rankings")
+    orders = profile.orders
     sub = _block_profile(profile, block)
-    first = sub.voters[0].ranking
-    if all(v.ranking == first for v in sub.voters) or (
+    first = orders[block[0]]
+    if all(orders[k] == first for k in block) or (
         policy.is_limit and limit_embeddable(tally(sub))
     ):
         return gpmd(sub, policy)
@@ -220,8 +197,7 @@ def gpmd_via_partition(
     profile: PreferenceProfile, partition: Partition, policy: EpsilonPolicy
 ) -> ResponseDistribution:
     """Block-size-weighted average of block matching distributions, exact."""
-    if profile.kind is not ProfileKind.COMPLETE:
-        raise NotCompleteProfileError("group matching needs full rankings")
+    profile.orders  # raises first when some voter gives comparisons
     if not partition.covers(profile.m):
         raise ValueError("partition must cover every voter exactly once")
     acc = [Fraction(0)] * profile.n
@@ -256,10 +232,10 @@ def enumerate_embeddable_partitions(
 
     Always contains the all-singleton partition; every further entry arises by
     merging two blocks of an already-found partition when the pooled block
-    stays embeddable under the policy.
+    stays embeddable under the policy.  Raises NotCompleteProfileError, even
+    where no merge is tried, when some voter gives comparisons.
     """
-    if profile.kind is not ProfileKind.COMPLETE:
-        raise NotCompleteProfileError("group matching needs full rankings")
+    profile.orders  # raises first, as every block would
     if budget < 1:
         raise ValueError("budget must be positive")
     start = Partition.singletons(profile.m)

@@ -5,8 +5,9 @@ candidate set, either as full strict rankings or as sets of pairwise
 comparisons.  Tallies and majority relations are kept in exact integer and
 rational arithmetic so that downstream majority and score decisions never
 depend on floating-point rounding.  Each profile is tallied once, counts
-its first places once and keeps its group matching distribution per
-epsilon policy; each tally scans its pair totals once and derives its
+its first places once, lists its voters' orders once (the one check that
+every voter gives a full ranking) and keeps its group matching distribution
+per epsilon policy; each tally scans its pair totals once and derives its
 majority relation once: all are cached on first use.
 """
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DimensionMismatchError,
-    IncompleteRelationError,
     NotCompleteProfileError,
     SchemaError,
     TiesNotAllowedError,
@@ -68,9 +68,8 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class Comparison:
-    """One pairwise judgment: `voter` prefers candidate `winner` over `loser`."""
+    """One pairwise judgment: candidate `winner` is preferred over `loser`."""
 
-    voter: str
     winner: int
     loser: int
 
@@ -132,9 +131,6 @@ class Ranking:
 
     def strictly_above(self, i: int, j: int) -> bool:
         return self.class_index(i) < self.class_index(j)
-
-    def top(self) -> int:
-        return self.order[0]
 
     def top_class(self) -> tuple[int, ...]:
         return self.classes()[0]
@@ -202,10 +198,6 @@ class PreferenceProfile:
                         raise DimensionMismatchError(
                             f"voter {v.id!r} compares candidate index out of range"
                         )
-                    if c.voter != v.id:
-                        raise ValueError(
-                            f"comparison voter tag {c.voter!r} does not match voter {v.id!r}"
-                        )
                     if c.pair() in seen:
                         raise ValueError(
                             f"voter {v.id!r} judges pair {c.pair()} more than once"
@@ -250,16 +242,24 @@ class PreferenceProfile:
         return {}
 
     @cached_property
-    def first_place_counts(self) -> tuple[int, ...]:
-        """How many voters rank each candidate first, counted once.
+    def orders(self) -> tuple[tuple[int, ...], ...]:
+        """Each voter's strict ranking as an order tuple, listed once.
 
-        Raises NotCompleteProfileError when some voter gives comparisons only.
+        The one check that every voter gives a full ranking: raises
+        NotCompleteProfileError naming the first voter who gives comparisons.
+        `Counter(profile.orders)` is the profile up to voter names.
         """
         if self.kind is not ProfileKind.COMPLETE:
-            raise NotCompleteProfileError("first-place counts need full rankings")
+            vid = next(v.id for v in self.voters if v.ranking is None)
+            raise NotCompleteProfileError(f"needs full rankings; voter {vid!r} gives comparisons")
+        return tuple(v.ranking.order for v in self.voters)
+
+    @cached_property
+    def first_place_counts(self) -> tuple[int, ...]:
+        """How many voters rank each candidate first, counted once from `orders`."""
         counts = [0] * self.n
-        for v in self.voters:
-            counts[v.ranking.top()] += 1
+        for order in self.orders:
+            counts[order[0]] += 1
         return tuple(counts)
 
 
@@ -288,7 +288,7 @@ def generalized_profile(
     voters = []
     for vid, pairs in comparisons_by_voter.items():
         comps = tuple(
-            Comparison(voter=vid, winner=cset.index(w), loser=cset.index(l)) for w, l in pairs
+            Comparison(winner=cset.index(w), loser=cset.index(l)) for w, l in pairs
         )
         voters.append(Voter(id=vid, comparisons=comps))
     return PreferenceProfile(cset, tuple(voters))
@@ -440,17 +440,6 @@ class MajorityRelation:
     def n(self) -> int:
         return len(self.outcomes)
 
-    @property
-    def is_complete(self) -> bool:
-        n = self.n
-        return all(
-            self.outcomes[i][j] is not None for i in range(n) for j in range(n) if i != j
-        )
-
-    def require_complete(self) -> None:
-        if not self.is_complete:
-            raise IncompleteRelationError("majority relation undefined on some pair")
-
     def win_count(self, i: int) -> int:
         return sum(1 for j in range(self.n) if j != i and self.outcomes[i][j] is Outcome.WIN)
 
@@ -461,9 +450,11 @@ class MajorityRelation:
         )
 
     def is_strict_linear_order(self) -> bool:
-        """True iff complete, tie-free, and transitive (win counts are 0..n-1)."""
-        if not self.is_complete or self.has_ties():
-            return False
+        """True iff the win counts are 0..n-1.
+
+        They then sum to C(n, 2), one strict win per pair, so every pair is
+        compared, none is tied, and the wins are transitive.
+        """
         return sorted(self.win_count(i) for i in range(self.n)) == list(range(self.n))
 
 
@@ -477,14 +468,16 @@ def majority_relation(t: PairwiseTally) -> MajorityRelation:
     return t.majority
 
 
-def has_condorcet_cycle(relation: MajorityRelation) -> tuple[bool, tuple[int, ...] | None]:
-    """Detect a directed cycle among strict majority wins.
+def has_condorcet_cycle(t: PairwiseTally) -> tuple[bool, tuple[int, ...] | None]:
+    """Detect a directed cycle among the tally's strict majority wins.
 
     Returns (True, witness) with a shortest cycle as a candidate index tuple,
     deterministically the one found first from the lowest starting index.
+    Raises UndefinedPairError when some pair was never compared.
     """
-    relation.require_complete()
-    n = relation.n
+    t.require_all_pairs()
+    relation = majority_relation(t)
+    n = t.n
     adj = [
         [j for j in range(n) if j != i and relation.outcomes[i][j] is Outcome.WIN]
         for i in range(n)
@@ -577,12 +570,7 @@ def generate_assumption1(n: int, seed: int) -> PreferenceProfile:
     """
     rng = random.Random(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    voters = []
-    for k, (i, j) in enumerate(pairs):
-        vid = f"v{k + 1}"
-        winner, loser = (i, j) if rng.random() < 0.5 else (j, i)
-        voters.append(Voter(id=vid, comparisons=(Comparison(vid, winner, loser),)))
-    return PreferenceProfile(CandidateSet(default_labels(n)), tuple(voters))
+    return profile_from_pairs(n, [(i, j) if rng.random() < 0.5 else (j, i) for i, j in pairs])
 
 
 def profile_from_pairs(n: int, winners: Sequence[tuple[int, int]]) -> PreferenceProfile:
@@ -596,10 +584,9 @@ def profile_from_pairs(n: int, winners: Sequence[tuple[int, int]]) -> Preference
     if expected != required or len(winners) != len(required):
         raise ValueError("winners must orient each unordered pair exactly once")
     voters = tuple(
-        Voter(id=f"v{k + 1}", comparisons=(Comparison(f"v{k + 1}", w, l),))
-        for k, (w, l) in enumerate(winners)
+        Voter(id=f"v{k + 1}", comparisons=(Comparison(w, l),)) for k, (w, l) in enumerate(winners)
     )
-    return PreferenceProfile(CandidateSet(default_labels(n)), voters)
+    return PreferenceProfile(_default_candidates(n), voters)
 
 
 def apply_permutation(profile: PreferenceProfile, perm: Sequence[int]) -> PreferenceProfile:
@@ -614,8 +601,7 @@ def apply_permutation(profile: PreferenceProfile, perm: Sequence[int]) -> Prefer
             voters.append(Voter(id=v.id, ranking=Ranking(order)))
         else:
             comps = tuple(
-                Comparison(voter=c.voter, winner=perm[c.winner], loser=perm[c.loser])
-                for c in v.comparisons
+                Comparison(winner=perm[c.winner], loser=perm[c.loser]) for c in v.comparisons
             )
             voters.append(Voter(id=v.id, comparisons=comps))
     return PreferenceProfile(profile.candidates, tuple(voters))
@@ -747,7 +733,7 @@ def parse_profile(data: "bytes | str") -> PreferenceProfile:
                         field=f"{where_c}[{t}]",
                     )
                 seen_pairs.add(key)
-                parsed.append(Comparison(voter=vid, winner=iw, loser=il))
+                parsed.append(Comparison(winner=iw, loser=il))
             voters.append(Voter(id=vid, comparisons=tuple(parsed)))
     try:
         return PreferenceProfile(cset, tuple(voters))

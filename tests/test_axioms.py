@@ -378,6 +378,9 @@ def test_bad_space_is_refused_when_built(build):
         pytest.param(lambda: RandomComplete(3, Fraction(3), 5, 1), id="random-m-fraction"),
         pytest.param(lambda: Assumption1(3.5), id="assumption1-n-float"),
         pytest.param(lambda: Assumption1(3, 2.0, 1), id="assumption1-trials-float"),
+        pytest.param(lambda: RandomComplete(3, 3, 5, 1.5), id="random-seed-float"),
+        pytest.param(lambda: RandomComplete(3, 3, 5, "x"), id="random-seed-str"),
+        pytest.param(lambda: Assumption1(3, 2, 2.5), id="assumption1-seed-float"),
     ],
 )
 def test_non_integer_space_parameter_is_refused_when_built(build):

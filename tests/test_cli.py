@@ -165,6 +165,16 @@ def test_axioms_rejects_impossible_check(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("checks", ["", " , "], ids=["empty", "commas"])
+def test_axioms_checks_naming_no_axiom_is_a_usage_error(runner, tmp_path, checks):
+    # an empty table exiting 0 would read as "no violation"
+    res = runner.invoke(
+        main, ["axioms", _write(tmp_path, PARADOX), "--rule", "borda", "--checks", checks]
+    )
+    assert res.exit_code == 2
+    assert "--checks names no axiom" in res.output
+
+
 @pytest.mark.parametrize("fmt", ["markdown", "json"])
 def test_axioms_alias_check_runs_as_gpm(runner, tmp_path, fmt):
     path = _write(tmp_path, FOUR_VOTER)

@@ -71,12 +71,12 @@ def comparison_profile(n: int, m: int, seed: int, *, all_pairs: bool) -> Prefere
         chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
         judged.update(chosen)
         vid = f"v{k + 1}"
-        comps = [Comparison(vid, *(p if rng.random() < 0.5 else p[::-1])) for p in chosen]
+        comps = [Comparison(*(p if rng.random() < 0.5 else p[::-1])) for p in chosen]
         voters.append(Voter(vid, comparisons=tuple(comps)))
     missing = [p for p in pairs if p not in judged]
     if all_pairs and missing:
         vid = f"v{m + 1}"
-        voters.append(Voter(vid, comparisons=tuple(Comparison(vid, i, j) for i, j in missing)))
+        voters.append(Voter(vid, comparisons=tuple(Comparison(i, j) for i, j in missing)))
     return PreferenceProfile(CandidateSet(default_labels(n)), tuple(voters))
 
 
@@ -233,7 +233,7 @@ def tally_profile(t) -> PreferenceProfile:
         for k, judgment in enumerate(pair):
             judgments.setdefault(k, []).append(judgment)
     voters = tuple(
-        Voter(f"v{k + 1}", comparisons=tuple(Comparison(f"v{k + 1}", *c) for c in judgments[k]))
+        Voter(f"v{k + 1}", comparisons=tuple(Comparison(*c) for c in judgments[k]))
         for k in sorted(judgments)
     )
     return PreferenceProfile(CandidateSet(default_labels(t.n)), voters)

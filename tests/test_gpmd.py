@@ -15,7 +15,6 @@ from prefaxiom import (
     NotCompleteProfileError,
     PairwiseTally,
     Partition,
-    Ranking,
     ResponseDistribution,
     RuleKind,
     apply_permutation,
@@ -32,7 +31,6 @@ from prefaxiom import (
     limit_embeddable,
     make_rule,
     partition_discrepancy,
-    pm_geometric,
     softmax,
     solve_mle,
     tally,
@@ -53,16 +51,22 @@ def test_epsilon_policy_bounds():
     assert LIMIT.is_limit
 
 
-# --------------------------------------------------------------- pm_geometric
+# ------------------------------------------------ one voter: geometric shares
+
+def one_voter_gpmd(order: tuple[int, ...], eps: Fraction) -> ResponseDistribution:
+    """gpmd at smoothing eps of the profile whose one voter ranks `order`."""
+    labels = [f"y{i + 1}" for i in range(len(order))]
+    return gpmd(complete_profile(labels, [[labels[i] for i in order]]), EpsilonPolicy.finite(eps))
+
 
 def test_geometric_quarter_epsilon_closed_form():
     # c = (1/4)/(3/4) = 1/3: shares are 9/13, 3/13, 1/13
-    p = pm_geometric(Ranking((0, 1, 2)), Fraction(1, 4))
+    p = one_voter_gpmd((0, 1, 2), Fraction(1, 4))
     assert p.p == (Fraction(9, 13), Fraction(3, 13), Fraction(1, 13))
 
 
 def test_geometric_follows_ranking_order():
-    p = pm_geometric(Ranking((2, 0, 1)), Fraction(1, 4))
+    p = one_voter_gpmd((2, 0, 1), Fraction(1, 4))
     assert p.p == (Fraction(3, 13), Fraction(1, 13), Fraction(9, 13))
 
 
@@ -75,15 +79,14 @@ def test_geometric_adjacent_win_probability_is_one_minus_eps(n, num, den):
     eps = Fraction(num, den)
     if not (0 < eps < Fraction(1, 2)):
         return
-    p = pm_geometric(Ranking(tuple(range(n))), eps)
+    p = one_voter_gpmd(tuple(range(n)), eps)
     assert sum(p.p) == 1
     for k in range(n - 1):
         assert Fraction(p.p[k], p.p[k] + p.p[k + 1]) == 1 - eps
 
 
 def test_geometric_concentrates_as_eps_shrinks():
-    r = Ranking((0, 1, 2, 3))
-    tops = [float(pm_geometric(r, Fraction(1, 10**k)).p[0]) for k in (1, 2, 3, 4)]
+    tops = [float(one_voter_gpmd((0, 1, 2, 3), Fraction(1, 10**k)).p[0]) for k in (1, 2, 3, 4)]
     assert tops == sorted(tops)
     assert tops[-1] > 0.999
 
@@ -160,16 +163,15 @@ EPSILONS = st.one_of(
 
 @given(st.integers(2, 7), st.integers(1, 9), st.integers(0, 10**6), EPSILONS)
 @settings(max_examples=80, deadline=None)
-def test_gpmd_closed_form_is_the_average_of_pm_geometric(n, m, seed, eps):
+def test_gpmd_closed_form_is_the_average_of_the_textbook_geometric(n, m, seed, eps):
+    # each voter gives position k the textbook (1 - c) c^k / (1 - c^n)
     profile = generate_complete(n, m, seed)
-    parts = [pm_geometric(v.ranking, eps) for v in profile.voters]
-    average = tuple(sum((part.p[i] for part in parts), Fraction(0)) / m for i in range(n))
-    assert gpmd(profile, EpsilonPolicy.finite(eps)).p == average
-    # and pm_geometric is the textbook (1 - c) c^k / (1 - c^n) at every position
     c = eps / (1 - eps)
-    ranking = profile.voters[0].ranking
-    for k, candidate in enumerate(ranking.order):
-        assert parts[0].p[candidate] == (1 - c) * c**k / (1 - c**n)
+    average = [Fraction(0)] * n
+    for v in profile.voters:
+        for k, candidate in enumerate(v.ranking.order):
+            average[candidate] += (1 - c) * c**k / (1 - c**n) / m
+    assert gpmd(profile, EpsilonPolicy.finite(eps)).p == tuple(average)
 
 
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10**6), st.integers(0, 10**6))

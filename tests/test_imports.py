@@ -1,12 +1,14 @@
-"""numpy is loaded by the float solve alone, checked in fresh interpreters.
+"""Imports: numpy is loaded by the float solve alone, and no import goes unread.
 
 The suite's own process already holds numpy (test_reward imports it), so
-every case runs its commands in a new interpreter and reports, after each
-command, its exit code, the sha256 of its stdout and whether numpy is in
-`sys.modules`; the library probe reports the last alone.
+every numpy case runs its commands in a new interpreter and reports, after
+each command, its exit code, the sha256 of its stdout and whether numpy is in
+`sys.modules`; the library probe reports the last alone.  The unread-import
+check is static: it parses each package module and reads no code.
 """
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -96,3 +98,44 @@ def test_first_float_solve_loads_numpy_and_matches_pinned_output(profile_path):
 def test_finite_epsilon_blocks_leave_numpy_unloaded():
     # a mixed block at finite epsilon normalizes exact BT odds: no softmax
     assert _run(LIBRARY_PROBE).strip() == "False"
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name the module loads, including those of string annotations."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            # a forward reference such as "PairwiseTally" or "Fraction | float"
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= _names_read(ast.parse(node.value, mode="eval"))
+    return read
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in (SRC / "prefaxiom").glob("*.py") if p.name != "__init__.py"),
+)
+def test_package_module_reads_every_name_it_imports(module):
+    tree = ast.parse((SRC / "prefaxiom" / module).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+    }
+    assert sorted(imported - _names_read(tree)) == []

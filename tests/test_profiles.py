@@ -1,6 +1,7 @@
 """Profiles, tallies, majority relations, generators, serialization."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import re
@@ -15,8 +16,11 @@ from prefaxiom import (
     CandidateSet,
     Comparison,
     DimensionMismatchError,
+    EpsilonPolicy,
+    NotCompleteProfileError,
     Outcome,
     PairwiseTally,
+    Partition,
     PreferenceProfile,
     ProfileKind,
     Ranking,
@@ -25,14 +29,21 @@ from prefaxiom import (
     UndefinedPairError,
     Voter,
     apply_permutation,
+    axiom_premise,
+    block_embeddable,
+    block_pm_distribution,
     complete_profile,
     default_labels,
+    enumerate_embeddable_partitions,
     generalized_profile,
     generate_assumption1,
     generate_complete,
+    gpmd,
+    gpmd_via_partition,
     has_condorcet_cycle,
     is_transitive,
     majority_relation,
+    majority_winner,
     parse_profile,
     profile_from_pairs,
     profiles_equal_as_multisets,
@@ -63,7 +74,7 @@ def test_candidate_set_index_reads_positions():
 
 def test_comparison_rejects_self_pair():
     with pytest.raises(ValueError):
-        Comparison("v1", 1, 1)
+        Comparison(1, 1)
 
 
 def test_ranking_must_be_permutation():
@@ -88,7 +99,7 @@ def test_voter_requires_exactly_one_payload():
     with pytest.raises(ValueError):
         Voter("v1", ranking=None, comparisons=None)
     with pytest.raises(ValueError):
-        Voter("v1", ranking=Ranking((0, 1)), comparisons=(Comparison("v1", 0, 1),))
+        Voter("v1", ranking=Ranking((0, 1)), comparisons=(Comparison(0, 1),))
 
 
 def test_complete_profile_rejects_tied_ranking():
@@ -218,9 +229,9 @@ def test_tally_permutation_equivariance(n, m, seed, pseed):
 
 def test_majority_relation_paradox_is_cyclic(paradox):
     rel = majority_relation(tally(paradox))
-    assert rel.is_complete
+    assert tally(paradox).defined_on_all_pairs
     assert not rel.is_strict_linear_order()
-    cyclic, witness = has_condorcet_cycle(rel)
+    cyclic, witness = has_condorcet_cycle(tally(paradox))
     assert cyclic
     # witness is a directed majority cycle
     k = len(witness)
@@ -269,7 +280,7 @@ def test_no_cycle_when_linear_order_exhaustive():
                 )
                 rel = majority_relation(tally(profile))
                 if rel.is_strict_linear_order():
-                    assert not has_condorcet_cycle(rel)[0]
+                    assert not has_condorcet_cycle(tally(profile))[0]
 
 
 def test_single_transitive_voter_never_cycles():
@@ -278,12 +289,52 @@ def test_single_transitive_voter_never_cycles():
             profile = generate_complete(n, 1, seed)
             rel = majority_relation(tally(profile))
             assert rel.is_strict_linear_order()
-            assert not has_condorcet_cycle(rel)[0]
+            assert not has_condorcet_cycle(tally(profile))[0]
+
+
+def test_condorcet_cycle_needs_every_pair_compared():
+    # pair (0, 2) was never compared
+    t = PairwiseTally(((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    with pytest.raises(UndefinedPairError, match=r"pair \(0, 2\) has no comparisons"):
+        has_condorcet_cycle(t)
+
+
+@st.composite
+def small_tallies(draw):
+    """2-6 candidates, 0-2 wins each way per pair: uncompared pairs and ties included.
+
+    Half the draws put each pair's larger count on the candidate a random
+    order ranks higher, so strict linear majorities are common too.
+    """
+    n = draw(st.integers(2, 6))
+    rank = draw(st.permutations(range(n)))
+    oriented = draw(st.booleans())
+    wins = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        x, y = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        if oriented:
+            hi, lo = (i, j) if rank.index(i) < rank.index(j) else (j, i)
+            wins[hi][lo], wins[lo][hi] = max(x, y), min(x, y)
+        else:
+            wins[i][j], wins[j][i] = x, y
+    return PairwiseTally(tuple(tuple(row) for row in wins))
+
+
+@given(small_tallies())
+@settings(max_examples=200, deadline=None)
+def test_strict_linear_order_matches_the_three_part_test(t):
+    n = t.n
+    pairs = list(itertools.combinations(range(n), 2))
+    compared = all(t.total(i, j) > 0 for i, j in pairs)
+    untied = all(t.wins[i][j] != t.wins[j][i] for i, j in pairs)
+    wins = [sum(t.wins[i][j] > t.wins[j][i] for j in range(n)) for i in range(n)]
+    want = compared and untied and sorted(wins) == list(range(n))
+    assert majority_relation(t).is_strict_linear_order() is want
 
 
 def test_is_transitive():
-    cyc = (Comparison("v", 0, 1), Comparison("v", 1, 2), Comparison("v", 2, 0))
-    chain = (Comparison("v", 0, 1), Comparison("v", 1, 2))
+    cyc = (Comparison(0, 1), Comparison(1, 2), Comparison(2, 0))
+    chain = (Comparison(0, 1), Comparison(1, 2))
     assert not is_transitive(cyc)
     assert is_transitive(chain)
 
@@ -356,6 +407,27 @@ def test_generate_assumption1_one_voter_per_pair():
             assert t.total(i, j) == 1
 
 
+# sha256 of the candidates, voter ids and judgments of generate_assumption1(n, seed)
+# for seeds 0-199, computed when each comparison still carried its voter's id
+PINNED_TOURNAMENT_STREAMS = {
+    2: "7f8f922554a4097768c7d7aedb6d8c41ae48689dca7eea17358ddddcd23be2c2",
+    3: "b10a83a3dee7ffdc56849e8552564d95545f45dab1fdde13c9e5428efe3cf935",
+    4: "f11b671ad7cafcce138da27bd61c7ba0d1ae73c26ed97ee4369a84273dde7862",
+    5: "c4d19decaae2e48b3d51ab25f9706bbec2fafa9ab60045b312af52f2912745b4",
+    6: "fb129e4af077fc9aab9aa16614ad204509502fb07102bd3267dddddb67cbf57f",
+}
+
+
+@pytest.mark.parametrize("n", list(PINNED_TOURNAMENT_STREAMS))
+def test_generate_assumption1_stream_is_pinned(n):
+    h = hashlib.sha256()
+    for seed in range(200):
+        p = generate_assumption1(n, seed)
+        judgments = [(v.id, [(c.winner, c.loser) for c in v.comparisons]) for v in p.voters]
+        h.update(repr((p.candidates.names, judgments)).encode())
+    assert h.hexdigest() == PINNED_TOURNAMENT_STREAMS[n]
+
+
 def test_generate_assumption1_covers_many_orientations():
     codes = set()
     for seed in range(200):
@@ -374,6 +446,69 @@ def test_profile_from_pairs():
     assert t.prop(0, 1) == 1 and t.prop(1, 2) == 0 and t.prop(0, 2) == 0
     with pytest.raises(ValueError):
         profile_from_pairs(3, [(0, 1), (1, 0), (2, 0)])  # pair (0,1) twice
+
+
+# ----------------------------------------------------------- full-rankings gate
+
+@given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_orders_lists_each_voters_ranking_once(n, m, seed):
+    profile = generate_complete(n, m, seed)
+    assert profile.orders == tuple(v.ranking.order for v in profile.voters)
+    assert profile.orders is profile.orders
+
+
+MIXED = PreferenceProfile(
+    CandidateSet(("a", "b", "c")),
+    (
+        Voter("r1", ranking=Ranking((0, 1, 2))),
+        Voter("r2", ranking=Ranking((1, 0, 2))),
+        Voter("c1", comparisons=(Comparison(2, 0),)),
+    ),
+)
+FINITE = EpsilonPolicy.finite(Fraction(1, 10))
+LIMIT = EpsilonPolicy.limit()
+NAMES_C1 = "needs full rankings; voter 'c1' gives comparisons"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda p: p.first_place_counts, id="first-place-counts"),
+        pytest.param(majority_winner, id="majority-winner"),
+        pytest.param(lambda p: gpmd(p, FINITE), id="gpmd-finite"),
+        pytest.param(lambda p: gpmd(p, LIMIT), id="gpmd-limit"),
+        # the blocks hold ranking voters only: the whole profile is what is checked
+        *(
+            pytest.param(lambda p, f=f, b=b, e=e: f(p, b, e), id=f"{f.__name__}-{b}-{name}")
+            for f in (block_pm_distribution, block_embeddable)
+            for b in ((0,), (0, 1))
+            for name, e in (("finite", FINITE), ("limit", LIMIT))
+        ),
+        pytest.param(lambda p: gpmd_via_partition(p, Partition.singletons(3), FINITE), id="via-partition"),
+        # a partition that misses a voter: the gate comes first
+        pytest.param(lambda p: gpmd_via_partition(p, Partition(((0,),)), LIMIT), id="via-partition-first"),
+        pytest.param(lambda p: enumerate_embeddable_partitions(p, FINITE), id="partitions-finite"),
+        pytest.param(lambda p: enumerate_embeddable_partitions(p, LIMIT), id="partitions-limit"),
+        pytest.param(lambda p: axiom_premise("preference-equivalence", p), id="premise-pe"),
+        pytest.param(lambda p: axiom_premise("gpm", p), id="premise-gpm"),
+    ],
+)
+def test_full_rankings_gate_names_the_comparison_voter(call):
+    with pytest.raises(NotCompleteProfileError, match=re.escape(NAMES_C1)):
+        call(MIXED)
+
+
+@pytest.mark.parametrize("policy", [FINITE, LIMIT], ids=["finite", "limit"])
+def test_partitions_of_one_comparison_voter_raise(policy):
+    # the singleton partition needs no merge, so no block is ever decided
+    profile = generalized_profile(["a", "b"], {"c1": [("a", "b")]})
+    with pytest.raises(NotCompleteProfileError, match=re.escape(NAMES_C1)):
+        enumerate_embeddable_partitions(profile, policy)
+
+
+def test_majority_premise_is_vacuous_without_full_rankings():
+    assert axiom_premise("majority", MIXED) is None
 
 
 # --------------------------------------------------------------- serialization

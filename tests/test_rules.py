@@ -76,7 +76,7 @@ def test_condorcet_winner_detection(paradox, four_voter):
     assert condorcet_winner(tally(paradox)) is None
     assert condorcet_winner(tally(four_voter)) is None  # y1 only ties y3
     unanimous = generate_complete(3, 1, 0)
-    assert condorcet_winner(tally(unanimous)) == unanimous.voters[0].ranking.top()
+    assert condorcet_winner(tally(unanimous)) == unanimous.voters[0].ranking.order[0]
 
 
 @given(st.integers(3, 6), st.integers(1, 9), st.integers(0, 10**6))
