@@ -294,6 +294,11 @@ def _lookup(axiom: str) -> tuple[str, _Axiom]:
     return name, entry
 
 
+def axiom_name(axiom: str) -> str:
+    """The canonical name of an axiom name or alias; ValueError for unknown names."""
+    return _lookup(axiom)[0]
+
+
 def axiom_kind(axiom: str) -> RuleKind:
     """The rule kind an axiom name or alias judges; ValueError for unknown names."""
     return _lookup(axiom)[1].kind

@@ -32,6 +32,7 @@ from .axioms import (
     RandomComplete,
     RuleKind,
     axiom_kind,
+    axiom_name,
     counterexample_search,
     iter_profiles,
     make_rule,
@@ -233,14 +234,18 @@ def cmd_tally(input: str, fmt: str):
     t = tally(profile)
     labels = profile.candidates.names
     n = t.n
-    # one Fraction per cell; win counts stay far below the int-to-str digit limit
-    props = [["" if (p := t.prop(i, j)) is None else str(p) for j in range(n)] for i in range(n)]
+    w = t.wins
+    # totals[i][j] = w[i][j] + w[j][i], zero on the diagonal
+    totals = [[x + y for x, y in zip(row, col)] for row, col in zip(w, zip(*w))]
+    props = [
+        [_proportion(x, total) for x, total in zip(row, trow)] for row, trow in zip(w, totals)
+    ]
     payload = {
         "command": "tally",
         "version": __version__,
         "candidates": list(labels),
-        "wins": [list(row) for row in t.wins],
-        "totals": [[t.total(i, j) if i != j else 0 for j in range(n)] for i in range(n)],
+        "wins": [list(row) for row in w],
+        "totals": totals,
         "props": [[props[i][j] or None for j in range(n)] for i in range(n)],
     }
     md = [f"# Pairwise tally ({n} candidates, {profile.m} voters)", ""]
@@ -258,6 +263,14 @@ def cmd_tally(input: str, fmt: str):
         for j in range(i + 1, n):
             rows.append([labels[i], labels[j], t.wins[i][j], t.wins[j][i], props[i][j] or ""])
     _emit(fmt, payload, md, rows)
+
+
+def _proportion(wins: int, total: int) -> str:
+    """wins/total in lowest terms, written as a Fraction prints; "" when total is 0."""
+    if total == 0:
+        return ""
+    g = math.gcd(wins, total)
+    return str(wins // g) if g == total else f"{wins // g}/{total // g}"
 
 
 def _ranking_text(ranking: Ranking, labels) -> str:
@@ -391,16 +404,21 @@ def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str
     if checks == "all":
         selected = [a for a in AXIOM_CHOICES if has_form[axiom_kind(a)]]
     else:
-        selected = [c.strip() for c in checks.split(",") if c.strip()]
-        if not selected:
+        named = [c.strip() for c in checks.split(",") if c.strip()]
+        if not named:
             raise click.UsageError("--checks names no axiom")
-        for c in selected:
+        selected = []
+        for c in named:
             try:
-                kind = axiom_kind(c)
+                name = axiom_name(c)
             except ValueError:
                 raise click.UsageError(f"unknown axiom {c!r}")
+            kind = axiom_kind(name)
             if not has_form[kind]:
                 raise click.UsageError(f"rule {rule!r} has no {kind.value} form for {c!r}")
+            # an axiom named twice, or by name and alias, runs once, where first named
+            if name not in selected:
+                selected.append(name)
 
     kinds = [axiom_kind(a) for a in selected]
     # ordinal first: where both forms raise, the ordinal error is the one reported

@@ -157,15 +157,6 @@ class Voter:
         if self.ranking is not None and self.ranking.ties is not None:
             raise TiesNotAllowedError("voter rankings must be strict")
 
-    def implied_pairs(self) -> frozenset[tuple[int, int]]:
-        """All (winner, loser) pairs this voter asserts; rankings expand fully."""
-        if self.ranking is not None:
-            order = self.ranking.order
-            return frozenset(
-                (order[a], order[b]) for a in range(len(order)) for b in range(a + 1, len(order))
-            )
-        return frozenset((c.winner, c.loser) for c in self.comparisons)
-
 
 class ProfileKind(Enum):
     COMPLETE = "complete"
@@ -220,21 +211,40 @@ class PreferenceProfile:
 
     @cached_property
     def pairwise_tally(self) -> "PairwiseTally":
-        """Pairwise win counts, counted once; `tally(profile)` returns this."""
+        """Pairwise win counts, counted once; `tally(profile)` returns this.
+
+        Each candidate's row of wins is counted as one int holding one field
+        per opponent, each `width` bytes wide, with `width` the byte length
+        of m.  A voter adds at most 1 to a field, so no field exceeds m and
+        none ever carries into the next.  A ranking voter, read from last
+        place up, adds to each candidate's row the packed set of candidates
+        already passed: 2n big-int additions instead of C(n, 2) counts.  A
+        comparison voter adds one opponent's unit to its winner's row.
+        """
         n = self.n
-        wins = [[0] * n for _ in range(n)]
+        width = (self.m.bit_length() + 7) // 8
+        unit = [1 << (8 * width * j) for j in range(n)]
+        acc = [0] * n
         for v in self.voters:
             if v.ranking is not None:
-                order = v.ranking.order
-                for a in range(n - 1):
-                    row = wins[order[a]]
-                    for b in order[a + 1:]:
-                        row[b] += 1
+                below = 0
+                for c in reversed(v.ranking.order):
+                    acc[c] += below
+                    below += unit[c]
             else:
                 for c in v.comparisons:
-                    wins[c.winner][c.loser] += 1
+                    acc[c.winner] += unit[c.loser]
+        size = n * width
+        packed = [row.to_bytes(size, "little") for row in acc]
+        if width == 1:
+            rows = tuple(tuple(b) for b in packed)
+        else:
+            rows = tuple(
+                tuple(int.from_bytes(b[k:k + width], "little") for k in range(0, size, width))
+                for b in packed
+            )
         # nonnegative integers, square and zero on the diagonal by construction
-        return PairwiseTally._of_counts(tuple(tuple(row) for row in wins))
+        return PairwiseTally._of_counts(rows)
 
     @cached_property
     def group_matching(self) -> dict:
@@ -611,15 +621,19 @@ def profiles_equal_as_multisets(a: PreferenceProfile, b: PreferenceProfile) -> b
     """True iff the two electorates express the same multiset of preference sets.
 
     Voter identity is ignored; each voter canonicalizes to the set of ordered
-    pairs they assert (rankings expand fully).
+    (winner, loser) pairs they assert, a ranking to all C(n, 2) of its pairs.
     """
     if a.n != b.n or a.m != b.m:
         raise DimensionMismatchError("profiles differ in candidate or voter count")
     if a.candidates.names != b.candidates.names:
         raise DimensionMismatchError("profiles use different candidate labels")
-    return Counter(v.implied_pairs() for v in a.voters) == Counter(
-        v.implied_pairs() for v in b.voters
-    )
+    return Counter(map(_asserted_pairs, a.voters)) == Counter(map(_asserted_pairs, b.voters))
+
+
+def _asserted_pairs(v: Voter) -> frozenset[tuple[int, int]]:
+    if v.ranking is not None:
+        return frozenset(itertools.combinations(v.ranking.order, 2))
+    return frozenset((c.winner, c.loser) for c in v.comparisons)
 
 
 def serialize_profile(profile: PreferenceProfile) -> bytes:

@@ -61,7 +61,7 @@ class Condensation(NamedTuple):
     unreachable: tuple[int, ...]
 
 
-def _condensation(rows: tuple[tuple[Fraction, ...], ...]) -> Condensation:
+def _condensation(rows: tuple[tuple[Fraction | int, ...], ...]) -> Condensation:
     """A walk of the comparison graph from 0, then Tarjan's algorithm.
 
     Both are iterative so large n cannot exhaust the call stack.
@@ -162,19 +162,22 @@ def require_positive(pstar: ResponseDistribution) -> ResponseDistribution:
 class WeightMatrix:
     """Nonnegative per-ordered-pair weights, exact.
 
-    `WeightMatrix(rows)` converts each entry that is not already a Fraction
-    to one.  Everything else is derived from the rows on first use and
-    cached: `pair_total` (the common positive value of w[i][j] + w[j][i] when
-    every pair has the same one, else None, which leaves the score shortcut
-    unavailable but the solver still applies), the read-only float form
-    `array`, and the `condensation` of the weight graph.
+    `WeightMatrix(rows)` keeps each entry that is already a Fraction or an
+    int (integer win counts stay integers) and converts every other entry,
+    bools and floats included, to a Fraction.  Everything else is derived
+    from the rows on first use and cached: `pair_total` (the common positive
+    value of w[i][j] + w[j][i] when every pair has the same one, else None,
+    which leaves the score shortcut unavailable but the solver still
+    applies), the read-only float form `array`, and the `condensation` of
+    the weight graph.
     """
 
-    w: tuple[tuple[Fraction, ...], ...]
+    w: tuple[tuple[Fraction | int, ...], ...]
 
     def __post_init__(self):
         rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.w
+            tuple(x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row)
+            for row in self.w
         )
         object.__setattr__(self, "w", rows)
         n = len(rows)

@@ -34,6 +34,7 @@ from prefaxiom import (
     apply_permutation,
     axiom_conclusion,
     axiom_kind,
+    axiom_name,
     axiom_premise,
     complete_profile,
     counterexample_search,
@@ -396,6 +397,15 @@ def test_axiom_kind_reads_the_table_and_resolves_the_alias():
     assert axiom_kind("group-preference-matching") is RuleKind.PROBABILISTIC
     with pytest.raises(ValueError, match="unknown axiom"):
         axiom_kind("monotonicity")
+
+
+def test_axiom_name_resolves_the_alias_to_the_table_name():
+    assert [axiom_name(a) for a in ORDINAL_AXIOMS + PROBABILISTIC_AXIOMS] == list(
+        ORDINAL_AXIOMS + PROBABILISTIC_AXIOMS
+    )
+    assert axiom_name("group-preference-matching") == "gpm"
+    with pytest.raises(ValueError, match="unknown axiom 'monotonicity'"):
+        axiom_name("monotonicity")
 
 
 def test_random_space_deterministic():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from prefaxiom import (
     ORDINAL_AXIOMS,
     PROBABILISTIC_AXIOMS,
     EpsilonPolicy,
+    complete_profile,
+    default_labels,
     generate_complete,
     gpmd,
     parse_profile,
@@ -188,6 +191,26 @@ def test_axioms_alias_check_runs_as_gpm(runner, tmp_path, fmt):
     )
     assert refused.exit_code == 2
     assert "has no probabilistic form for 'group-preference-matching'" in refused.output
+
+
+@pytest.mark.parametrize(
+    "rule,checks,once",
+    [
+        ("borda", "pareto,pareto", "pareto"),
+        ("borda", "condorcet,pareto,condorcet", "condorcet,pareto"),
+        ("mle-standard", "gpm,group-preference-matching", "gpm"),
+        ("mle-standard", "group-preference-matching,preference-matching,gpm", "gpm,preference-matching"),
+    ],
+)
+def test_axioms_runs_each_named_check_once(runner, tmp_path, rule, checks, once):
+    # the first mention of each axiom, by name or alias, keeps its place
+    path = _write(tmp_path, FOUR_VOTER)
+    base = ["axioms", path, "--rule", rule, "--format", "json", "--checks"]
+    repeated = runner.invoke(main, base + [checks])
+    single = runner.invoke(main, base + [once])
+    assert repeated.exit_code == single.exit_code
+    assert repeated.output == single.output
+    assert [r["axiom"] for r in json.loads(repeated.output)["reports"]] == once.split(",")
 
 
 def test_gpmd_exact_output(runner, tmp_path):
@@ -658,10 +681,19 @@ def _arithmetic_matrix() -> dict[str, tuple[str, list[str]]]:
         for rule in ("borda", "mle-standard", "mle-gpm"):
             cases[f"rank-{rule}-uneven-{fmt}"] = ("uneven", ["rank", "--rule", rule, *tail])
         cases[f"rank-mle-gpm-n12-{fmt}"] = ("n12", ["rank", "--rule", "mle-gpm", *tail])
+    cases["tally-two-byte-json"] = ("two-byte", ["tally", "--format", "json"])
+    cases["rank-mle-standard-two-byte-json"] = ("two-byte", ["rank", "--rule", "mle-standard", "--format", "json"])
     return cases
 
 
 def _arithmetic_profile(name: str) -> bytes:
+    if name == "two-byte":
+        # m = 300 voters near the consensus y1 > ... > y6: the tally packs
+        # 2-byte fields, and several counts exceed 255
+        rng = random.Random(6300)
+        labels = default_labels(6)
+        rankings = [sorted(labels, key=lambda y: int(y[1:]) + 3 * rng.random()) for _ in range(300)]
+        return serialize_profile(complete_profile(labels, rankings))
     if name == "uneven":
         return serialize_profile(parse_profile(json.dumps(UNEVEN_WIDE)))
     if name == "n30":
@@ -682,6 +714,9 @@ PINNED_ARITHMETIC = {
     "rank-mle-gpm-uneven-markdown": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "rank-mle-standard-uneven-json": (0, "93d18f89348ad70322c49b7b70aad5b2eecf88bdf41a6dffdbb143c3cbaa3dde"),
     "rank-mle-standard-uneven-markdown": (0, "5b0f68227c793a461b2bdd7d0fdf986fdeb0bb4ded77cb96819977e7f2adf951"),
+    # recorded on the one-increment-per-pair tally, before rows were packed
+    "tally-two-byte-json": (0, "787f987ccba31f20e88fc4c779b37835a262c904768141301b8afff87ccfe9c9"),
+    "rank-mle-standard-two-byte-json": (0, "80ad71cae121855a0bcdac9242c5c0aee8de397aaa22f0edb269ee9185d50527"),
 }
 
 

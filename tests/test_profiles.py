@@ -225,6 +225,96 @@ def test_tally_permutation_equivariance(n, m, seed, pseed):
                 assert tp.wins[pi[i]][pi[j]] == t.wins[i][j]
 
 
+def naive_wins(profile: PreferenceProfile) -> tuple[tuple[int, ...], ...]:
+    """One += 1 per voter per judged pair: the count the packed tally must equal."""
+    n = profile.n
+    wins = [[0] * n for _ in range(n)]
+    for v in profile.voters:
+        if v.ranking is not None:
+            order = v.ranking.order
+            judged = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)]
+        else:
+            judged = [(c.winner, c.loser) for c in v.comparisons]
+        for winner, loser in judged:
+            wins[winner][loser] += 1
+    return tuple(tuple(row) for row in wins)
+
+
+@st.composite
+def mixed_profiles(draw):
+    """Voters that each give a full ranking or a random set of comparisons."""
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    voters = []
+    for k in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            voters.append(Voter(f"v{k + 1}", ranking=Ranking(tuple(draw(st.permutations(range(n)))))))
+        else:
+            judged = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+            flips = draw(st.lists(st.booleans(), min_size=len(judged), max_size=len(judged)))
+            comps = tuple(Comparison(j, i) if f else Comparison(i, j) for (i, j), f in zip(judged, flips))
+            voters.append(Voter(f"v{k + 1}", comparisons=comps))
+    return PreferenceProfile(CandidateSet(default_labels(n)), tuple(voters))
+
+
+@given(st.integers(2, 7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_tally_matches_a_naive_count_on_complete_profiles(n, data):
+    labels = default_labels(n)
+    orders = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=12))
+    profile = complete_profile(labels, [[labels[i] for i in order] for order in orders])
+    assert tally(profile).wins == naive_wins(profile)
+
+
+@given(st.integers(2, 7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_tally_matches_a_naive_count_on_comparison_voters(n, data):
+    labels = default_labels(n)
+    pairs = list(itertools.combinations(labels, 2))
+    by_voter = {}
+    for k in range(data.draw(st.integers(1, 8))):
+        judged = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        by_voter[f"v{k + 1}"] = [(b, a) if data.draw(st.booleans()) else (a, b) for a, b in judged]
+    profile = generalized_profile(labels, by_voter)
+    assert tally(profile).wins == naive_wins(profile)
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    tournament = profile_from_pairs(
+        n, [(j, i) if f else (i, j) for (i, j), f in zip(itertools.combinations(range(n), 2), flips)]
+    )
+    assert tally(tournament).wins == naive_wins(tournament)
+
+
+@given(mixed_profiles(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_tally_is_anonymous(profile, data):
+    # voters are counted, never told apart: any order of them gives the same wins
+    seats = data.draw(st.permutations(range(profile.m)))
+    shuffled = PreferenceProfile(profile.candidates, tuple(profile.voters[k] for k in seats))
+    assert tally(shuffled).wins == tally(profile).wins == naive_wins(profile)
+
+
+def test_packed_tally_on_the_smallest_profiles():
+    assert tally(complete_profile(["a", "b"], [["b", "a"]])).wins == ((0, 0), (1, 0))
+    assert tally(generalized_profile(["a", "b"], {"v1": [("a", "b")]})).wins == ((0, 1), (0, 0))
+
+
+@pytest.mark.parametrize("m", [255, 256, 257])
+@pytest.mark.parametrize("n", [2, 9])
+def test_packed_tally_on_both_sides_of_the_field_width_step(n, m):
+    # m = 255 packs one byte per field, m >= 256 two; the top candidate of
+    # the unanimous voters wins one pair in every ballot, a field of exactly m
+    unanimous = complete_profile(default_labels(n), [default_labels(n)] * m)
+    assert tally(unanimous).wins[0][1:] == (m,) * (n - 1)
+    assert tally(unanimous).wins == naive_wins(unanimous)
+    profile = generate_complete(n, m, m)
+    assert tally(profile).wins == naive_wins(profile)
+    mixed = PreferenceProfile(
+        profile.candidates,
+        profile.voters[:-1] + (Voter("c", comparisons=(Comparison(n - 1, 0),)),),
+    )
+    assert tally(mixed).wins == naive_wins(mixed)
+
+
 # ----------------------------------------------------------- majority relation
 
 def test_majority_relation_paradox_is_cyclic(paradox):

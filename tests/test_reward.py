@@ -94,6 +94,24 @@ def test_float_form_is_built_once_and_read_only():
         a[0, 1] = 5.0
 
 
+def test_integer_weights_stay_integers_and_solve_alike():
+    w = WeightMatrix([[0, 3, 2], [1, 0, Fraction(5, 2)], [2, 0.5, 0]])
+    assert [type(x) for x in w.w[0]] == [int, int, int]
+    assert w.w[1][2] == Fraction(5, 2) and type(w.w[2][1]) is Fraction
+    # bools are ints, but not exactly int: they still become Fractions
+    assert type(WeightMatrix([[0, True], [False, 0]]).w[0][1]) is Fraction
+    as_fractions = WeightMatrix([[Fraction(x) for x in row] for row in w.w])
+    assert w.pair_total is None and as_fractions.pair_total is None
+    assert w.array.tolist() == as_fractions.array.tolist()
+    t = tally(generate_complete(7, 9, 3))
+    counts = weights_standard(t)
+    assert counts.w == t.wins and all(type(x) is int for row in counts.w for x in row)
+    exact = WeightMatrix([[Fraction(x) for x in row] for row in t.wins])
+    assert counts.pair_total == exact.pair_total == 9
+    assert scores(counts) == scores(exact)
+    assert solve_mle(counts).r == solve_mle(exact).r
+
+
 def test_weight_matrix_rejects_negative_and_diagonal():
     with pytest.raises(ValueError):
         WeightMatrix([[0, -1], [1, 0]])
