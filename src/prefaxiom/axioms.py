@@ -391,7 +391,8 @@ def _copeland_weights_tally(profile: PreferenceProfile, tie_policy: TiePolicy) -
     """
     t = _complete_tally(profile)
     if tie_policy is TiePolicy.STRICT_ONLY:
-        require_constant(None if majority_relation(t).has_ties() else 1)
+        # a row's only 0 is its diagonal unless the row has a half-split
+        require_constant(None if any(row.count(0) > 1 for row in majority_relation(t)) else 1)
     return t
 
 

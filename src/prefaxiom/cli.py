@@ -313,6 +313,8 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     """Aggregate ranking of a profile under one rule."""
     profile = _read_profile(input)
     policy = _tie_policy(tie_policy)
+    # parsed for every rule, so malformed input exits 2 whichever rule is asked
+    eps_policy = _parse_epsilon(epsilon)
     labels = profile.candidates.names
     payload: dict = {"command": "rank", "version": __version__, "rule": rule}
     md = [f"# Ranking under {rule}", ""]
@@ -326,9 +328,7 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     elif rule == "copeland":
         score_block = copeland_scores(tally(profile), policy)
     else:
-        eps_policy = None
         if rule == "mle-gpm":
-            eps_policy = _parse_epsilon(epsilon)
             payload["epsilon"] = epsilon
         weights = rule_weights(rule, profile, tie_policy=policy, epsilon_policy=eps_policy)
         solution = solve_mle(weights)

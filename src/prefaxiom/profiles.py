@@ -2,13 +2,14 @@
 
 A profile is a finite electorate expressing ordinal preferences over a fixed
 candidate set, either as full strict rankings or as sets of pairwise
-comparisons.  Tallies and majority relations are kept in exact integer and
-rational arithmetic so that downstream majority and score decisions never
-depend on floating-point rounding.  Each profile is tallied once, counts
-its first places once, lists its voters' orders once (the one check that
-every voter gives a full ranking) and keeps its group matching distribution
-per epsilon policy; each tally scans its pair totals once and derives its
-majority relation once: all are cached on first use.
+comparisons.  Tallies are kept in exact integer and rational arithmetic so
+that downstream majority and score decisions never depend on floating-point
+rounding; the majority relation is the sign of each pair's integer margin.
+Each profile is tallied once, counts its first places once, lists its
+voters' orders once (the one check that every voter gives a full ranking)
+and keeps its group matching distribution per epsilon policy; each tally
+scans its pair totals once and derives its majority relation once (the one
+check that every pair was compared): all are cached on first use.
 """
 from __future__ import annotations
 
@@ -123,11 +124,16 @@ class Ranking:
             return tuple((i,) for i in self.order)
         return self.ties
 
+    @cached_property
+    def _class_of(self) -> dict[int, int]:
+        """Each candidate's tie-class index, mapped once per ranking."""
+        return {i: k for k, cls in enumerate(self.classes()) for i in cls}
+
     def class_index(self, i: int) -> int:
-        for k, cls in enumerate(self.classes()):
-            if i in cls:
-                return k
-        raise ValueError(f"candidate {i} not in ranking")
+        try:
+            return self._class_of[i]
+        except KeyError:
+            raise ValueError(f"candidate {i} not in ranking") from None
 
     def strictly_above(self, i: int, j: int) -> bool:
         return self.class_index(i) < self.class_index(j)
@@ -380,24 +386,18 @@ class PairwiseTally:
         return self._pair_totals[1]
 
     @cached_property
-    def majority(self) -> "MajorityRelation":
-        """The majority relation, derived once; `majority_relation(t)` returns this."""
+    def majority(self) -> tuple[tuple[int, ...], ...]:
+        """The majority signs, derived once; `majority_relation(t)` returns this.
+
+        Raises UndefinedPairError, and caches nothing, when some pair was
+        never compared.
+        """
+        self.require_all_pairs()
         w = self.wins
-        rows = []
-        for i, row_i in enumerate(w):
-            row: list[Outcome | None] = []
-            for j, x in enumerate(row_i):
-                y = w[j][i]
-                if i == j or x + y == 0:
-                    row.append(None)
-                elif x > y:
-                    row.append(Outcome.WIN)
-                elif x < y:
-                    row.append(Outcome.LOSS)
-                else:
-                    row.append(Outcome.TIE)
-            rows.append(tuple(row))
-        return MajorityRelation(tuple(rows))
+        # row i beside column i pairs each w_ij with w_ji; the diagonal is 0
+        return tuple(
+            tuple((x > y) - (x < y) for x, y in zip(row, col)) for row, col in zip(w, zip(*w))
+        )
 
 
 def tally(profile: PreferenceProfile) -> PairwiseTally:
@@ -434,46 +434,15 @@ class TiePolicy(Enum):
     HALF_POINT = "half"
 
 
-class Outcome(Enum):
-    WIN = "win"
-    LOSS = "loss"
-    TIE = "tie"
+def majority_relation(t: PairwiseTally) -> tuple[tuple[int, ...], ...]:
+    """Pairwise majority signs from exact integer win counts: sign(W - W^T).
 
-
-@dataclass(frozen=True)
-class MajorityRelation:
-    """Ternary pairwise majority outcomes; None marks pairs never compared."""
-
-    outcomes: tuple[tuple[Outcome | None, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.outcomes)
-
-    def win_count(self, i: int) -> int:
-        return sum(1 for j in range(self.n) if j != i and self.outcomes[i][j] is Outcome.WIN)
-
-    def has_ties(self) -> bool:
-        n = self.n
-        return any(
-            self.outcomes[i][j] is Outcome.TIE for i in range(n) for j in range(i + 1, n)
-        )
-
-    def is_strict_linear_order(self) -> bool:
-        """True iff the win counts are 0..n-1.
-
-        They then sum to C(n, 2), one strict win per pair, so every pair is
-        compared, none is tied, and the wins are transitive.
-        """
-        return sorted(self.win_count(i) for i in range(self.n)) == list(range(self.n))
-
-
-def majority_relation(t: PairwiseTally) -> MajorityRelation:
-    """Pairwise majority outcomes from exact integer win counts.
-
-    i beats j when P(i over j) > 1/2, that is when wins[i][j] > wins[j][i].
-    An exact half-split is always a tie; how a tie scores is the caller's
-    TiePolicy, not part of the relation.  Derived once per tally.
+    Row i holds 1 where i beats j (P(i over j) > 1/2, that is wins[i][j] >
+    wins[j][i]), -1 where j beats i, and 0 on an exact half-split and on the
+    diagonal.  How a half-split scores is the caller's TiePolicy, not part
+    of the relation.  This is the one check behind every majority question:
+    it raises UndefinedPairError when some pair was never compared.
+    Derived once per tally.
     """
     return t.majority
 
@@ -485,15 +454,9 @@ def has_condorcet_cycle(t: PairwiseTally) -> tuple[bool, tuple[int, ...] | None]
     deterministically the one found first from the lowest starting index.
     Raises UndefinedPairError when some pair was never compared.
     """
-    t.require_all_pairs()
-    relation = majority_relation(t)
-    n = t.n
-    adj = [
-        [j for j in range(n) if j != i and relation.outcomes[i][j] is Outcome.WIN]
-        for i in range(n)
-    ]
+    adj = [[j for j, sign in enumerate(row) if sign > 0] for row in majority_relation(t)]
     best: tuple[int, ...] | None = None
-    for start in range(n):
+    for start in range(t.n):
         # BFS shortest path back to start over win edges
         parent = {start: None}
         queue = deque([start])

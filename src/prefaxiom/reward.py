@@ -33,7 +33,7 @@ from .errors import (
     NotConvergedError,
     ZeroProbabilityError,
 )
-from .profiles import Outcome, PairwiseTally, Ranking, TiePolicy, majority_relation
+from .profiles import PairwiseTally, Ranking, TiePolicy, majority_relation
 from .rules import ranking_from_scores
 
 if TYPE_CHECKING:
@@ -417,21 +417,12 @@ def weights_copeland(
     Under STRICT_ONLY, tied pairs get weight 0 both ways, which leaves
     constant-total mode only when no pair is tied.
     """
-    t.require_all_pairs()
-    outcomes = majority_relation(t).outcomes
-    n = t.n
-    zero, half, one = Fraction(0), Fraction(1, 2), Fraction(1)
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = outcomes[i][j]
-            if out is Outcome.WIN:
-                rows[i][j] = one
-            elif out is Outcome.LOSS:
-                rows[j][i] = one
-            elif tie_policy is TiePolicy.HALF_POINT:
-                rows[i][j] = half
-                rows[j][i] = half
+    zero = Fraction(0)
+    tie = Fraction(1, 2) if tie_policy is TiePolicy.HALF_POINT else zero
+    weight = {1: Fraction(1), 0: tie, -1: zero}
+    rows = [[weight[sign] for sign in row] for row in majority_relation(t)]
+    for i, row in enumerate(rows):
+        row[i] = zero
     return WeightMatrix(rows)
 
 

@@ -7,7 +7,6 @@ from typing import Sequence
 
 from .distributions import ResponseDistribution
 from .profiles import (
-    Outcome,
     PairwiseTally,
     PreferenceProfile,
     Ranking,
@@ -56,11 +55,9 @@ def copeland_half_points(
     t: PairwiseTally, tie_policy: TiePolicy = TiePolicy.HALF_POINT
 ) -> tuple[int, ...]:
     """Copeland scores in half points: 2 per majority win, 1 per half-split under HALF_POINT."""
-    t.require_all_pairs()
-    half_points = {Outcome.WIN: 2, Outcome.TIE: 1 if tie_policy is TiePolicy.HALF_POINT else 0}
-    return tuple(
-        sum(half_points.get(out, 0) for out in row) for row in majority_relation(t).outcomes
-    )
+    tie = 1 if tie_policy is TiePolicy.HALF_POINT else 0
+    # each row's 0s are its half-splits and its own diagonal entry
+    return tuple(2 * row.count(1) + tie * (row.count(0) - 1) for row in majority_relation(t))
 
 
 def copeland_scores(
@@ -73,10 +70,8 @@ def copeland_scores(
 
 def condorcet_winner(t: PairwiseTally) -> int | None:
     """Candidate beating every other by strict majority, or None."""
-    t.require_all_pairs()
-    rel = majority_relation(t)
-    for i in range(t.n):
-        if all(rel.outcomes[i][j] is Outcome.WIN for j in range(t.n) if j != i):
+    for i, row in enumerate(majority_relation(t)):
+        if row.count(1) == t.n - 1:
             return i
     return None
 
@@ -90,13 +85,16 @@ def majority_winner(profile: PreferenceProfile) -> int | None:
 
 
 def pm_consistent_ranking(t: PairwiseTally) -> Ranking | None:
-    """The majority relation itself as a ranking, when it is a strict linear order."""
-    t.require_all_pairs()
-    rel = majority_relation(t)
-    if not rel.is_strict_linear_order():
+    """The majority relation itself as a ranking, when it is a strict linear order.
+
+    It is one exactly when the win counts are 0..n-1: they then sum to
+    C(n, 2), one strict win per pair, so no pair is tied and the wins are
+    transitive.
+    """
+    wins = [row.count(1) for row in majority_relation(t)]
+    if sorted(wins) != list(range(t.n)):
         return None
-    order = tuple(sorted(range(t.n), key=lambda i: -rel.win_count(i)))
-    return Ranking(order)
+    return Ranking(tuple(sorted(range(t.n), key=wins.__getitem__, reverse=True)))
 
 
 def ranking_from_scores(values: Sequence) -> Ranking:

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 from conftest import reward_ranking
 from prefaxiom import (
+    Assumption1,
     EpsilonPolicy,
     ExhaustiveComplete,
     ORDINAL_AXIOMS,
@@ -321,3 +322,20 @@ def test_criterion_11_cycle_frequency():
     print(
         f"criterion 11: exact 1/18; empirical n=3 {freq3:.4f} within 3se={3*se:.4f}; n=10 {freq10:.4f} > n=3"
     )
+
+
+def test_criterion_12_rlhf_is_majority_consistent_under_assumption1():
+    # the paper's headline positive result: with one comparison per pair,
+    # mle-standard (RLHF) is pairwise-majority and Condorcet consistent
+    rule = make_rule("mle-standard", RuleKind.ORDINAL)
+    applicable = {
+        3: {"pairwise-majority": 6, "condorcet": 6},
+        4: {"pairwise-majority": 24, "condorcet": 32},
+        5: {"pairwise-majority": 120, "condorcet": 320},
+    }
+    for n, counts in applicable.items():
+        for axiom, count in counts.items():
+            out = counterexample_search(rule, axiom, Assumption1(n))
+            assert not out.found, (n, axiom, out.index)
+            assert (out.applicable, out.examined) == (count, 2 ** math.comb(n, 2)), (n, axiom)
+    print("criterion 12: mle-standard passes pairwise-majority and condorcet on Assumption1(3..5)")

@@ -90,13 +90,19 @@ def test_rank_refuses_rules_without_an_ordinal_form(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_rank_parses_epsilon_only_for_mle_gpm(runner, tmp_path):
+def test_rank_parses_epsilon_for_every_rule(runner, tmp_path):
     path = _write(tmp_path, FOUR_VOTER)
-    plain = runner.invoke(main, ["rank", path, "--rule", "borda"])
-    junk = runner.invoke(main, ["rank", path, "--rule", "borda", "--epsilon", "junk"])
-    assert junk.exit_code == 0 and junk.stdout == plain.stdout
-    res = runner.invoke(main, ["rank", path, "--rule", "mle-gpm", "--epsilon", "junk"])
-    assert res.exit_code == 2
+    for rule in ("borda", "copeland", "mle-standard", "mle-copeland", "mle-gpm"):
+        for bad in ("junk", "0.7"):
+            res = runner.invoke(main, ["rank", path, "--rule", rule, "--epsilon", bad])
+            assert res.exit_code == 2 and "--epsilon must be" in res.output, (rule, res.output)
+        # a well-formed epsilon leaves the rules that take none as they were
+        plain = runner.invoke(main, ["rank", path, "--rule", rule])
+        for good in ("0.001", "limit", "1/4"):
+            res = runner.invoke(main, ["rank", path, "--rule", rule, "--epsilon", good])
+            assert res.exit_code == plain.exit_code == 0
+            if rule != "mle-gpm":
+                assert res.stdout == plain.stdout
 
 
 def test_rank_mle_reports_solver_and_softmax(runner, tmp_path):

@@ -35,13 +35,17 @@ from prefaxiom import (
     Voter,
     WeightMatrix,
     borda_scores,
+    condorcet_winner,
+    copeland_half_points,
     copeland_scores,
     counterexample_search,
     default_labels,
     generate_complete,
     gpmd,
+    has_condorcet_cycle,
     make_rule,
     majority_relation,
+    pm_consistent_ranking,
     rank_by_scores,
     ranking_from_scores,
     rule_weights,
@@ -53,6 +57,7 @@ from prefaxiom import (
     weights_gpm,
     weights_standard,
 )
+from test_profiles import small_tallies
 
 MLE_RULES = ("mle-standard", "mle-copeland", "mle-gpm")
 
@@ -148,7 +153,11 @@ def test_tally_is_counted_once_and_matches_a_naive_count(n, m, seed, complete):
         for winner, loser in pairs:
             wins[winner][loser] += 1
     assert t.wins == tuple(tuple(row) for row in wins)
-    assert majority_relation(t) is majority_relation(t)
+    if all(wins[i][j] + wins[j][i] for i, j in itertools.combinations(range(n), 2)):
+        assert majority_relation(t) is majority_relation(t)
+    else:
+        with pytest.raises(UndefinedPairError):
+            majority_relation(t)
 
 
 # ------------------------------------------------------------------- scores
@@ -276,6 +285,89 @@ def test_borda_and_copeland_rank_like_a_per_pair_fraction_oracle_exhaustively(sp
     # even m splits pairs evenly: tie classes under both tie policies
     for profile in space.profiles():
         assert_rules_match_pair_oracle(profile)
+
+
+# ------------------------------------------------- majority questions
+
+def sign_oracle(t) -> list[list[int]]:
+    """Each pair's Fraction proportion against 1/2: 1 above, -1 below, 0 at it."""
+    n = t.n
+    for i, j in itertools.combinations(range(n), 2):
+        if t.total(i, j) == 0:
+            raise UndefinedPairError(f"pair {(i, j)} has no comparisons")
+    half = Fraction(1, 2)
+
+    def sign(p: Fraction) -> int:
+        return 1 if p > half else -1 if p < half else 0
+
+    return [[0 if i == j else sign(t.prop(i, j)) for j in range(n)] for i in range(n)]
+
+
+def linear_order_oracle(signs: list[list[int]]) -> Ranking | None:
+    """The order in which every earlier candidate beats every later one, if any."""
+    n = len(signs)
+    order = sorted(range(n), key=lambda i: -signs[i].count(1))
+    if all(signs[a][b] == 1 for a, b in itertools.combinations(order, 2)):
+        return Ranking(tuple(order))
+    return None
+
+
+def acyclic_oracle(signs: list[list[int]]) -> bool:
+    """True iff peeling off candidates no remaining one beats empties the field."""
+    left = set(range(len(signs)))
+    while left:
+        sources = {i for i in left if not any(signs[j][i] == 1 for j in left)}
+        if not sources:
+            return False
+        left -= sources
+    return True
+
+
+@given(small_tallies(), st.sampled_from(list(TiePolicy)))
+@settings(max_examples=300, deadline=None)
+def test_majority_questions_match_a_per_pair_fraction_oracle(t, tie_policy):
+    # ties and uncompared pairs included; values, or exception types and messages
+    signs = outcome(lambda: sign_oracle(t))
+    assert outcome(lambda: [list(row) for row in majority_relation(t)]) == signs
+    rule = make_rule("mle-copeland", RuleKind.ORDINAL, tie_policy=tie_policy)
+    if not isinstance(signs, list):
+        for question in (
+            lambda: copeland_half_points(t, tie_policy),
+            lambda: weights_copeland(t, tie_policy),
+            lambda: condorcet_winner(t),
+            lambda: pm_consistent_ranking(t),
+            lambda: has_condorcet_cycle(t),
+        ):
+            assert outcome(question) == signs
+        expected_rule = signs
+    else:
+        n = t.n
+        tie = Fraction(1, 2) if tie_policy is TiePolicy.HALF_POINT else Fraction(0)
+        points = {1: Fraction(1), 0: tie, -1: Fraction(0)}
+        weights = [[0 if i == j else points[signs[i][j]] for j in range(n)] for i in range(n)]
+        assert [list(row) for row in weights_copeland(t, tie_policy).w] == weights
+        half_points = tuple(2 * sum(row) for row in weights)
+        assert copeland_half_points(t, tie_policy) == half_points
+        winners = [i for i in range(n) if all(signs[i][j] == 1 for j in range(n) if j != i)]
+        assert condorcet_winner(t) == (winners[0] if winners else None)
+        assert pm_consistent_ranking(t) == linear_order_oracle(signs)
+        cyclic, witness = has_condorcet_cycle(t)
+        assert cyclic is not acyclic_oracle(signs)
+        if cyclic:
+            assert len(set(witness)) == len(witness) >= 3
+            for a, b in zip(witness, witness[1:] + witness[:1]):
+                assert signs[a][b] == 1
+        else:
+            assert witness is None
+        # mle-copeland's domain refuses any half-split under STRICT_ONLY
+        split = any(signs[i][j] == 0 for i, j in itertools.combinations(range(n), 2))
+        if split and tie_policy is TiePolicy.STRICT_ONLY:
+            expected_rule = (NotConstantTotalError, "scores need a constant per-pair total")
+        else:
+            expected_rule = ranking_from_scores(half_points)
+    if any(map(any, t.wins)):
+        # a tally with no judgment at all is no profile's
+        assert outcome(lambda: rule(tally_profile(t))) == expected_rule
 
 
 # ------------------------------------------------- ordinal MLE rules by key

@@ -71,11 +71,19 @@ def profile_path(tmp_path, paradox) -> str:
     return str(path)
 
 
+@pytest.fixture
+def even_profile_path(tmp_path, four_voter) -> str:
+    # m = 4 splits one pair evenly: a half-split under both tie policies
+    path = tmp_path / "four_voter.json"
+    path.write_bytes(serialize_profile(four_voter))
+    return str(path)
+
+
 def test_import_leaves_numpy_unloaded():
     assert _probe([]) == [["import", None, False]]
 
 
-def test_exact_commands_leave_numpy_unloaded(profile_path):
+def test_exact_commands_leave_numpy_unloaded(profile_path, even_profile_path):
     commands = [
         ["tally", profile_path],
         ["rank", profile_path, "--rule", "borda"],
@@ -83,10 +91,15 @@ def test_exact_commands_leave_numpy_unloaded(profile_path):
         ["axioms", profile_path, "--rule", "copeland"],
         ["search", "--rule", "copeland", "--axiom", "condorcet", "--space", "exhaustive-complete:n=3,m=3"],
         ["experiment-cycles", "--trials", "20", "--seed", "1"],
+        # the majority paths, half-splits included
+        ["rank", even_profile_path, "--rule", "copeland", "--tie-policy", "strict"],
+        ["search", "--rule", "mle-copeland", "--axiom", "pairwise-majority", "--space", "assumption1:n=4"],
+        ["axioms", even_profile_path, "--rule", "mle-copeland", "--tie-policy", "strict"],
     ]
     report = _probe(commands)
     assert [loaded for _, _, loaded in report] == [False] * (len(commands) + 1)
-    assert [code for code, _, _ in report[1:]] == [0] * len(commands)
+    # strict mle-copeland refuses the half-split: no constant pair total
+    assert [code for code, _, _ in report[1:]] == [0] * (len(commands) - 1) + [1]
 
 
 def test_first_float_solve_loads_numpy_and_matches_pinned_output(profile_path):

@@ -18,7 +18,6 @@ from prefaxiom import (
     DimensionMismatchError,
     EpsilonPolicy,
     NotCompleteProfileError,
-    Outcome,
     PairwiseTally,
     Partition,
     PreferenceProfile,
@@ -45,6 +44,7 @@ from prefaxiom import (
     majority_relation,
     majority_winner,
     parse_profile,
+    pm_consistent_ranking,
     profile_from_pairs,
     profiles_equal_as_multisets,
     serialize_profile,
@@ -93,6 +93,29 @@ def test_ranking_ties_must_be_contiguous():
     assert not r.is_strict
     # all-singleton tie structure normalizes away
     assert Ranking((1, 0, 2), ((1,), (0,), (2,))).ties is None
+
+
+@st.composite
+def tied_rankings(draw):
+    """Strict rankings and rankings cut into tie classes at random places."""
+    n = draw(st.integers(1, 8))
+    order = tuple(draw(st.permutations(range(n))))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))) if n > 1 else ())
+    ties = tuple(order[a:b] for a, b in zip([0, *cuts], [*cuts, n]))
+    return Ranking(order, draw(st.sampled_from([None, ties])))
+
+
+@given(tied_rankings())
+@settings(max_examples=150, deadline=None)
+def test_strictly_above_matches_a_scan_of_the_classes(ranking):
+    def scanned_class(i):
+        return next(k for k, cls in enumerate(ranking.classes()) if i in cls)
+
+    for i, j in itertools.product(range(ranking.n), repeat=2):
+        assert ranking.class_index(i) == scanned_class(i)
+        assert ranking.strictly_above(i, j) == (scanned_class(i) < scanned_class(j))
+    with pytest.raises(ValueError, match="not in ranking"):
+        ranking.class_index(ranking.n)
 
 
 def test_voter_requires_exactly_one_payload():
@@ -318,9 +341,8 @@ def test_packed_tally_on_both_sides_of_the_field_width_step(n, m):
 # ----------------------------------------------------------- majority relation
 
 def test_majority_relation_paradox_is_cyclic(paradox):
-    rel = majority_relation(tally(paradox))
     assert tally(paradox).defined_on_all_pairs
-    assert not rel.is_strict_linear_order()
+    assert pm_consistent_ranking(tally(paradox)) is None
     cyclic, witness = has_condorcet_cycle(tally(paradox))
     assert cyclic
     # witness is a directed majority cycle
@@ -336,21 +358,24 @@ def test_majority_relation_paradox_is_cyclic(paradox):
 def test_majority_relation_matches_exact_proportions(counts):
     # integer win comparisons must agree with P(i over j) against 1/2
     t = PairwiseTally(((0, counts[0], counts[1]), (counts[2], 0, counts[3]), (counts[4], counts[5], 0)))
+    uncompared = [(i, j) for i, j in itertools.combinations(range(3), 2) if t.prop(i, j) is None]
+    if uncompared:
+        with pytest.raises(UndefinedPairError, match=re.escape(f"pair {uncompared[0]} has")):
+            majority_relation(t)
+        return
     rel = majority_relation(t)
+    half = Fraction(1, 2)
     for i in range(3):
         for j in range(3):
-            p = None if i == j else t.prop(i, j)
-            want = None if p is None else (
-                Outcome.WIN if p > Fraction(1, 2) else Outcome.LOSS if p < Fraction(1, 2) else Outcome.TIE
-            )
-            assert rel.outcomes[i][j] is want
+            p = half if i == j else t.prop(i, j)
+            assert rel[i][j] == (1 if p > half else -1 if p < half else 0)
 
 
 def test_majority_relation_tie_is_policy_independent(four_voter):
     # the relation takes no tie policy: an exact half-split is always a tie
     rel = majority_relation(tally(four_voter))
-    assert rel.has_ties()
-    assert not rel.is_strict_linear_order()
+    assert any(rel[i][j] == 0 for i, j in itertools.permutations(range(3), 2))
+    assert pm_consistent_ranking(tally(four_voter)) is None
 
 
 def test_no_cycle_when_linear_order_exhaustive():
@@ -368,8 +393,7 @@ def test_no_cycle_when_linear_order_exhaustive():
                 profile = complete_profile(
                     default_labels(n), [[f"y{i+1}" for i in perm] for perm in rankings]
                 )
-                rel = majority_relation(tally(profile))
-                if rel.is_strict_linear_order():
+                if pm_consistent_ranking(tally(profile)) is not None:
                     assert not has_condorcet_cycle(tally(profile))[0]
 
 
@@ -377,8 +401,7 @@ def test_single_transitive_voter_never_cycles():
     for n in (3, 4, 5):
         for seed in range(20):
             profile = generate_complete(n, 1, seed)
-            rel = majority_relation(tally(profile))
-            assert rel.is_strict_linear_order()
+            assert pm_consistent_ranking(tally(profile)) is not None
             assert not has_condorcet_cycle(tally(profile))[0]
 
 
@@ -418,8 +441,12 @@ def test_strict_linear_order_matches_the_three_part_test(t):
     compared = all(t.total(i, j) > 0 for i, j in pairs)
     untied = all(t.wins[i][j] != t.wins[j][i] for i, j in pairs)
     wins = [sum(t.wins[i][j] > t.wins[j][i] for j in range(n)) for i in range(n)]
-    want = compared and untied and sorted(wins) == list(range(n))
-    assert majority_relation(t).is_strict_linear_order() is want
+    if not compared:
+        with pytest.raises(UndefinedPairError):
+            pm_consistent_ranking(t)
+        return
+    want = untied and sorted(wins) == list(range(n))
+    assert (pm_consistent_ranking(t) is not None) is want
 
 
 def test_is_transitive():
