@@ -31,7 +31,6 @@ from .axioms import (
 )
 from .distributions import ResponseDistribution
 from .errors import (
-    BlockNotEmbeddableError,
     DimensionMismatchError,
     DisconnectedGraphError,
     NoUniqueTopError,
@@ -47,14 +46,7 @@ from .errors import (
 )
 from .gpmd import (
     EpsilonPolicy,
-    Partition,
-    block_embeddable,
-    block_pm_distribution,
-    enumerate_embeddable_partitions,
     gpmd,
-    gpmd_via_partition,
-    limit_embeddable,
-    partition_discrepancy,
 )
 from .profiles import (
     CandidateSet,

@@ -342,7 +342,9 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
             dist_block = softmax(solution)
 
     if score_block is not None:
-        ranking = ranking_from_scores(score_block)
+        # the rule's exact key ranks like the printed scores, ties included,
+        # without sorting those large Fractions
+        ranking = make_rule(rule, RuleKind.ORDINAL, tie_policy=policy, epsilon_policy=eps_policy)(profile)
     payload["ranking"] = ranking.as_label_classes(profile.candidates)
     md.append(f"ranking: {_ranking_text(ranking, labels)}")
     if score_block is not None:

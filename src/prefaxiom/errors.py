@@ -62,13 +62,3 @@ class TiesNotAllowedError(PrefaxiomError):
 class SpaceTooLargeError(PrefaxiomError):
     """The requested exhaustive search space exceeds the enumeration bound."""
 
-
-class BlockNotEmbeddableError(PrefaxiomError):
-    """A partition block's pooled tally admits no Bradley-Terry representation."""
-
-    def __init__(self, block: tuple[int, ...], message: str = ""):
-        self.block = block
-        detail = f"block {tuple(block)} is not BT-embeddable"
-        if message:
-            detail += f": {message}"
-        super().__init__(detail)

@@ -443,29 +443,26 @@ def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
     return WeightMatrix(rows)
 
 
-def bt_odds(t: PairwiseTally, members: Sequence[int] | None = None) -> tuple[Fraction, ...] | None:
-    """Each member's exact Bradley-Terry odds against the first, or None.
+def bt_odds(t: PairwiseTally) -> tuple[Fraction, ...] | None:
+    """Each candidate's exact Bradley-Terry odds against candidate 0, or None.
 
-    The members (default: every candidate) embed in a Bradley-Terry model
-    iff every pair among them was judged both ways and the pair odds factor
-    through the odds against the first member, the anchor 0:
-    w_ab * w_0a * w_b0 == w_ba * w_a0 * w_0b for every pair a, b, decided by
-    integer cross-multiplication alone.  Then member a's odds are
-    w_a0 / w_0a = exp(r_a - r_0) for the embedding's rewards r, and the
+    The candidates embed in a Bradley-Terry model iff every pair was judged
+    both ways and the pair odds factor through the odds against the anchor,
+    candidate 0: w_ab * w_0a * w_b0 == w_ba * w_a0 * w_0b for every pair a, b,
+    decided by integer cross-multiplication alone.  Then candidate a's odds
+    are w_a0 / w_0a = exp(r_a - r_0) for the embedding's rewards r, and the
     anchor's are 1.
     """
     w = t.wins
-    if members is None:
-        members = range(t.n)
-    anchor, rest = members[0], members[1:]
-    to_anchor = w[anchor]
-    if not all(w[a][anchor] and to_anchor[a] for a in rest):
+    to_anchor = w[0]
+    rest = range(1, t.n)
+    if not all(w[a][0] and to_anchor[a] for a in rest):
         return None
     for a, b in itertools.combinations(rest, 2):
         ab, ba = w[a][b], w[b][a]
-        if not (ab and ba) or ab * to_anchor[a] * w[b][anchor] != ba * w[a][anchor] * to_anchor[b]:
+        if not (ab and ba) or ab * to_anchor[a] * w[b][0] != ba * w[a][0] * to_anchor[b]:
             return None
-    return (Fraction(1),) + tuple(Fraction(w[a][anchor], to_anchor[a]) for a in rest)
+    return (Fraction(1),) + tuple(Fraction(w[a][0], to_anchor[a]) for a in rest)
 
 
 def _log(x: Fraction) -> float:

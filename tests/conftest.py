@@ -1,9 +1,11 @@
 """Shared fixtures and small helpers for the test suite."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from prefaxiom import PreferenceProfile, Ranking, complete_profile
+from prefaxiom import EpsilonPolicy, PreferenceProfile, Ranking, complete_profile, gpmd
 
 
 @pytest.fixture
@@ -44,3 +46,22 @@ def reward_ranking(values, tol: float = 1e-8) -> Ranking:
             classes.append([i])
     canon = tuple(tuple(sorted(c)) for c in classes)
     return Ranking(tuple(i for c in canon for i in c), canon)
+
+
+def gpmd_by_blocks(
+    profile: PreferenceProfile, blocks, policy: EpsilonPolicy
+) -> tuple[Fraction, ...]:
+    """Sum over voter blocks B of |B|/m times gpmd of B's own profile, exact.
+
+    Each block's profile is built afresh from its voters' rankings, so
+    nothing computed for the whole profile is reused.
+    """
+    labels = profile.candidates.names
+    orders = profile.orders
+    acc = [Fraction(0)] * profile.n
+    for block in blocks:
+        sub = complete_profile(labels, [[labels[i] for i in orders[k]] for k in block])
+        share = Fraction(len(block), profile.m)
+        for i, x in enumerate(gpmd(sub, policy)):
+            acc[i] += share * x
+    return tuple(acc)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from conftest import reward_ranking
+from conftest import gpmd_by_blocks, reward_ranking
 from prefaxiom import (
     Assumption1,
     EpsilonPolicy,
@@ -32,10 +32,8 @@ from prefaxiom import (
     copeland_scores,
     counterexample_search,
     embedding_residual,
-    enumerate_embeddable_partitions,
     generate_complete,
     gpmd,
-    gpmd_via_partition,
     gradient,
     iter_profiles,
     loss,
@@ -205,19 +203,24 @@ def test_criterion_06_forced_symmetry_yields_equal_probabilities():
 
 
 def test_criterion_07_gpmd_partition_independence():
+    # gpmd is linear in the voters: for every split of the m voters into
+    # blocks B, gpmd(P) == sum_B |B|/m * gpmd(P_B), in exact Fractions
     rng = random.Random(707)
-    partitions_checked = 0
+    policies = [EpsilonPolicy.limit()] + [EpsilonPolicy.finite(Fraction(1, d)) for d in (100, 3)]
+    checked = 0
     for _ in range(100):
         n = rng.randint(2, 5)
         m = rng.randint(1, 6)
         profile = generate_complete(n, m, rng.randrange(10**9))
-        base = gpmd(profile, EpsilonPolicy.limit())
-        for part in enumerate_embeddable_partitions(profile, EpsilonPolicy.limit(), budget=64):
-            via = gpmd_via_partition(profile, part, EpsilonPolicy.limit())
-            assert via.linf_distance(base) <= 1e-12
-            partitions_checked += 1
-    assert partitions_checked >= 100
-    print(f"criterion 7: {partitions_checked} embeddable partitions all reproduce gpmd within 1e-12")
+        for policy in policies:
+            base = gpmd(profile, policy).p
+            for _ in range(5):
+                labels = [rng.randrange(m) for _ in range(m)]
+                blocks = [[k for k in range(m) if labels[k] == b] for b in set(labels)]
+                assert gpmd_by_blocks(profile, blocks, policy) == base
+                checked += 1
+    assert checked == 1500
+    print(f"criterion 7: {checked} random voter partitions (500 per policy) all reproduce gpmd exactly")
 
 
 def test_criterion_08_gpm_weights_recover_target():
@@ -339,3 +342,19 @@ def test_criterion_12_rlhf_is_majority_consistent_under_assumption1():
             assert not out.found, (n, axiom, out.index)
             assert (out.applicable, out.examined) == (count, 2 ** math.comb(n, 2)), (n, axiom)
     print("criterion 12: mle-standard passes pairwise-majority and condorcet on Assumption1(3..5)")
+
+
+def test_criterion_13_rlhf_is_preference_matching_on_three_candidates():
+    # the paper's probabilistic result: the softmax of mle-standard (RLHF)
+    # matches the Bradley-Terry preferences and treats equivalent candidates
+    # alike wherever those premises hold, yet fails group preference matching
+    rule = make_rule("mle-standard", RuleKind.PROBABILISTIC)
+    space = ExhaustiveComplete(3, 4)
+    limit = EpsilonPolicy.limit()
+    for axiom, applicable in (("preference-matching", 378), ("preference-equivalence", 270)):
+        out = counterexample_search(rule, axiom, space, tol=1e-6, epsilon_policy=limit)
+        assert not out.found, (axiom, out.index)
+        assert (out.applicable, out.examined) == (applicable, 1296), axiom
+    out = counterexample_search(rule, "gpm", space, tol=1e-6, epsilon_policy=limit)
+    assert out.found and (out.index, out.examined) == (3, 4)
+    print("criterion 13: mle-standard passes preference matching and equivalence on (3, 4), fails gpm at 3")

@@ -1,6 +1,7 @@
-"""Geometric matching distributions, group averages, partitions, pipeline."""
+"""Geometric matching distributions, group averages, linearity, pipeline."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,29 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gpmd_by_blocks
 from prefaxiom import (
-    BlockNotEmbeddableError,
     EpsilonPolicy,
     ExhaustiveComplete,
     NotCompleteProfileError,
-    PairwiseTally,
-    Partition,
     ResponseDistribution,
     RuleKind,
     apply_permutation,
-    block_embeddable,
-    block_pm_distribution,
+    bt_odds,
     complete_profile,
     counterexample_search,
-    enumerate_embeddable_partitions,
     first_place_shares,
     generalized_profile,
     generate_complete,
     gpmd,
-    gpmd_via_partition,
-    limit_embeddable,
+    iter_profiles,
     make_rule,
-    partition_discrepancy,
     softmax,
     solve_mle,
     tally,
@@ -186,166 +181,77 @@ def test_gpmd_permutation_equivariance(n, m, seed, pseed):
         assert mapped.p[pi[i]] == base.p[i]
 
 
-# ------------------------------------------------------------------ partitions
+# ------------------------------------------------- linearity and the pm conflict
 
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition(((0, 1), (1, 2)))  # overlap
-    with pytest.raises(ValueError):
-        Partition(((0,), ()))  # empty block
-    p = Partition(((2,), (0, 1)))
-    assert p.blocks == ((0, 1), (2,))  # canonical order
-    assert p.covers(3) and not p.covers(4)
-    assert Partition.singletons(3).blocks == ((0,), (1,), (2,))
-
-
-def test_limit_embeddable_accepts_identical_and_rejects_cycle(paradox):
-    same = complete_profile(
-        ["a", "b", "c"], [["a", "b", "c"], ["a", "b", "c"], ["a", "b", "c"]]
-    )
-    assert limit_embeddable(tally(same))
-    assert not limit_embeddable(tally(paradox))
+def _set_partitions(m: int) -> set[tuple[tuple[int, ...], ...]]:
+    """Every split of voters 0..m-1 into non-empty blocks, each listed once."""
+    found = set()
+    for labels in itertools.product(range(m), repeat=m):
+        blocks = {}
+        for k, b in enumerate(labels):
+            blocks.setdefault(b, []).append(k)
+        found.add(tuple(sorted(tuple(b) for b in blocks.values())))
+    return found
 
 
-@st.composite
-def _tiered_tallies(draw, min_tier=1):
-    """A BT-limit tally: tiers over a random order, unanimous across tiers,
-    integer per-candidate weights inside a tier; plus the tier list."""
-    n = draw(st.integers(max(2, min_tier), 6))
-    order = draw(st.permutations(range(n)))
-    big = draw(st.integers(min_tier, n))  # one tier at least `min_tier` strong
-    start = draw(st.integers(0, n - big))
-    cuts = {start, start + big}
-    for k in list(range(1, start)) + list(range(start + big + 1, n)):
-        if draw(st.booleans()):
-            cuts.add(k)
-    bounds = sorted(cuts | {0, n})
-    tiers = [order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
-    rank = {c: k for k, tier in enumerate(tiers) for c in tier}
-    weight = [draw(st.integers(1, 5)) for _ in range(n)]
-    wins = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            scale = draw(st.integers(1, 3))
-            if rank[i] == rank[j]:
-                wins[i][j], wins[j][i] = weight[i] * scale, weight[j] * scale
-            elif rank[i] < rank[j]:
-                wins[i][j] = scale
-            else:
-                wins[j][i] = scale
-    return wins, tiers
-
-
-@given(_tiered_tallies())
-@settings(max_examples=200, deadline=None)
-def test_limit_embeddable_accepts_tiered_bt_tallies(case):
-    wins, _ = case
-    assert limit_embeddable(PairwiseTally(wins))
-
-
-@given(_tiered_tallies(min_tier=3), st.data())
-@settings(max_examples=200, deadline=None)
-def test_limit_embeddable_rejects_a_raised_interior_count(case, data):
-    wins, tiers = case
-    tier = data.draw(st.sampled_from([t for t in tiers if len(t) >= 3]))
-    a, b = data.draw(st.permutations(tier))[:2]
-    wins[a][b] += data.draw(st.integers(1, 4))
-    # the pair stays interior, but its odds no longer factor through weights
-    assert not limit_embeddable(PairwiseTally(wins))
-
-
-def test_block_embeddable_limit(paradox):
-    assert block_embeddable(paradox, (0,), LIMIT)
-    assert not block_embeddable(paradox, (0, 1, 2), LIMIT)
-
-
-def test_enumerate_partitions_paradox_only_singletons(paradox):
-    parts = enumerate_embeddable_partitions(paradox, LIMIT)
-    # pairs of distinct cyclic rotations pool into majority ties with cyclic
-    # strict directions; no merge survives, so only the singleton partition
-    assert [p.blocks for p in parts] == [((0,), (1,), (2,))]
-
-
-def test_enumerate_partitions_identical_profile_merges():
-    same = complete_profile(["a", "b"], [["a", "b"], ["a", "b"], ["a", "b"]])
-    parts = enumerate_embeddable_partitions(same, LIMIT)
-    assert Partition(((0, 1, 2),)).blocks in [p.blocks for p in parts]
-    assert len(parts) == 5  # all partitions of a 3-set are embeddable here
-
-
-def test_enumerate_respects_budget(four_voter):
-    parts = enumerate_embeddable_partitions(four_voter, LIMIT, budget=2)
-    assert len(parts) <= 2
-    assert parts[0].blocks == Partition.singletons(4).blocks
+def _pm_target(profile) -> tuple[Fraction, ...] | None:
+    """Preference matching's required output: the tally's BT odds, normalized."""
+    odds = bt_odds(tally(profile))
+    return None if odds is None else tuple(x / sum(odds) for x in odds)
 
 
 def test_partition_independence_exact(four_voter):
-    base = gpmd(four_voter, LIMIT)
-    for part in enumerate_embeddable_partitions(four_voter, LIMIT):
-        via = gpmd_via_partition(four_voter, part, LIMIT)
-        assert via.p == base.p  # exact rational equality
+    # the 15 splits of four voters: gpmd is linear in the voters, exactly
+    partitions = _set_partitions(four_voter.m)
+    assert len(partitions) == 15
+    for policy in (LIMIT, EpsilonPolicy.finite(Fraction(1, 100))):
+        base = gpmd(four_voter, policy).p
+        for blocks in partitions:
+            assert gpmd_by_blocks(four_voter, blocks, policy) == base
 
 
-@given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10**6))
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 10**6), st.integers(0, 10**6), EPSILONS)
 @settings(max_examples=30, deadline=None)
-def test_partition_independence_random(n, m, seed):
+def test_partition_independence_random(n, m, seed, split_seed, eps):
     profile = generate_complete(n, m, seed)
-    base = gpmd(profile, LIMIT)
-    for part in enumerate_embeddable_partitions(profile, LIMIT, budget=16):
-        via = gpmd_via_partition(profile, part, LIMIT)
-        assert via.linf_distance(base) <= 1e-12
-
-
-def test_block_pm_distribution_rejects_non_embeddable(paradox):
-    with pytest.raises(BlockNotEmbeddableError):
-        block_pm_distribution(paradox, (0, 1, 2), LIMIT)
+    rng = random.Random(split_seed)
+    labels = [rng.randrange(m) for _ in range(m)]
+    blocks = [[k for k in range(m) if labels[k] == b] for b in set(labels)]
+    for policy in (LIMIT, EpsilonPolicy.finite(eps)):
+        assert gpmd_by_blocks(profile, blocks, policy) == gpmd(profile, policy).p
 
 
 def test_identical_block_finite_policy_is_exact():
     same = complete_profile(["a", "b", "c"], [["a", "b", "c"]] * 4)
     eps = EpsilonPolicy.finite(Fraction(1, 4))
-    pooled = block_pm_distribution(same, (0, 1, 2, 3), eps)
-    assert pooled.p == (Fraction(9, 13), Fraction(3, 13), Fraction(1, 13))
-    assert partition_discrepancy(same, Partition(((0, 1, 2, 3),)), eps) == 0.0
-
-
-def test_partition_discrepancy_reports_finite_eps_gap():
-    # two distinct-but-compatible voters: pooled tally embeds, yet the pooled
-    # distribution need not equal the member average at finite epsilon
-    profile = complete_profile(
-        ["a", "b", "c"],
-        [["a", "b", "c"], ["a", "c", "b"], ["a", "b", "c"], ["a", "c", "b"]],
-    )
-    eps = EpsilonPolicy.finite(Fraction(1, 100))
-    merged = None
-    for part in enumerate_embeddable_partitions(profile, eps, budget=32):
-        if any(len(b) > 1 for b in part.blocks):
-            merged = part
-            break
-    if merged is None:
-        pytest.skip("no mixed embeddable block under this policy")
-    gap = partition_discrepancy(profile, merged, eps)
-    assert gap >= 0.0  # surfaced, not assumed zero
+    assert gpmd(same, eps).p == (Fraction(9, 13), Fraction(3, 13), Fraction(1, 13))
 
 
 def test_mixed_finite_block_pools_exact_bt_odds():
-    # reversed rankings pool to 1/2 on every pair: odds 1 : 1 : 1, so the
-    # pooled block is uniform, exactly, while the member average is not
+    # reversed rankings pool to 1/2 on every pair: odds 1 : 1 : 1, so
+    # preference matching requires the uniform distribution, exactly, while
+    # gpm requires the member average
     profile = complete_profile(["a", "b", "c"], [["a", "b", "c"], ["c", "b", "a"]])
     eps = EpsilonPolicy.finite(Fraction(1, 100))
-    assert block_pm_distribution(profile, (0, 1), eps).p == (Fraction(1, 3),) * 3
-    assert gpmd(profile, eps).p == (Fraction(4901, 9901), Fraction(99, 9901), Fraction(4901, 9901))
-    merged = Partition(((0, 1),))
-    assert gpmd_via_partition(profile, merged, eps).p == (Fraction(1, 3),) * 3
-    assert partition_discrepancy(profile, merged, eps) == float(Fraction(9604, 29703))
-    parts = enumerate_embeddable_partitions(profile, eps)
-    assert [p.blocks for p in parts] == [((0,), (1,)), ((0, 1),)]
+    pm = _pm_target(profile)
+    assert pm == (Fraction(1, 3),) * 3
+    group = gpmd(profile, eps).p
+    assert group == (Fraction(4901, 9901), Fraction(99, 9901), Fraction(4901, 9901))
+    assert max(abs(x - y) for x, y in zip(pm, group)) == Fraction(9604, 29703)
 
 
-def test_mixed_finite_block_rejects_inconsistent_odds(paradox):
-    eps = EpsilonPolicy.finite(Fraction(1, 100))
-    with pytest.raises(BlockNotEmbeddableError, match="not BT-consistent"):
-        block_pm_distribution(paradox, (0, 1, 2), eps)
+def test_preference_matching_and_gpm_conflict_wherever_both_apply():
+    # gpm's premise holds on every complete profile, so both axioms apply
+    # exactly where the BT odds exist; their required outputs never agree
+    finite = EpsilonPolicy.finite(Fraction(1, 100))
+    both = []
+    for idx, profile in enumerate(iter_profiles(ExhaustiveComplete(3, 4))):
+        pm = _pm_target(profile)
+        if pm is None:
+            continue
+        both.append(idx)
+        assert pm != gpmd(profile, LIMIT).p and pm != gpmd(profile, finite).p, idx
+    assert len(both) == 378 and both[0] == 11
 
 
 # -------------------------------------------------------------------- pipeline
@@ -383,18 +289,3 @@ def test_pipeline_round_trip_random(n, m, seed):
     policy = EpsilonPolicy.finite(Fraction(1, 1000))
     recovered = make_rule("mle-gpm", RuleKind.PROBABILISTIC, epsilon_policy=policy)(profile)
     assert recovered.linf_distance(gpmd(profile, policy)) <= 1e-6
-
-
-@pytest.mark.parametrize("block", [(0,), (0, 1)])
-@pytest.mark.parametrize("policy", [EpsilonPolicy.finite(Fraction(1, 10)), LIMIT], ids=["finite", "limit"])
-def test_block_pm_distribution_needs_full_rankings(block, policy):
-    # the pooled tally of the two comparison voters is 1/2 on every pair:
-    # interior and BT-consistent, yet no matching distribution is defined
-    profile = generalized_profile(
-        ["a", "b", "c"],
-        {"v1": [("a", "b"), ("b", "c"), ("a", "c")], "v2": [("b", "a"), ("c", "b"), ("c", "a")]},
-    )
-    with pytest.raises(NotCompleteProfileError):
-        block_pm_distribution(profile, block, policy)
-    with pytest.raises(NotCompleteProfileError):
-        block_embeddable(profile, block, policy)

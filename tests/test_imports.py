@@ -36,17 +36,17 @@ print(json.dumps(report))
 """
 
 
-# the finite-epsilon block path, through the library: prints whether numpy loaded
+# gpmd under both policies and preference matching's exact target, through
+# the library: prints whether numpy loaded
 LIBRARY_PROBE = """
 import sys
 from fractions import Fraction
-from prefaxiom import (EpsilonPolicy, Partition, block_pm_distribution, complete_profile,
-                       enumerate_embeddable_partitions, gpmd_via_partition)
-profile = complete_profile(["a", "b", "c"], [["a", "b", "c"], ["c", "b", "a"], ["b", "a", "c"]])
-eps = EpsilonPolicy.finite(Fraction(1, 100))
-assert block_pm_distribution(profile, (0, 1), eps).p == (Fraction(1, 3),) * 3
-gpmd_via_partition(profile, Partition(((0, 1), (2,))), eps)
-assert len(enumerate_embeddable_partitions(profile, eps)) > 1
+from prefaxiom import EpsilonPolicy, bt_odds, complete_profile, gpmd, tally
+profile = complete_profile(["a", "b", "c"], [["a", "b", "c"], ["c", "b", "a"]])
+assert gpmd(profile, EpsilonPolicy.finite(Fraction(1, 100))).p[1] == Fraction(99, 9901)
+assert gpmd(profile, EpsilonPolicy.limit()).p == (Fraction(1, 2), 0, Fraction(1, 2))
+odds = bt_odds(tally(profile))
+assert tuple(x / sum(odds) for x in odds) == (Fraction(1, 3),) * 3
 print("numpy" in sys.modules)
 """
 
@@ -109,7 +109,7 @@ def test_first_float_solve_loads_numpy_and_matches_pinned_output(profile_path):
 
 
 def test_finite_epsilon_blocks_leave_numpy_unloaded():
-    # a mixed block at finite epsilon normalizes exact BT odds: no softmax
+    # a mixed block's exact BT odds are normalized, not softmaxed
     assert _run(LIBRARY_PROBE).strip() == "False"
 
 

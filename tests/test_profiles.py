@@ -19,7 +19,6 @@ from prefaxiom import (
     EpsilonPolicy,
     NotCompleteProfileError,
     PairwiseTally,
-    Partition,
     PreferenceProfile,
     ProfileKind,
     Ranking,
@@ -29,16 +28,12 @@ from prefaxiom import (
     Voter,
     apply_permutation,
     axiom_premise,
-    block_embeddable,
-    block_pm_distribution,
     complete_profile,
     default_labels,
-    enumerate_embeddable_partitions,
     generalized_profile,
     generate_assumption1,
     generate_complete,
     gpmd,
-    gpmd_via_partition,
     has_condorcet_cycle,
     is_transitive,
     majority_relation,
@@ -595,18 +590,6 @@ NAMES_C1 = "needs full rankings; voter 'c1' gives comparisons"
         pytest.param(majority_winner, id="majority-winner"),
         pytest.param(lambda p: gpmd(p, FINITE), id="gpmd-finite"),
         pytest.param(lambda p: gpmd(p, LIMIT), id="gpmd-limit"),
-        # the blocks hold ranking voters only: the whole profile is what is checked
-        *(
-            pytest.param(lambda p, f=f, b=b, e=e: f(p, b, e), id=f"{f.__name__}-{b}-{name}")
-            for f in (block_pm_distribution, block_embeddable)
-            for b in ((0,), (0, 1))
-            for name, e in (("finite", FINITE), ("limit", LIMIT))
-        ),
-        pytest.param(lambda p: gpmd_via_partition(p, Partition.singletons(3), FINITE), id="via-partition"),
-        # a partition that misses a voter: the gate comes first
-        pytest.param(lambda p: gpmd_via_partition(p, Partition(((0,),)), LIMIT), id="via-partition-first"),
-        pytest.param(lambda p: enumerate_embeddable_partitions(p, FINITE), id="partitions-finite"),
-        pytest.param(lambda p: enumerate_embeddable_partitions(p, LIMIT), id="partitions-limit"),
         pytest.param(lambda p: axiom_premise("preference-equivalence", p), id="premise-pe"),
         pytest.param(lambda p: axiom_premise("gpm", p), id="premise-gpm"),
     ],
@@ -614,14 +597,6 @@ NAMES_C1 = "needs full rankings; voter 'c1' gives comparisons"
 def test_full_rankings_gate_names_the_comparison_voter(call):
     with pytest.raises(NotCompleteProfileError, match=re.escape(NAMES_C1)):
         call(MIXED)
-
-
-@pytest.mark.parametrize("policy", [FINITE, LIMIT], ids=["finite", "limit"])
-def test_partitions_of_one_comparison_voter_raise(policy):
-    # the singleton partition needs no merge, so no block is ever decided
-    profile = generalized_profile(["a", "b"], {"c1": [("a", "b")]})
-    with pytest.raises(NotCompleteProfileError, match=re.escape(NAMES_C1)):
-        enumerate_embeddable_partitions(profile, policy)
 
 
 def test_majority_premise_is_vacuous_without_full_rankings():
