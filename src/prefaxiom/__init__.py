@@ -53,7 +53,6 @@ from .profiles import (
     Comparison,
     PairwiseTally,
     PreferenceProfile,
-    ProfileKind,
     Ranking,
     TiePolicy,
     Voter,

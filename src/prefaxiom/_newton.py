@@ -62,9 +62,10 @@ def newton(
 ) -> tuple[tuple[float, ...], float, bool, int]:
     """The damped Newton loop of `reward.solve_mle`.
 
-    Returns the final iterate, its largest absolute gradient entry, whether
-    that entry reached `tol`, and the number of steps taken.  `recenter`
-    subtracts the mean once more from an iterate that reached `tol`.
+    Returns the final iterate, the largest absolute gradient entry at that
+    iterate, whether that entry reached `tol`, and the number of steps
+    taken, a step that stalled included.  `recenter` subtracts the mean once more from an
+    iterate that reached `tol`.
     """
     n = len(w)
     t = w + w.T
@@ -76,15 +77,13 @@ def newton(
         return _nll_grad(w, t, r) + 2.0 * ridge * r
 
     r = np.zeros(n)
-    gnorm = float(np.max(np.abs(grad(r))))
-    at_tol = False
-    steps = max_iters
-    for iters in range(1, max_iters + 1):
+    steps = 0
+    while True:
         g = grad(r)
         gnorm = float(np.max(np.abs(g)))
-        if gnorm <= tol:
-            at_tol, steps = True, iters - 1
+        if gnorm <= tol or steps == max_iters:
             break
+        steps += 1
 
         d = r[:, None] - r[None, :]
         s = _sigmoid(d)
@@ -119,11 +118,11 @@ def newton(
                     break
             stalled = alpha < 1e-14
         if stalled:
-            steps = iters
             break
         r = r + alpha * direction
         r = r - r.mean()
 
+    at_tol = gnorm <= tol
     if at_tol and recenter:
         r = r - r.mean()
     return tuple(float(x) for x in r), gnorm, at_tol, steps

@@ -59,7 +59,7 @@ from .profiles import (
 )
 from .reward import (
     WeightMatrix,
-    bt_embeddable,
+    bt_odds,
     minimizer_exists,
     require_constant,
     require_positive,
@@ -137,10 +137,12 @@ def _majority_premise(profile: PreferenceProfile) -> int | None:
 
 
 def _bt_embeddable_tally(t: PairwiseTally) -> PairwiseTally | None:
-    """The tally itself when every pair is compared and its proportions embed."""
-    if not t.defined_on_all_pairs or bt_embeddable(t) is None:
-        return None
-    return t
+    """The tally itself when its proportions embed in a Bradley-Terry model.
+
+    `bt_odds` decides that exactly, and its odds exist only when every pair
+    was judged both ways.
+    """
+    return None if bt_odds(t) is None else t
 
 
 def _swap_invariant(orders: Counter, i: int, j: int) -> bool:
@@ -526,8 +528,9 @@ def make_rule(
     rewards when a finite MLE exists (the positive-weight digraph is strongly
     connected).  Otherwise they return the exact ridge -> 0 limit of the
     regularized softmax: the top component's own softmax, zero elsewhere.  A
-    generalized profile whose condensation has several source components has
-    no such top and raises NoUniqueTopError.
+    generalized profile whose digraph has several source components (strongly
+    connected components that no edge enters) has no such top and raises
+    NoUniqueTopError.
 
     Each rule's domain step does everything up to the evaluation and raises
     what the rule raises: the tally and its every-pair check for Borda and

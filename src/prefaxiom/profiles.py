@@ -164,11 +164,6 @@ class Voter:
             raise TiesNotAllowedError("voter rankings must be strict")
 
 
-class ProfileKind(Enum):
-    COMPLETE = "complete"
-    GENERALIZED = "generalized"
-
-
 @dataclass(frozen=True)
 class PreferenceProfile:
     candidates: CandidateSet
@@ -208,12 +203,6 @@ class PreferenceProfile:
     @property
     def m(self) -> int:
         return len(self.voters)
-
-    @cached_property
-    def kind(self) -> ProfileKind:
-        if all(v.ranking is not None for v in self.voters):
-            return ProfileKind.COMPLETE
-        return ProfileKind.GENERALIZED
 
     @cached_property
     def pairwise_tally(self) -> "PairwiseTally":
@@ -265,8 +254,8 @@ class PreferenceProfile:
         NotCompleteProfileError naming the first voter who gives comparisons.
         `Counter(profile.orders)` is the profile up to voter names.
         """
-        if self.kind is not ProfileKind.COMPLETE:
-            vid = next(v.id for v in self.voters if v.ranking is None)
+        vid = next((v.id for v in self.voters if v.ranking is None), None)
+        if vid is not None:
             raise NotCompleteProfileError(f"needs full rankings; voter {vid!r} gives comparisons")
         return tuple(v.ranking.order for v in self.voters)
 
@@ -480,29 +469,33 @@ def has_condorcet_cycle(t: PairwiseTally) -> tuple[bool, tuple[int, ...] | None]
     return (best is not None, best)
 
 
+def reachable(adjacent: Sequence[int], start: int) -> int:
+    """The bitmask of the vertices a digraph reaches from `start`, start included.
+
+    `adjacent[i]` is the bitmask of i's successors.  Given each vertex's
+    predecessors instead, the answer is the set of vertices that reach
+    `start`.  Each reached vertex is expanded once.
+    """
+    seen = frontier = 1 << start
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adjacent[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
 def is_transitive(comparisons: Iterable[Comparison]) -> bool:
-    """True iff the comparison digraph is acyclic."""
-    edges: dict[int, set[int]] = {}
-    nodes: set[int] = set()
-    for c in comparisons:
-        edges.setdefault(c.winner, set()).add(c.loser)
-        nodes.add(c.winner)
-        nodes.add(c.loser)
-    # Kahn's algorithm
-    indeg = {u: 0 for u in nodes}
-    for u, outs in edges.items():
-        for v in outs:
-            indeg[v] += 1
-    queue = deque(u for u in nodes if indeg[u] == 0)
-    seen = 0
-    while queue:
-        u = queue.popleft()
-        seen += 1
-        for v in edges.get(u, ()):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen == len(nodes)
+    """True iff the comparison digraph is acyclic: no loser reaches its winner."""
+    edges = [(c.winner, c.loser) for c in comparisons]
+    index = {v: k for k, v in enumerate({v for edge in edges for v in edge})}
+    succ = [0] * len(index)
+    for a, b in edges:
+        succ[index[a]] |= 1 << index[b]
+    return not any(reachable(succ, index[b]) >> index[a] & 1 for a, b in edges)
 
 
 def default_labels(n: int) -> tuple[str, ...]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .distributions import ResponseDistribution
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     NotConvergedError,
     ZeroProbabilityError,
 )
-from .profiles import PairwiseTally, Ranking, TiePolicy, majority_relation
+from .profiles import PairwiseTally, Ranking, TiePolicy, majority_relation, reachable
 from .rules import ranking_from_scores
 
 if TYPE_CHECKING:
@@ -43,105 +43,13 @@ if TYPE_CHECKING:
 GRAD_TOL = 1e-10
 
 
-class Condensation(NamedTuple):
-    """Strongly connected components of the digraph with an edge i -> j iff w_ij > 0.
-
-    `components` lists them in topological order (every edge between two
-    components runs from the earlier to the later one), each as ascending
-    candidate indices.  `sources` are the components no edge enters: their
-    members never lose weight to anyone outside.  `sinks` are the components
-    no edge leaves: their members never win weight from anyone outside.
-    `unreachable` lists, ascending, the candidates that the undirected
-    comparison graph (i -- j iff w_ij + w_ji > 0) cannot reach from 0.
-    """
-
-    components: tuple[tuple[int, ...], ...]
-    sources: tuple[tuple[int, ...], ...]
-    sinks: tuple[tuple[int, ...], ...]
-    unreachable: tuple[int, ...]
+# maps a row of 0/1 flag bytes to the digits of a base-2 numeral
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _condensation(rows: tuple[tuple[Fraction | int, ...], ...]) -> Condensation:
-    """A walk of the comparison graph from 0, then Tarjan's algorithm.
-
-    Both are iterative so large n cannot exhaust the call stack.
-    """
-    n = len(rows)
-    # weights are nonnegative, so every nonzero entry is an edge; a
-    # Fraction's truth test reads its numerator, far cheaper than `> 0`
-    succ = [[j for j, x in enumerate(row) if x] for row in rows]
-    # the comparison graph ignores direction: walk the edges both ways
-    neighbours = [list(targets) for targets in succ]
-    for i in range(n):
-        for j in succ[i]:
-            neighbours[j].append(i)
-    seen = [False] * n
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        for j in neighbours[frontier.pop()]:
-            if not seen[j]:
-                seen[j] = True
-                frontier.append(j)
-    order = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    found: list[tuple[int, ...]] = []
-    counter = 0
-    for root in range(n):
-        if order[root] >= 0:
-            continue
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, targets = work[-1]
-            for u in targets:
-                if order[u] < 0:
-                    order[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    on_stack[u] = True
-                    work.append((u, iter(succ[u])))
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], order[u])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == order[v]:
-                    members = []
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = False
-                        members.append(u)
-                        if u == v:
-                            break
-                    found.append(tuple(sorted(members)))
-    # Tarjan completes a component only after every component it reaches
-    components = tuple(reversed(found))
-    where = [0] * n
-    for k, members in enumerate(components):
-        for i in members:
-            where[i] = k
-    entered = [False] * len(components)
-    left = [False] * len(components)
-    for i in range(n):
-        for j in succ[i]:
-            if where[i] != where[j]:
-                left[where[i]] = True
-                entered[where[j]] = True
-    return Condensation(
-        components,
-        tuple(c for k, c in enumerate(components) if not entered[k]),
-        tuple(c for k, c in enumerate(components) if not left[k]),
-        tuple(i for i in range(n) if not seen[i]),
-    )
+def _mask(flags: bytes) -> int:
+    """The bitmask with bit j set where flags[j] is 1."""
+    return int(flags[::-1].translate(_BINARY_DIGITS), 2)
 
 
 def require_constant(total: "Fraction | int | None") -> "Fraction | int":
@@ -168,8 +76,8 @@ class WeightMatrix:
     from the rows on first use and cached: `pair_total` (the common positive
     value of w[i][j] + w[j][i] when every pair has the same one, else None,
     which leaves the score shortcut unavailable but the solver still
-    applies), the read-only float form `array`, and the `condensation` of
-    the weight graph.
+    applies), the read-only float form `array`, and the successor and
+    predecessor bitmasks of the weight graph.
     """
 
     w: tuple[tuple[Fraction | int, ...], ...]
@@ -224,9 +132,11 @@ class WeightMatrix:
         return _newton.weight_array(self.w)
 
     @cached_property
-    def condensation(self) -> Condensation:
-        """Strongly connected components of the positive-weight digraph, computed once."""
-        return _condensation(self.w)
+    def _graph(self) -> tuple[list[int], list[int]]:
+        """Successor and predecessor bitmasks of the digraph with an edge i -> j iff w_ij > 0."""
+        # weights are nonnegative: one truth test per entry decides its edge
+        flags = [bytes(map(bool, row)) for row in self.w]
+        return [_mask(f) for f in flags], [_mask(bytes(col)) for col in zip(*flags)]
 
 
 class StatusKind(Enum):
@@ -284,10 +194,11 @@ def gradient(weights: WeightMatrix, r: "Sequence[float] | RewardVector") -> tupl
 
 
 def _check_connected(weights: WeightMatrix) -> None:
-    missing = weights.condensation.unreachable
+    seen = reachable([s | p for s, p in zip(*weights._graph)], 0)
+    missing = [i for i in range(weights.n) if not seen >> i & 1]
     if missing:
         raise DisconnectedGraphError(
-            f"comparison graph splits; candidates {list(missing)} unreachable from 0"
+            f"comparison graph splits; candidates {missing} unreachable from 0"
         )
 
 
@@ -295,24 +206,53 @@ def minimizer_exists(weights: WeightMatrix) -> bool:
     """Whether the loss attains a finite minimum (Ford's condition).
 
     A finite minimizer exists iff the digraph with an edge i -> j whenever
-    w_ij > 0 is strongly connected; otherwise some dominant candidate set
-    never loses weight across the cut and its rewards drift to infinity.
+    w_ij > 0 is strongly connected: every candidate is reachable from
+    candidate 0 and reaches it.  Otherwise some dominant candidate set never
+    loses weight across the cut and its rewards drift to infinity.
     """
-    return len(weights.condensation.components) == 1
+    succ, pred = weights._graph
+    everyone = (1 << weights.n) - 1
+    return reachable(succ, 0) == everyone and reachable(pred, 0) == everyone
+
+
+def _ends(weights: WeightMatrix) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The source and the sink strongly connected components of the weight digraph.
+
+    One forward and one backward pass per component: a component is a
+    source when nothing outside it reaches it, and a sink when it reaches
+    nothing outside.  Each lists its members ascending; the sources come
+    descending by smallest member, the sinks ascending.
+    """
+    succ, pred = weights._graph
+    sources, sinks = [], []
+    left = (1 << weights.n) - 1
+    while left:
+        v = (left & -left).bit_length() - 1
+        ahead, behind = reachable(succ, v), reachable(pred, v)
+        component = ahead & behind
+        left &= ~component
+        members = tuple(i for i in range(v, weights.n) if component >> i & 1)
+        if behind == component:
+            sources.insert(0, members)
+        if ahead == component:
+            sinks.append(members)
+    return tuple(sources), tuple(sinks)
 
 
 def top_component(weights: WeightMatrix) -> tuple[int, ...]:
     """The candidates whose rewards outgrow all others when no finite MLE exists.
 
-    This is the one source component of the condensation: its members never
-    lose weight to an outsider, and every other component is reachable from
-    it, so along the ridge path its rewards pull away from everyone else's.
-    On a strongly connected instance it is every candidate.  Raises
-    DisconnectedGraphError when the comparison graph splits and
-    NoUniqueTopError when several components are sources.
+    This is the one source component of the weight digraph: its members
+    never lose weight to an outsider and reach everyone else, so along the
+    ridge path their rewards pull away from all others'.  On a strongly
+    connected instance it is every candidate.  Raises DisconnectedGraphError
+    when the comparison graph splits and NoUniqueTopError when several
+    components are sources.
     """
+    if minimizer_exists(weights):
+        return tuple(range(weights.n))
     _check_connected(weights)
-    sources = weights.condensation.sources
+    sources, _ = _ends(weights)
     if len(sources) != 1:
         raise NoUniqueTopError(
             f"no finite MLE and {len(sources)} undominated candidate sets {list(sources)}"
@@ -335,12 +275,13 @@ def solve_mle(
 
     The status follows Ford's condition, read from the weight graph: CONVERGED
     when the positive-weight digraph is strongly connected, DIVERGED when it
-    is not.  A diverged solve attaches the members of the condensation's
-    source components as `drift_up` (they never lose weight to an outsider)
-    and of its sink components as `drift_down` (they never win weight from
-    one); its rewards are the iterate at the stop, where the drifting gaps
-    are already wide enough to make the gradient vanish.  MAX_ITERS means a
-    strongly connected solve stalled or ran out of its `max_iters` steps.
+    is not.  A diverged solve attaches the members of the digraph's source
+    components as `drift_up` (they never lose weight to an outsider) and of
+    its sink components as `drift_down` (they never win weight from one);
+    its rewards are the iterate at the stop, where the drifting gaps are
+    already wide enough to make the gradient vanish.  MAX_ITERS means a
+    strongly connected solve stalled, or used its `max_iters` steps and
+    stopped with the gradient at the final iterate above GRAD_TOL.
 
     `ridge` > 0 adds an explicit Tikhonov term ridge * sum(r_k^2), which makes
     the objective strictly convex, so every connected instance then has a
@@ -350,19 +291,23 @@ def solve_mle(
 
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    _check_connected(weights)
-    diverged = ridge == 0.0 and not minimizer_exists(weights)
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    strongly_connected = minimizer_exists(weights)
+    if not strongly_connected:
+        _check_connected(weights)
+    diverged = ridge == 0.0 and not strongly_connected
     r, gnorm, at_tol, steps = _newton.newton(
         weights.array, ridge, max_iters, GRAD_TOL, recenter=not diverged
     )
     if diverged:
-        cond = weights.condensation
+        sources, sinks = _ends(weights)
         status = SolverStatus(
             StatusKind.DIVERGED,
             gnorm,
             steps,
-            tuple(sorted(i for c in cond.sources for i in c)),
-            tuple(sorted(i for c in cond.sinks for i in c)),
+            tuple(sorted(i for c in sources for i in c)),
+            tuple(sorted(i for c in sinks for i in c)),
         )
     elif at_tol:
         status = SolverStatus(StatusKind.CONVERGED, gnorm, steps)

@@ -65,3 +65,13 @@ def gpmd_by_blocks(
         for i, x in enumerate(gpmd(sub, policy)):
             acc[i] += share * x
     return tuple(acc)
+
+
+def closure(n: int, edge) -> list[list[bool]]:
+    """Reflexive-transitive closure of `edge` by Floyd-Warshall: an oracle."""
+    reach = [[i == j or edge(i, j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    return reach

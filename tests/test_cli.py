@@ -306,7 +306,25 @@ def test_package_errors_exit_one_with_message(runner, tmp_path, doc, command, op
     assert res.stdout == ""
 
 
-SEARCH = ["search", "--rule", "borda", "--axiom", "condorcet", "--seed", "1", "--space"]
+def test_two_source_components_name_both_sets(runner, tmp_path):
+    # a and b each beat c and were never compared: two sources, no unique top
+    doc = {
+        "candidates": ["a", "b", "c"],
+        "voters": [
+            {"id": "v1", "comparisons": [["a", "c"]]},
+            {"id": "v2", "comparisons": [["b", "c"]]},
+        ],
+    }
+    res = runner.invoke(
+        main,
+        ["axioms", _write(tmp_path, doc), "--rule", "mle-standard", "--checks", "preference-matching"],
+    )
+    assert res.exit_code == 1
+    assert res.stderr == "error: no finite MLE and 2 undominated candidate sets [(1,), (0,)]\n"
+    assert res.stdout == ""
+
+
+SEARCH =["search", "--rule", "borda", "--axiom", "condorcet", "--seed", "1", "--space"]
 
 
 @pytest.mark.parametrize(

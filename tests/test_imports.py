@@ -36,17 +36,31 @@ print(json.dumps(report))
 """
 
 
-# gpmd under both policies and preference matching's exact target, through
-# the library: prints whether numpy loaded
+# gpmd under both policies, preference matching's exact target and the weight
+# graph's reachability questions, through the library: prints whether numpy
+# loaded
 LIBRARY_PROBE = """
 import sys
 from fractions import Fraction
-from prefaxiom import EpsilonPolicy, bt_odds, complete_profile, gpmd, tally
+from prefaxiom import (
+    Comparison, DisconnectedGraphError, EpsilonPolicy, WeightMatrix, bt_odds,
+    complete_profile, gpmd, is_transitive, minimizer_exists, tally, top_component,
+)
 profile = complete_profile(["a", "b", "c"], [["a", "b", "c"], ["c", "b", "a"]])
 assert gpmd(profile, EpsilonPolicy.finite(Fraction(1, 100))).p[1] == Fraction(99, 9901)
 assert gpmd(profile, EpsilonPolicy.limit()).p == (Fraction(1, 2), 0, Fraction(1, 2))
 odds = bt_odds(tally(profile))
 assert tuple(x / sum(odds) for x in odds) == (Fraction(1, 3),) * 3
+chain = WeightMatrix([[0, 1, 1], [1, 0, 1], [0, 0, 0]])
+assert not minimizer_exists(chain) and top_component(chain) == (0, 1)
+try:
+    top_component(WeightMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+except DisconnectedGraphError:
+    pass
+else:
+    raise AssertionError("a split comparison graph must raise")
+assert not is_transitive([Comparison(0, 1), Comparison(1, 2), Comparison(2, 0)])
+assert is_transitive([Comparison(0, 1), Comparison(1, 2)])
 print("numpy" in sys.modules)
 """
 
@@ -109,7 +123,8 @@ def test_first_float_solve_loads_numpy_and_matches_pinned_output(profile_path):
 
 
 def test_finite_epsilon_blocks_leave_numpy_unloaded():
-    # a mixed block's exact BT odds are normalized, not softmaxed
+    # a mixed block's exact BT odds are normalized, not softmaxed, and the
+    # weight graph is read from exact bitmasks
     assert _run(LIBRARY_PROBE).strip() == "False"
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import closure
 from prefaxiom import (
     CandidateSet,
     Comparison,
@@ -20,7 +21,6 @@ from prefaxiom import (
     NotCompleteProfileError,
     PairwiseTally,
     PreferenceProfile,
-    ProfileKind,
     Ranking,
     SchemaError,
     TiesNotAllowedError,
@@ -451,6 +451,25 @@ def test_is_transitive():
     assert is_transitive(chain)
 
 
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            min_size=1,
+            max_size=2 * n,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_is_transitive_matches_the_closure(edges):
+    comparisons = [Comparison(a, b) for a, b in edges]
+    n = 1 + max(max(e) for e in edges)
+    reach = closure(n, lambda i, j: (i, j) in edges)
+    cyclic = any(reach[i][j] and reach[j][i] for i in range(n) for j in range(n) if i != j)
+    assert is_transitive(comparisons) is not cyclic
+    assert is_transitive(iter(comparisons)) is not cyclic
+
+
 # ------------------------------------------------------------------ generators
 
 def test_generate_complete_deterministic():
@@ -511,7 +530,8 @@ def test_tally_refuses_non_integer_counts(count):
 
 def test_generate_assumption1_one_voter_per_pair():
     profile = generate_assumption1(4, seed=9)
-    assert profile.kind is ProfileKind.GENERALIZED
+    with pytest.raises(NotCompleteProfileError):
+        profile.orders
     assert profile.m == 6
     t = tally(profile)
     for i in range(4):
@@ -625,7 +645,8 @@ def test_serialize_mixed_voter_kinds():
         }
     ).encode()
     profile = parse_profile(raw)
-    assert profile.kind is ProfileKind.GENERALIZED
+    with pytest.raises(NotCompleteProfileError):
+        profile.orders
     assert profile.m == 2
     t = tally(profile)
     assert t.wins[1][2] == 2  # ranking contributes y2 > y3 as well

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import reward_ranking
+from conftest import closure, reward_ranking
 from prefaxiom import (
     DisconnectedGraphError,
+    NoUniqueTopError,
     NotConstantTotalError,
     NotConvergedError,
     PairwiseTally,
@@ -39,25 +40,17 @@ from prefaxiom import (
     solve_mle,
     tally,
     tally_from_props,
+    top_component,
     weights_copeland,
     weights_gpm,
     weights_standard,
 )
+from prefaxiom.reward import GRAD_TOL
 
 # Frozen oracle: bisection root of sigma(s) + sigma(2s) = 5/4, the stationarity
 # condition of the four-voter fixture under the gauge r = (s, 0, -s).
 FIXED_POINT_S = 0.3430064055342722
 FIXTURE_SOFTMAX = (0.45183167018558856, 0.3206349645119311, 0.22753336530248028)
-
-
-def _reach(n: int, edge) -> list[list[bool]]:
-    """Reflexive-transitive closure of `edge` by Floyd-Warshall: an oracle."""
-    reach = [[i == j or edge(i, j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-    return reach
 
 
 def _random_weights(rng: random.Random, n: int, m: int) -> WeightMatrix:
@@ -226,13 +219,14 @@ def test_boundary_wins_diverge_without_spinning():
     assert sol.status.iterations < 100
 
 
-def test_condensation_in_topological_order():
+def test_chain_of_components_drifts_from_its_source_to_its_sink():
     # 3 beats everyone, the cycle 0 <-> 1 beats 2, and 2 beats nobody
     w = WeightMatrix([[0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 0, 0], [1, 1, 1, 0]])
-    cond = w.condensation
-    assert cond.components == ((3,), (0, 1), (2,))
-    assert cond.sources == ((3,),)
-    assert cond.sinks == ((2,),)
+    assert not minimizer_exists(w)
+    assert top_component(w) == (3,)
+    status = solve_mle(w).status
+    assert status.kind is StatusKind.DIVERGED
+    assert (status.drift_up, status.drift_down) == ((3,), (2,))
 
 
 @given(
@@ -247,13 +241,16 @@ def test_unreachable_matches_the_undirected_closure(raw):
     n = len(raw)
     rows = [[0 if i == j else raw[i][j] for j in range(n)] for i in range(n)]
     w = WeightMatrix(rows)
-    linked = _reach(n, lambda i, j: rows[i][j] + rows[j][i] > 0)
-    missing = tuple(j for j in range(n) if not linked[0][j])
-    assert w.condensation.unreachable == missing
+    linked = closure(n, lambda i, j: rows[i][j] + rows[j][i] > 0)
+    missing = [j for j in range(n) if not linked[0][j]]
     if missing:
-        message = f"comparison graph splits; candidates {list(missing)} unreachable from 0"
+        message = f"comparison graph splits; candidates {missing} unreachable from 0"
         with pytest.raises(DisconnectedGraphError, match=re.escape(message)):
             solve_mle(w)
+        with pytest.raises(DisconnectedGraphError, match=re.escape(message)):
+            top_component(w)
+    else:
+        assert solve_mle(w).status.iterations < 100
 
 
 @given(
@@ -267,28 +264,31 @@ def test_unreachable_matches_the_undirected_closure(raw):
 def test_solver_status_follows_the_condensation(raw):
     n = len(raw)
     rows = [[0 if i == j else raw[i][j] for j in range(n)] for i in range(n)]
-    assume(all(_reach(n, lambda i, j: rows[i][j] + rows[j][i] > 0)[0]))
+    assume(all(closure(n, lambda i, j: rows[i][j] + rows[j][i] > 0)[0]))
     w = WeightMatrix(rows)
-    reach = _reach(n, lambda i, j: rows[i][j] > 0)
-
-    components = w.condensation.components
-    assert sorted(i for c in components for i in c) == list(range(n))
-    for k, comp in enumerate(components):
-        assert all(reach[i][j] for i in comp for j in comp)
-        assert not any(reach[j][i] for later in components[k + 1:] for j in later for i in comp)
+    reach = closure(n, lambda i, j: rows[i][j] > 0)
 
     strongly_connected = all(all(row) for row in reach)
     assert minimizer_exists(w) == strongly_connected
     sol = solve_mle(w)
     assert sol.status.kind is (StatusKind.CONVERGED if strongly_connected else StatusKind.DIVERGED)
     assert sol.status.iterations < 100
+    # i sits in a source component iff everything that reaches i is reached
+    # from i, and in a sink component iff everything i reaches reaches i
+    up = tuple(i for i in range(n) if all(reach[i][k] for k in range(n) if reach[k][i]))
+    down = tuple(i for i in range(n) if all(reach[k][i] for k in range(n) if reach[i][k]))
     if not strongly_connected:
-        # i sits in a source component iff everything that reaches i is reached
-        # from i, and in a sink component iff everything i reaches reaches i
-        up = tuple(i for i in range(n) if all(reach[i][k] for k in range(n) if reach[k][i]))
-        down = tuple(i for i in range(n) if all(reach[k][i] for k in range(n) if reach[i][k]))
         assert sol.status.drift_up == up
         assert sol.status.drift_down == down
+    # the source components, listed descending by smallest member
+    components = {tuple(k for k in range(n) if reach[i][k] and reach[k][i]) for i in up}
+    sources = sorted(components, reverse=True)
+    if len(sources) == 1:
+        assert top_component(w) == up
+    else:
+        message = f"no finite MLE and {len(sources)} undominated candidate sets {sources}"
+        with pytest.raises(NoUniqueTopError, match=re.escape(message)):
+            top_component(w)
 
 
 def test_single_cyclic_voter_converges():
@@ -322,6 +322,25 @@ def test_solver_respects_config():
     t = tally(generate_complete(4, 3, 2))
     sol = solve_mle(weights_standard(t), max_iters=1)
     assert sol.status.kind in (StatusKind.MAX_ITERS, StatusKind.CONVERGED)
+
+
+@pytest.mark.parametrize("max_iters", range(5))
+def test_status_reads_the_gradient_at_the_returned_rewards(max_iters):
+    w = weights_standard(tally(generate_complete(4, 3, 2)))
+    sol = solve_mle(w, max_iters=max_iters)
+    assert sol.status.grad_norm == max(abs(g) for g in gradient(w, sol))
+    assert sol.status.iterations <= max_iters
+    want = StatusKind.CONVERGED if sol.status.grad_norm <= GRAD_TOL else StatusKind.MAX_ITERS
+    assert sol.status.kind is want
+
+
+def test_step_cap_at_a_stationary_start_converges():
+    # every pair splits evenly, so r = 0 is already the optimum
+    w = WeightMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    status = solve_mle(w, max_iters=0).status
+    assert (status.kind, status.grad_norm, status.iterations) == (StatusKind.CONVERGED, 0.0, 0)
+    with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        solve_mle(w, max_iters=-3)
 
 
 # ---------------------------------------------------------------------- scores
