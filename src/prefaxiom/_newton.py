@@ -62,13 +62,17 @@ def newton(
 ) -> tuple[tuple[float, ...], float, bool, int]:
     """The damped Newton loop of `reward.solve_mle`.
 
-    Returns the final iterate, the largest absolute gradient entry at that
-    iterate, whether that entry reached `tol`, and the number of steps
-    taken, a step that stalled included.  `recenter` subtracts the mean once more from an
-    iterate that reached `tol`.
+    Stops once the largest absolute gradient entry is at most `tol` or the
+    gradient's rounding floor, 16 eps times the largest row sum of w + w.T,
+    below which no step on large weights can push it.  Returns the final
+    iterate, its largest absolute gradient entry, whether that entry reached
+    the stop, and the number of steps taken, a stalled one included.
+    `recenter` subtracts the mean once more from an iterate that reached the
+    stop.
     """
     n = len(w)
     t = w + w.T
+    tol = max(tol, 16.0 * np.finfo(float).eps * float(t.sum(axis=1).max()))
 
     def objective(r: np.ndarray) -> float:
         return float(_nll(w, r) + ridge * (r * r).sum())
@@ -95,13 +99,12 @@ def newton(
         shift = max(float(np.trace(hess)) / n, 1e-12)
         try:
             direction = np.linalg.solve(hess + shift * np.ones((n, n)) / n, -g)
+            direction = direction - direction.mean()
+            slope = float(g @ direction)
         except np.linalg.LinAlgError:
-            direction = -g
-        if not np.all(np.isfinite(direction)):
-            direction = -g
-        direction = direction - direction.mean()
-        slope = float(g @ direction)
-        if slope >= 0.0:
+            slope = np.nan
+        # NaN too for a non-finite direction: steepest descent where Newton does not descend
+        if not slope < 0.0:
             direction = -(g - g.mean())
             slope = float(g @ direction)
         stalled = slope >= 0.0

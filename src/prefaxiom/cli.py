@@ -75,7 +75,6 @@ EXIT_VIOLATION = 4
 EXIT_SPACE = 5
 
 AXIOM_CHOICES = ORDINAL_AXIOMS + PROBABILISTIC_AXIOMS
-DEMO_NAMES = ("condorcet-paradox", "single-voter-cycle", "borda-vs-copeland")
 
 
 def _fmt(x: float) -> str:
@@ -174,10 +173,6 @@ def _rule_epsilon(policy: EpsilonPolicy) -> EpsilonPolicy | None:
     # mle-gpm is built at a finite --epsilon; built in the limit it would raise
     # wherever some candidate is never ranked first, so there it keeps 1/1000
     return None if policy.is_limit else policy
-
-
-def _tie_policy(value: str) -> TiePolicy:
-    return TiePolicy.HALF_POINT if value == "half" else TiePolicy.STRICT_ONLY
 
 
 TOL_OPTION = click.option(
@@ -283,26 +278,6 @@ def _ranking_text(ranking: Ranking, labels) -> str:
     return " > ".join(parts)
 
 
-def _ranking_from_rewards(values: tuple[float, ...], tol: float = 1e-8) -> Ranking:
-    """Ranking by solved float rewards; values within `tol` share a tie class.
-
-    `ranking_from_scores` ties only exactly equal scores, and it can: its
-    scores are exact rationals.  These rewards come out of a Newton solve, so
-    symmetric candidates end with rewards that differ by rounding alone, and
-    exact equality would split a true tie by that noise.
-    """
-    by_value = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    classes: list[list[int]] = []
-    for i in by_value:
-        if classes and abs(values[classes[-1][-1]] - values[i]) <= tol:
-            classes[-1].append(i)
-        else:
-            classes.append([i])
-    # canonical member order inside a class keeps reports deterministic
-    canon = tuple(tuple(sorted(c)) for c in classes)
-    return Ranking(tuple(i for c in canon for i in c), canon)
-
-
 @main.command("rank")
 @click.argument("input", type=click.Path())
 @click.option("--rule", type=click.Choice(ORDINAL_RULES), required=True)
@@ -312,7 +287,7 @@ def _ranking_from_rewards(values: tuple[float, ...], tol: float = 1e-8) -> Ranki
 def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     """Aggregate ranking of a profile under one rule."""
     profile = _read_profile(input)
-    policy = _tie_policy(tie_policy)
+    policy = TiePolicy(tie_policy)
     # parsed for every rule, so malformed input exits 2 whichever rule is asked
     eps_policy = _parse_epsilon(epsilon)
     labels = profile.candidates.names
@@ -336,7 +311,7 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
             score_block = weight_scores(weights)
         else:
             notes.append("pair totals differ, score shortcut unavailable; ranking from solved rewards")
-            ranking = _ranking_from_rewards(solution.r)
+            ranking = ranking_from_scores(solution.r, tol=1e-8)
         solver_block = solution
         if solution.converged:
             dist_block = softmax(solution)
@@ -396,7 +371,7 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
 def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str, tol: float, fmt: str):
     """Run axiom checkers against one rule's output on a profile."""
     profile = _read_profile(input)
-    policy = _tie_policy(tie_policy)
+    policy = TiePolicy(tie_policy)
     eps_policy = _parse_epsilon(epsilon)
 
     has_form = {
@@ -508,9 +483,8 @@ def _parse_space(text: str, seed: int | None):
             raise click.UsageError(f"space parameter {key!r} must be an integer")
     space_cls = _SPACES.get(kind)
     if space_cls is None:
-        raise click.UsageError(
-            f"unknown space {kind!r}; expected exhaustive-complete, random-complete, or assumption1"
-        )
+        *others, last = _SPACES
+        raise click.UsageError(f"unknown space {kind!r}; expected {', '.join(others)}, or {last}")
     args = {}
     for field in dataclasses.fields(space_cls):
         if field.name == "seed":
@@ -763,17 +737,19 @@ def _demo_borda_vs_copeland() -> tuple[dict, list[str]]:
     return payload, md
 
 
+_DEMOS = {
+    "condorcet-paradox": _demo_condorcet_paradox,
+    "single-voter-cycle": _demo_single_voter_cycle,
+    "borda-vs-copeland": _demo_borda_vs_copeland,
+}
+
+
 @main.command("demo")
-@click.argument("name", type=click.Choice(DEMO_NAMES))
+@click.argument("name", type=click.Choice(tuple(_DEMOS)))
 @FORMAT_OPTION
 def cmd_demo(name: str, fmt: str):
     """Deterministic walkthroughs of the central phenomena."""
-    builders = {
-        "condorcet-paradox": _demo_condorcet_paradox,
-        "single-voter-cycle": _demo_single_voter_cycle,
-        "borda-vs-copeland": _demo_borda_vs_copeland,
-    }
-    payload, md = builders[name]()
+    payload, md = _DEMOS[name]()
     payload = {"command": "demo", "version": __version__, "name": name, **payload}
     rows = [["key", "value"]]
     rows += [[k, json.dumps(v)] for k, v in payload.items() if k not in ("command", "version")]

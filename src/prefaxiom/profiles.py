@@ -607,8 +607,20 @@ def serialize_profile(profile: PreferenceProfile) -> bytes:
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+def _at(field: str, build):
+    """build(), its ValueError raised again as a SchemaError at JSON path `field`."""
+    try:
+        return build()
+    except ValueError as e:
+        raise SchemaError(str(e), field=field) from None
+
+
 def parse_profile(data: "bytes | str") -> PreferenceProfile:
-    """Parse the JSON profile schema, raising SchemaError with field context."""
+    """Parse the JSON profile schema, raising SchemaError with field context.
+
+    Checks only what the model cannot know, and builds each model object at
+    its JSON path, so that its constructor's refusal names the path.
+    """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -628,18 +640,13 @@ def parse_profile(data: "bytes | str") -> PreferenceProfile:
     labels = doc.get("candidates")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("must be a list of strings", field="candidates")
-    try:
-        cset = CandidateSet(tuple(labels))
-    except ValueError as e:
-        raise SchemaError(str(e), field="candidates") from None
+    cset = _at("candidates", lambda: CandidateSet(tuple(labels)))
 
     raw_voters = doc.get("voters")
-    if not isinstance(raw_voters, list) or len(raw_voters) == 0:
+    if not isinstance(raw_voters, list):
         raise SchemaError("must be a non-empty list", field="voters")
 
-    sorted_labels = sorted(labels)
-    voters = []
-    seen_ids = set()
+    voters: dict[str, Voter] = {}
     for k, rv in enumerate(raw_voters):
         where = f"voters[{k}]"
         if not isinstance(rv, dict):
@@ -647,65 +654,38 @@ def parse_profile(data: "bytes | str") -> PreferenceProfile:
         vid = rv.get("id")
         if not isinstance(vid, str) or not vid:
             raise SchemaError("id must be a non-empty string", field=f"{where}.id")
-        if vid in seen_ids:
+        if vid in voters:
             raise SchemaError(f"duplicate voter id {vid!r}", field=f"{where}.id")
-        seen_ids.add(vid)
-        has_ranking = "ranking" in rv
-        has_comps = "comparisons" in rv
-        if has_ranking == has_comps:
-            raise SchemaError(
-                "voter must hold exactly one of 'ranking' or 'comparisons'", field=where
-            )
         unknown = set(rv) - {"id", "ranking", "comparisons"}
         if unknown:
             raise SchemaError(f"unknown keys: {sorted(unknown)}", field=where)
-        if has_ranking:
-            rk = rv["ranking"]
+        ranking = comparisons = None
+        if "ranking" in rv:
+            rk, where_r = rv["ranking"], f"{where}.ranking"
             if not isinstance(rk, list) or not all(isinstance(x, str) for x in rk):
-                raise SchemaError("ranking must be a list of labels", field=f"{where}.ranking")
-            if sorted(rk) != sorted_labels:
-                raise SchemaError(
-                    "ranking must list every candidate exactly once", field=f"{where}.ranking"
-                )
-            order = tuple(cset.index(x) for x in rk)
-            voters.append(Voter(id=vid, ranking=Ranking(order)))
-        else:
-            comps = rv["comparisons"]
-            where_c = f"{where}.comparisons"
-            if not isinstance(comps, list) or len(comps) == 0:
+                raise SchemaError("ranking must be a list of labels", field=where_r)
+            if len(rk) != cset.n:
+                raise SchemaError("ranking must list every candidate exactly once", field=where_r)
+            ranking = _at(where_r, lambda: Ranking(tuple(map(cset.index, rk))))
+        if "comparisons" in rv:
+            comps, where_c = rv["comparisons"], f"{where}.comparisons"
+            if not isinstance(comps, list):
                 raise SchemaError("comparisons must be a non-empty list", field=where_c)
-            parsed = []
-            seen_pairs = set()
+            pairs: dict[tuple[int, int], Comparison] = {}
             for t, entry in enumerate(comps):
+                at = f"{where_c}[{t}]"
                 if (
                     not isinstance(entry, list)
                     or len(entry) != 2
                     or not all(isinstance(x, str) for x in entry)
                 ):
-                    raise SchemaError(
-                        "each comparison must be a [winner, loser] label pair",
-                        field=f"{where_c}[{t}]",
-                    )
-                w, l = entry
-                if w not in cset._positions or l not in cset._positions:
-                    raise SchemaError(
-                        f"unknown candidate in pair {entry!r}", field=f"{where_c}[{t}]"
-                    )
-                if w == l:
-                    raise SchemaError(
-                        "winner and loser must differ", field=f"{where_c}[{t}]"
-                    )
-                iw, il = cset.index(w), cset.index(l)
-                key = (min(iw, il), max(iw, il))
-                if key in seen_pairs:
-                    raise SchemaError(
-                        f"pair {entry!r} judged more than once by this voter",
-                        field=f"{where_c}[{t}]",
-                    )
-                seen_pairs.add(key)
-                parsed.append(Comparison(winner=iw, loser=il))
-            voters.append(Voter(id=vid, comparisons=tuple(parsed)))
-    try:
-        return PreferenceProfile(cset, tuple(voters))
-    except (ValueError, DimensionMismatchError) as e:
-        raise SchemaError(str(e)) from None
+                    raise SchemaError("each comparison must be a [winner, loser] label pair", field=at)
+                c = _at(at, lambda: Comparison(*map(cset.index, entry)))
+                if c.pair() in pairs:
+                    raise SchemaError(f"pair {entry!r} judged more than once by this voter", field=at)
+                pairs[c.pair()] = c
+            comparisons = tuple(pairs.values())
+            # an empty list is refused at its own path
+            where = where_c if ranking is None else where
+        voters[vid] = _at(where, lambda: Voter(vid, ranking, comparisons))
+    return _at("voters", lambda: PreferenceProfile(cset, tuple(voters.values())))

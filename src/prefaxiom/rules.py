@@ -97,21 +97,26 @@ def pm_consistent_ranking(t: PairwiseTally) -> Ranking | None:
     return Ranking(tuple(sorted(range(t.n), key=wins.__getitem__, reverse=True)))
 
 
-def ranking_from_scores(values: Sequence) -> Ranking:
-    """Descending-score ranking; equal scores share a tie class, ascending by index.
+def ranking_from_scores(values: Sequence, tol: float = 0) -> Ranking:
+    """Descending-score ranking; a score within `tol` of the class above joins it.
 
-    `values` is any sequence of exactly comparable scores, such as the
-    Fractions of borda_scores or the integer key an ordinal rule ranks by.
+    Classes list their members by index.  The default 0 ties equal scores
+    only; solved float rewards take a small `tol`, as rounding splits ties.
     """
     # a stable descending sort keeps equal scores in ascending index order
-    order = tuple(sorted(range(len(values)), key=values.__getitem__, reverse=True))
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     classes: list[list[int]] = []
     for i in order:
-        if classes and values[classes[-1][0]] == values[i]:
+        # prev scores the class's last member; at tol = 0 no exact score is subtracted
+        if classes and (values[i] == prev or tol and prev - values[i] <= tol):
             classes[-1].append(i)
         else:
             classes.append([i])
-    return Ranking(order, tuple(tuple(c) for c in classes))
+        prev = values[i]
+    if tol:
+        classes = [sorted(c) for c in classes]
+        order = [i for c in classes for i in c]
+    return Ranking(tuple(order), tuple(tuple(c) for c in classes))
 
 
 def first_place_shares(profile: PreferenceProfile) -> ResponseDistribution:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from prefaxiom import EpsilonPolicy, PreferenceProfile, Ranking, complete_profile, gpmd
+from prefaxiom import EpsilonPolicy, PreferenceProfile, complete_profile, gpmd
 
 
 @pytest.fixture
@@ -29,23 +29,6 @@ def four_voter() -> PreferenceProfile:
             ["y3", "y1", "y2"],
         ],
     )
-
-
-def reward_ranking(values, tol: float = 1e-8) -> Ranking:
-    """Group near-equal rewards into indifference classes, best first.
-
-    Members inside a class are listed ascending so groupings compare equal
-    regardless of float noise below tol.
-    """
-    by_value = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    classes: list[list[int]] = []
-    for i in by_value:
-        if classes and abs(values[classes[-1][-1]] - values[i]) <= tol:
-            classes[-1].append(i)
-        else:
-            classes.append([i])
-    canon = tuple(tuple(sorted(c)) for c in classes)
-    return Ranking(tuple(i for c in canon for i in c), canon)
 
 
 def gpmd_by_blocks(

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from conftest import gpmd_by_blocks, reward_ranking
+from conftest import gpmd_by_blocks
 from prefaxiom import (
     Assumption1,
     EpsilonPolicy,
@@ -90,7 +90,7 @@ def test_criterion_01_mle_standard_implements_borda():
         else:
             sol = solve_mle(w, ridge=1e-8)  # boundary props: regularized path
             assert sol.status.kind is StatusKind.CONVERGED
-        assert reward_ranking(sol.r).classes() == expected
+        assert ranking_from_scores(sol.r, tol=1e-8).classes() == expected
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     print(f"criterion 1: 500 random profiles, MLE ordering == Borda ordering ({elapsed:.1f}s)")

@@ -25,6 +25,7 @@ from prefaxiom import (
     weights_gpm,
 )
 from prefaxiom.cli import main
+from test_profiles import MALFORMED, malformed_bytes
 
 PARADOX = {
     "candidates": ["y1", "y2", "y3"],
@@ -255,6 +256,18 @@ def test_schema_error_exit_two(runner, tmp_path):
         assert res3.exit_code == 2 and isinstance(res3.exception, SystemExit)
         assert res3.stderr.startswith("schema error: ") and where in res3.stderr
         assert res3.stdout == ""
+
+
+def test_every_malformed_document_exits_two_at_its_location(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    for _, doc, field, line in MALFORMED:
+        bad.write_bytes(malformed_bytes(doc))
+        res = runner.invoke(main, ["tally", str(bad)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), doc
+        where = f" (field: {field})" if field is not None else ""
+        where += f" (line: {line})" if line is not None else ""
+        assert res.stderr.startswith("schema error: ") and res.stderr.endswith(where + "\n"), doc
+        assert res.stdout == ""
 
 
 def test_disconnected_exit_three(runner, tmp_path):

@@ -209,6 +209,33 @@ def test_ranking_from_scores_matches_the_negated_key_sort(values):
     assert ranking.classes() == tuple(tuple(c) for c in classes)
 
 
+# floats on a grid of half the tolerance, so near-ties and gaps of exactly
+# 1e-8 are common, mixed with arbitrary floats and both zeros
+NEAR_TIES = st.one_of(
+    st.integers(-6, 6).map(lambda k: k * 0.5e-8),
+    st.floats(-3, 3),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@given(st.lists(NEAR_TIES, min_size=1, max_size=8), st.sampled_from([1e-8, 0.5, 2.0]))
+@settings(max_examples=200, deadline=None)
+def test_ranking_from_scores_within_tol_groups_the_runs_of_the_descending_sort(values, tol):
+    values = tuple(values)
+    desc = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    # the maximal runs whose consecutive gaps are at most tol
+    cuts = [k for k in range(1, len(desc)) if values[desc[k - 1]] - values[desc[k]] > tol]
+    runs = [desc[a:b] for a, b in zip([0] + cuts, cuts + [len(desc)])]
+    ranking = ranking_from_scores(values, tol=tol)
+    assert ranking.classes() == tuple(tuple(sorted(run)) for run in runs)
+    assert ranking.order == tuple(i for run in runs for i in sorted(run))
+    # at tol = 0 only equal values tie
+    exact = ranking_from_scores(values).classes()
+    assert sorted(map(sorted, exact)) == sorted(
+        sorted(i for i in range(len(values)) if values[i] == x) for x in set(values)
+    )
+
+
 # ------------------------------------------------- Borda and Copeland by key
 
 def outcome(call):

@@ -1,4 +1,5 @@
-"""Imports: numpy is loaded by the float solve alone, and no import goes unread.
+"""Imports: numpy is loaded by the float solve alone, no import goes unread,
+and the declared Python floor has every interpreter function the package calls.
 
 The suite's own process already holds numpy (test_reward imports it), so
 every numpy case runs its commands in a new interpreter and reports, after
@@ -11,6 +12,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,3 +169,13 @@ def test_package_module_reads_every_name_it_imports(module):
         for alias in node.names
     }
     assert sorted(imported - _names_read(tree)) == []
+
+
+def test_declared_python_floor_has_the_int_digit_limit():
+    # the exact-score printer calls sys.get_int_max_str_digits and
+    # sys.set_int_max_str_digits, which arrived in Python 3.10.7; read with a
+    # regex because 3.10 has no tomllib
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)(?:\.(\d+))?"$', text, re.MULTILINE)
+    assert floor is not None
+    assert tuple(int(x or 0) for x in floor.groups()) >= (3, 10, 7)

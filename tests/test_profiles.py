@@ -652,53 +652,129 @@ def test_serialize_mixed_voter_kinds():
     assert t.wins[1][2] == 2  # ranking contributes y2 > y3 as well
 
 
+def _one_voter(voter, candidates=("a", "b", "c")):
+    return {"candidates": list(candidates), "voters": [voter]}
+
+
+AB, ABC = ["a", "b"], ["a", "b", "c"]
+# (test id, malformed document, the field path or line its SchemaError names);
+# the first ten keep the ids they were first listed under
+MALFORMED = [
+    ("doc0-candidates", {"voters": []}, "candidates", None),
+    ("doc1-voters", {"candidates": AB, "voters": []}, "voters", None),
+    (
+        "doc2-candidates",
+        {"candidates": ["a", "a"], "voters": [{"id": "v", "ranking": ["a", "a"]}]},
+        "candidates",
+        None,
+    ),
+    ("doc3-voters[0]", _one_voter({"id": "v", "ranking": ["a", "z"]}, AB), "voters[0].ranking", None),
+    ("doc4-voters[0]", _one_voter({"id": "v"}, AB), "voters[0]", None),
+    (
+        "doc5-voters[0]",
+        _one_voter({"id": "v", "ranking": AB, "comparisons": [["a", "b"]]}, AB),
+        "voters[0]",
+        None,
+    ),
+    (
+        "doc6-voters[0].comparisons[1]",
+        _one_voter({"id": "v", "comparisons": [["a", "b"], ["b", "a"]]}),
+        "voters[0].comparisons[1]",
+        None,
+    ),
+    (
+        "doc7-voters[1]",
+        {"candidates": AB, "voters": [{"id": "v", "ranking": AB}, {"id": "v", "ranking": ["b", "a"]}]},
+        "voters[1].id",
+        None,
+    ),
+    (
+        "doc8-candidates",
+        {"candidates": ["", "a"], "voters": [{"id": "v", "ranking": ["", "a"]}]},
+        "candidates",
+        None,
+    ),
+    ("\xff\xfe{}-line: 1", b"\xff\xfe{}", None, 1),  # not UTF-8
+    ("invalid-json", b"{nope", None, 1),
+    ("invalid-json-line-4", b'{\n  "candidates": ["a", "b"],\n  "voters": [\n}\n', None, 4),
+    ("top-level-list", [], None, None),
+    ("top-level-string", "ab", None, None),
+    ("unknown-top-level-key", {**_one_voter({"id": "v", "ranking": ABC}), "extra": 1}, None, None),
+    ("candidates-string", {"candidates": "ab", "voters": [{"id": "v", "ranking": AB}]}, "candidates", None),
+    ("candidates-non-string", {"candidates": ["a", 1], "voters": [{"id": "v", "ranking": AB}]}, "candidates", None),
+    ("one-candidate", {"candidates": ["a"], "voters": [{"id": "v", "ranking": ["a"]}]}, "candidates", None),
+    ("voters-missing", {"candidates": AB}, "voters", None),
+    ("voters-object", {"candidates": AB, "voters": {"v": AB}}, "voters", None),
+    ("voter-string", {"candidates": AB, "voters": ["v"]}, "voters[0]", None),
+    ("id-missing", _one_voter({"ranking": ABC}), "voters[0].id", None),
+    ("id-non-string", _one_voter({"id": 7, "ranking": ABC}), "voters[0].id", None),
+    ("id-empty", _one_voter({"id": "", "ranking": ABC}), "voters[0].id", None),
+    ("unknown-voter-key", _one_voter({"id": "v", "ranking": ABC, "weight": 2}), "voters[0]", None),
+    ("ranking-string", _one_voter({"id": "v", "ranking": "abc"}), "voters[0].ranking", None),
+    ("ranking-null", _one_voter({"id": "v", "ranking": None}), "voters[0].ranking", None),
+    ("ranking-non-string", _one_voter({"id": "v", "ranking": [0, 1, 2]}), "voters[0].ranking", None),
+    ("ranking-repeated-label", _one_voter({"id": "v", "ranking": ["a", "a", "c"]}), "voters[0].ranking", None),
+    ("ranking-short", _one_voter({"id": "v", "ranking": AB}), "voters[0].ranking", None),
+    ("ranking-long", _one_voter({"id": "v", "ranking": ABC + ["a"]}), "voters[0].ranking", None),
+    ("comparisons-string", _one_voter({"id": "v", "comparisons": "ab"}), "voters[0].comparisons", None),
+    ("comparisons-null", _one_voter({"id": "v", "comparisons": None}), "voters[0].comparisons", None),
+    ("comparisons-empty", _one_voter({"id": "v", "comparisons": []}), "voters[0].comparisons", None),
+    ("comparison-string", _one_voter({"id": "v", "comparisons": ["ab"]}), "voters[0].comparisons[0]", None),
+    ("comparison-one-label", _one_voter({"id": "v", "comparisons": [["a"]]}), "voters[0].comparisons[0]", None),
+    (
+        "comparison-non-string",
+        _one_voter({"id": "v", "comparisons": [["a", 1]]}),
+        "voters[0].comparisons[0]",
+        None,
+    ),
+    (
+        "comparison-three-labels",
+        _one_voter({"id": "v", "comparisons": [ABC]}),
+        "voters[0].comparisons[0]",
+        None,
+    ),
+    (
+        "comparison-unknown-label",
+        _one_voter({"id": "v", "comparisons": [["a", "b"], ["a", "z"]]}),
+        "voters[0].comparisons[1]",
+        None,
+    ),
+    ("self-comparison", _one_voter({"id": "v", "comparisons": [["a", "a"]]}), "voters[0].comparisons[0]", None),
+    (
+        "duplicate-pair",
+        _one_voter({"id": "v", "comparisons": [["a", "b"], ["c", "a"], ["a", "b"]]}),
+        "voters[0].comparisons[2]",
+        None,
+    ),
+    (
+        "second-voter-short-ranking",
+        {"candidates": ABC, "voters": [{"id": "v1", "ranking": ABC}, {"id": "v2", "ranking": ["c", "b"]}]},
+        "voters[1].ranking",
+        None,
+    ),
+    (
+        "second-voter-self-comparison",
+        {
+            "candidates": ABC,
+            "voters": [{"id": "v1", "ranking": ABC}, {"id": "v2", "comparisons": [["b", "c"], ["c", "c"]]}],
+        },
+        "voters[1].comparisons[1]",
+        None,
+    ),
+]
+
+
+def malformed_bytes(doc) -> bytes:
+    return doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize(
-    "doc, needle",
-    [
-        ({"voters": []}, "candidates"),
-        ({"candidates": ["a", "b"], "voters": []}, "voters"),
-        ({"candidates": ["a", "a"], "voters": [{"id": "v", "ranking": ["a", "a"]}]}, "candidates"),
-        (
-            {"candidates": ["a", "b"], "voters": [{"id": "v", "ranking": ["a", "z"]}]},
-            "voters[0]",
-        ),
-        (
-            {"candidates": ["a", "b"], "voters": [{"id": "v"}]},
-            "voters[0]",
-        ),
-        (
-            {
-                "candidates": ["a", "b"],
-                "voters": [{"id": "v", "ranking": ["a", "b"], "comparisons": [["a", "b"]]}],
-            },
-            "voters[0]",
-        ),
-        (
-            {
-                "candidates": ["a", "b", "c"],
-                "voters": [{"id": "v", "comparisons": [["a", "b"], ["b", "a"]]}],
-            },
-            "voters[0].comparisons[1]",
-        ),
-        (
-            {
-                "candidates": ["a", "b"],
-                "voters": [
-                    {"id": "v", "ranking": ["a", "b"]},
-                    {"id": "v", "ranking": ["b", "a"]},
-                ],
-            },
-            "voters[1]",
-        ),
-        ({"candidates": ["", "a"], "voters": [{"id": "v", "ranking": ["", "a"]}]}, "candidates"),
-        (b"\xff\xfe{}", "line: 1"),  # not UTF-8
-    ],
+    "doc, field, line", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
 )
-def test_parse_errors_carry_field_paths(doc, needle):
-    data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+def test_parse_errors_carry_field_paths(doc, field, line):
     with pytest.raises(SchemaError) as exc:
-        parse_profile(data)
-    assert needle in str(exc.value)
+        parse_profile(malformed_bytes(doc))
+    assert (exc.value.field, exc.value.line) == (field, line)
 
 
 def test_parse_rejects_non_json():

@@ -1,6 +1,7 @@
 """Weighted pairwise-logistic loss: gradients, solver, scores, embeddings."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import closure, reward_ranking
+from conftest import closure
 from prefaxiom import (
     DisconnectedGraphError,
     NoUniqueTopError,
@@ -307,7 +308,7 @@ def test_ridge_is_explicit_and_orders_like_scores():
     w = weights_copeland(t)
     sol = solve_mle(w, ridge=1e-8)
     assert sol.status.kind is StatusKind.CONVERGED
-    assert reward_ranking(sol.r).order == rank_by_scores(w).order
+    assert ranking_from_scores(sol.r, tol=1e-8).order == rank_by_scores(w).order
 
 
 def test_disconnected_graph_raises():
@@ -343,6 +344,36 @@ def test_step_cap_at_a_stationary_start_converges():
         solve_mle(w, max_iters=-3)
 
 
+def _constant_total(n: int, total: int, seed: int) -> list[list[int]]:
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rng.randint(1, total - 1)
+        rows[j][i] = total - rows[i][j]
+    return rows
+
+
+MIXED_SCALE = [[0, 10**6, 3 * 10**6], [3, 0, 2 * 10**6], [2, 3, 0]]
+
+
+@pytest.mark.parametrize(
+    "rows, ridge",
+    [
+        (_constant_total(5, 10**7, 1), 0.0),
+        (_constant_total(10, 10**7, 1), 0.0),
+        (MIXED_SCALE, 0.0),
+        (MIXED_SCALE, 0.1),
+    ],
+    ids=["total-1e7-n5", "total-1e7-n10", "mixed-scale", "mixed-scale-ridge"],
+)
+def test_large_weights_stop_at_the_gradients_rounding_floor(rows, ridge):
+    # GRAD_TOL lies below these gradients' rounding noise, which no step can
+    # remove; only the rounding floor lets the solve stop
+    sol = solve_mle(WeightMatrix(rows), ridge=ridge)
+    assert sol.status.kind is StatusKind.CONVERGED
+    assert sol.status.iterations < 20
+
+
 # ---------------------------------------------------------------------- scores
 
 def test_scores_match_borda_and_copeland(four_voter):
@@ -373,7 +404,7 @@ def test_converged_solver_orders_like_scores(n, m, seed):
         assert sol.status.kind is StatusKind.CONVERGED
     else:
         sol = solve_mle(w, ridge=1e-8)
-    assert reward_ranking(sol.r).classes() == expected.classes()
+    assert ranking_from_scores(sol.r, tol=1e-8).classes() == expected.classes()
 
 
 def test_equal_scores_give_equal_rewards(paradox):
