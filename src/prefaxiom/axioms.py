@@ -378,10 +378,10 @@ def _complete_tally(profile: PreferenceProfile) -> PairwiseTally:
     return t
 
 
-def _constant_total_tally(profile: PreferenceProfile) -> PairwiseTally:
+def _pair_total_tally(profile: PreferenceProfile) -> PairwiseTally:
     """The tally of a profile whose pairs share one total (NotConstantTotalError otherwise)."""
     t = tally(profile)
-    require_constant(t.constant_total)
+    require_constant(t.pair_total)
     return t
 
 
@@ -461,7 +461,7 @@ _RULES = {
         key=lambda t, tie, eps: copeland_half_points(t, tie),
     ),
     "mle-standard": _Rule(
-        domain=lambda p, tie, eps: _constant_total_tally(p),
+        domain=lambda p, tie, eps: _pair_total_tally(p),
         key=lambda t, tie, eps: borda_points(t),
         weights=lambda p, tie, eps: weights_standard(tally(p)),
     ),

@@ -307,7 +307,7 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
             payload["epsilon"] = epsilon
         weights = rule_weights(rule, profile, tie_policy=policy, epsilon_policy=eps_policy)
         solution = solve_mle(weights)
-        if weights.is_constant_total:
+        if weights.pair_total is not None:
             score_block = weight_scores(weights)
         else:
             notes.append("pair totals differ, score shortcut unavailable; ranking from solved rewards")

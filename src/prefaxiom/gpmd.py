@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ResponseDistribution
-from .profiles import PreferenceProfile
+from .profiles import PreferenceProfile, finite_fraction
 from .rules import first_place_shares
 
 
@@ -38,14 +38,14 @@ class EpsilonPolicy:
 
     def __post_init__(self):
         if self.epsilon is not None:
-            eps = Fraction(self.epsilon)
+            eps = finite_fraction(self.epsilon)
             if not 0 < eps < Fraction(1, 2):
                 raise ValueError("epsilon must lie in (0, 1/2)")
             object.__setattr__(self, "epsilon", eps)
 
     @classmethod
     def finite(cls, epsilon: "Fraction | float" = Fraction(1, 1000)) -> "EpsilonPolicy":
-        return cls(Fraction(epsilon))
+        return cls(finite_fraction(epsilon))
 
     @classmethod
     def limit(cls) -> "EpsilonPolicy":

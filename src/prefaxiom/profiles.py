@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import operator
 import random
 from collections import Counter, deque
@@ -299,6 +300,39 @@ def generalized_profile(
     return PreferenceProfile(cset, tuple(voters))
 
 
+def finite_fraction(value: Fraction | float | str) -> Fraction:
+    """`value` as an exact Fraction; ValueError naming it when it is an infinite or NaN float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return Fraction(value)
+
+
+def require_pair_matrix(rows: Sequence[Sequence], noun: str) -> None:
+    """Square over >= 2 candidates, zero diagonal, nonnegative; else a ValueError naming `noun`."""
+    n = len(rows)
+    if n < 2 or any(len(row) != n for row in rows):
+        raise ValueError(f"{noun} must form a square matrix over >= 2 candidates")
+    if any(rows[i][i] != 0 for i in range(n)):
+        raise ValueError(f"diagonal {noun} must be zero")
+    if any(x < 0 for row in rows for x in row):
+        raise ValueError(f"{noun} must be nonnegative")
+
+
+def pair_totals(rows: Sequence[Sequence]) -> tuple[tuple[int, int] | None, int | Fraction | None]:
+    """The first pair (i < j) with nothing either way, and the common pair total.
+
+    The total is None unless every pair has the same positive rows[i][j] + rows[j][i].
+    """
+    totals = set()
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            total = row[j] + rows[j][i]
+            if total == 0:
+                return (i, j), None
+            totals.add(total)
+    return None, totals.pop() if len(totals) == 1 else None
+
+
 @dataclass(frozen=True)
 class PairwiseTally:
     """Pairwise win counts with exact rational proportions.
@@ -315,13 +349,7 @@ class PairwiseTally:
         except TypeError:
             raise ValueError("win counts must be integers") from None
         object.__setattr__(self, "wins", rows)
-        n = len(rows)
-        if n < 2 or any(len(row) != n for row in rows):
-            raise ValueError("wins must be a square matrix over >= 2 candidates")
-        if any(rows[i][i] != 0 for i in range(n)):
-            raise ValueError("diagonal win counts must be zero")
-        if any(x < 0 for row in rows for x in row):
-            raise ValueError("win counts must be nonnegative")
+        require_pair_matrix(rows, "win counts")
 
     @classmethod
     def _of_counts(cls, wins: tuple[tuple[int, ...], ...]) -> "PairwiseTally":
@@ -345,20 +373,7 @@ class PairwiseTally:
 
     @cached_property
     def _pair_totals(self) -> tuple[tuple[int, int] | None, int | None]:
-        """The first pair (i < j) never compared, and the common pair total.
-
-        The total is None unless every pair has the same positive one.  One
-        scan per tally serves every later question about pair totals.
-        """
-        w = self.wins
-        totals = set()
-        for i, row in enumerate(w):
-            for j in range(i + 1, len(w)):
-                total = row[j] + w[j][i]
-                if total == 0:
-                    return (i, j), None
-                totals.add(total)
-        return None, totals.pop() if len(totals) == 1 else None
+        return pair_totals(self.wins)  # one scan per tally serves every later question
 
     @property
     def defined_on_all_pairs(self) -> bool:
@@ -370,7 +385,7 @@ class PairwiseTally:
             raise UndefinedPairError(f"pair {missing} has no comparisons")
 
     @property
-    def constant_total(self) -> int | None:
+    def pair_total(self) -> int | None:
         """The common positive total of every pair, or None when pairs differ."""
         return self._pair_totals[1]
 
@@ -408,7 +423,7 @@ def tally_from_props(n: int, props: Mapping[tuple[int, int], "Fraction | float"]
     for (i, j), value in props.items():
         if not 0 <= i < j < n:
             raise ValueError(f"pair {(i, j)} must satisfy 0 <= i < j < n")
-        p = Fraction(value)
+        p = finite_fraction(value)
         if not 0 <= p <= 1:
             raise ValueError(f"proportion for pair {(i, j)} must lie in [0, 1]")
         wins[i][j] = p.numerator

@@ -33,7 +33,8 @@ from .errors import (
     NotConvergedError,
     ZeroProbabilityError,
 )
-from .profiles import PairwiseTally, Ranking, TiePolicy, majority_relation, reachable
+from .profiles import PairwiseTally, Ranking, TiePolicy, finite_fraction, majority_relation
+from .profiles import pair_totals, reachable, require_pair_matrix
 from .rules import ranking_from_scores
 
 if TYPE_CHECKING:
@@ -71,58 +72,31 @@ class WeightMatrix:
     """Nonnegative per-ordered-pair weights, exact.
 
     `WeightMatrix(rows)` keeps each entry that is already a Fraction or an
-    int (integer win counts stay integers) and converts every other entry,
-    bools and floats included, to a Fraction.  Everything else is derived
-    from the rows on first use and cached: `pair_total` (the common positive
-    value of w[i][j] + w[j][i] when every pair has the same one, else None,
-    which leaves the score shortcut unavailable but the solver still
-    applies), the read-only float form `array`, and the successor and
-    predecessor bitmasks of the weight graph.
+    int (win counts and Copeland's integral weights stay integers), converts
+    every other entry, bools and floats included, to a Fraction, and makes
+    the tally's checks.  Derived on first use and cached: `pair_total` from
+    the tally's scan (the common positive w[i][j] + w[j][i], an int on int
+    entries, else None: no score shortcut, but the solver still applies),
+    the read-only float form `array`, and the weight graph's bitmasks.
     """
 
     w: tuple[tuple[Fraction | int, ...], ...]
 
     def __post_init__(self):
         rows = tuple(
-            tuple(x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row)
+            tuple(x if type(x) is int or type(x) is Fraction else finite_fraction(x) for x in row)
             for row in self.w
         )
         object.__setattr__(self, "w", rows)
-        n = len(rows)
-        if n < 2 or any(len(row) != n for row in rows):
-            raise ValueError("weights must form a square matrix over >= 2 candidates")
-        if any(rows[i][i] != 0 for i in range(n)):
-            raise ValueError("diagonal weights must be zero")
-        if any(x.numerator < 0 for row in rows for x in row):
-            raise ValueError("weights must be nonnegative")
+        require_pair_matrix(rows, "weights")
 
     @property
     def n(self) -> int:
         return len(self.w)
 
     @cached_property
-    def pair_total(self) -> Fraction | None:
-        w = self.w
-        n = len(w)
-        # each pair's w_ij + w_ji as an unreduced integer ratio p/q, compared
-        # with the first pair's by cross-multiplying: no Fraction is built
-        pairs = [(w[i][j], w[j][i]) for i in range(n) for j in range(i + 1, n)]
-        totals = [
-            (x.numerator * y.denominator + y.numerator * x.denominator, x.denominator * y.denominator)
-            for x, y in pairs
-        ]
-        p0, q0 = totals[0]
-        if p0 == 0 or any(p * q0 != p0 * q for p, q in totals):
-            return None
-        return Fraction(p0, q0)
-
-    @property
-    def is_constant_total(self) -> bool:
-        return self.pair_total is not None
-
-    def require_constant_total(self) -> Fraction:
-        """The common pair total; NotConstantTotalError when pairs differ."""
-        return require_constant(self.pair_total)
+    def pair_total(self) -> Fraction | int | None:
+        return pair_totals(self.w)[1]
 
     @cached_property
     def array(self) -> ndarray:
@@ -323,7 +297,7 @@ def scores(weights: WeightMatrix) -> tuple[Fraction, ...]:
     these scores, so they stand in for the solver wherever only the ordering
     matters.
     """
-    total = weights.require_constant_total()
+    total = require_constant(weights.pair_total)
     values = []
     for row in weights.w:
         # integer numerators over this row's own lcm: one exact division per
@@ -359,15 +333,15 @@ def weights_copeland(
 ) -> WeightMatrix:
     """Majority indicators as weights: 1 to the majority side, half each on ties.
 
-    Under STRICT_ONLY, tied pairs get weight 0 both ways, which leaves
-    constant-total mode only when no pair is tied.
+    Wins and losses weigh the ints 1 and 0, and only a half-split's 1/2 is a
+    Fraction.  Under STRICT_ONLY, tied pairs get weight 0 both ways, which
+    leaves constant-total mode only when no pair is tied.
     """
-    zero = Fraction(0)
-    tie = Fraction(1, 2) if tie_policy is TiePolicy.HALF_POINT else zero
-    weight = {1: Fraction(1), 0: tie, -1: zero}
+    tie = Fraction(1, 2) if tie_policy is TiePolicy.HALF_POINT else 0
+    weight = {1: 1, 0: tie, -1: 0}
     rows = [[weight[sign] for sign in row] for row in majority_relation(t)]
     for i, row in enumerate(rows):
-        row[i] = zero
+        row[i] = 0
     return WeightMatrix(rows)
 
 
@@ -380,9 +354,8 @@ def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
     p = [Fraction(x) for x in require_positive(pstar)]
     common = math.lcm(*(x.denominator for x in p))
     numerators = [x.numerator * (common // x.denominator) for x in p]
-    zero = Fraction(0)
     rows = [
-        [zero if i == j else Fraction(ni, ni + nj) for j, nj in enumerate(numerators)]
+        [0 if i == j else Fraction(ni, ni + nj) for j, nj in enumerate(numerators)]
         for i, ni in enumerate(numerators)
     ]
     return WeightMatrix(rows)

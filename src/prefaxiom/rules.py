@@ -24,7 +24,7 @@ def _borda_over_lcm(t: PairwiseTally) -> tuple[int, tuple[int, ...]]:
     """
     t.require_all_pairs()
     w = t.wins
-    common = t.constant_total
+    common = t.pair_total
     if common is not None:
         return common, tuple(sum(row) for row in w)
     totals = [[x + w[j][i] for j, x in enumerate(row)] for i, row in enumerate(w)]

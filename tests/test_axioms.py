@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from prefaxiom import (
     Assumption1,
     AxiomReport,
+    CandidateSet,
+    Comparison,
     EpsilonPolicy,
     ExhaustiveComplete,
     NoUniqueTopError,
@@ -23,6 +25,7 @@ from prefaxiom import (
     PROBABILISTIC_AXIOMS,
     PROBABILISTIC_RULES,
     RULE_NAMES,
+    PreferenceProfile,
     RandomComplete,
     Ranking,
     ResponseDistribution,
@@ -30,6 +33,7 @@ from prefaxiom import (
     RuleUnderTest,
     SpaceTooLargeError,
     TiePolicy,
+    Voter,
     ZeroProbabilityError,
     apply_permutation,
     axiom_conclusion,
@@ -38,6 +42,7 @@ from prefaxiom import (
     axiom_premise,
     complete_profile,
     counterexample_search,
+    default_labels,
     generalized_profile,
     generate_complete,
     gpmd,
@@ -218,14 +223,67 @@ def test_checker_verdicts_are_permutation_equivariant(n, m, seed, pseed):
     pi = list(range(n))
     random.Random(pseed).shuffle(pi)
     permuted = apply_permutation(profile, tuple(pi))
-    for name in ("borda", "copeland"):
+    for name in ORDINAL_RULES:
         rule = make_rule(name, RuleKind.ORDINAL)
         out = rule(profile)
         pout = rule(permuted)
+        # relabelling maps each tie class, as a set, through pi, classes in order
+        assert [{pi[i] for i in c} for c in out.classes()] == [set(c) for c in pout.classes()]
         for axiom in ORDINAL_AXIOMS:
             a = run_check(axiom, profile, out, tol=1e-6, epsilon_policy=None)
             b = run_check(axiom, permuted, pout, tol=1e-6, epsilon_policy=None)
             assert (a.applicable, a.satisfied) == (b.applicable, b.satisfied)
+
+
+@st.composite
+def _complete_or_comparison_profile(draw) -> PreferenceProfile:
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return generate_complete(n, m, draw(st.integers(0, 10**6)))
+    pairs = list(itertools.combinations(range(n), 2))
+    voters = []
+    for k in range(m):
+        judged = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        comps = tuple(Comparison(*(p[::-1] if draw(st.booleans()) else p)) for p in judged)
+        voters.append(Voter(f"v{k + 1}", comparisons=comps))
+    return PreferenceProfile(CandidateSet(default_labels(n)), tuple(voters))
+
+
+def _outcome(f) -> str:
+    """The repr of f()'s value, or the type of what it raises.
+
+    Not the message: NotCompleteProfileError names the first voter who gives
+    comparisons, and which voter is first is what a reordering changes.
+    """
+    try:
+        return repr(f())
+    except Exception as e:
+        return repr(type(e))
+
+
+def _everything_a_profile_decides(profile: PreferenceProfile) -> list[str]:
+    """Every rule output and axiom premise under both tie policies and three epsilons."""
+    epsilons = (None, EpsilonPolicy.limit(), EpsilonPolicy.finite(Fraction(1, 100)))
+    rules = [(name, RuleKind.ORDINAL) for name in ORDINAL_RULES]
+    rules += [(name, RuleKind.PROBABILISTIC) for name in PROBABILISTIC_RULES]
+    outcomes = []
+    for tie, eps, (name, kind) in itertools.product(TiePolicy, epsilons, rules):
+        rule = make_rule(name, kind, tie_policy=tie, epsilon_policy=eps)
+        outcomes.append(_outcome(lambda: rule(profile)))
+    for eps in epsilons:
+        for axiom in ORDINAL_AXIOMS + PROBABILISTIC_AXIOMS:
+            outcomes.append(_outcome(lambda: axiom_premise(axiom, profile, epsilon_policy=eps)))
+    return outcomes
+
+
+@given(_complete_or_comparison_profile(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_rules_and_premises_are_anonymous(profile, data):
+    # voters are counted, never told apart: reordering them, ids and all,
+    # changes no ranking, no distribution's bits, no premise and no error
+    seats = data.draw(st.permutations(range(profile.m)))
+    shuffled = PreferenceProfile(profile.candidates, tuple(profile.voters[k] for k in seats))
+    assert _everything_a_profile_decides(shuffled) == _everything_a_profile_decides(profile)
 
 
 @given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 10**6))

@@ -201,9 +201,9 @@ def test_pair_totals_are_scanned_once_and_match_a_naive_scan(n, m, seed, complet
     else:
         t.require_all_pairs()
     common = set(totals.values())
-    assert t.constant_total == (common.pop() if len(common) == 1 and not missing else None)
+    assert t.pair_total == (common.pop() if len(common) == 1 and not missing else None)
     if complete:
-        assert t.constant_total == m
+        assert t.pair_total == m
 
 
 def test_tally_from_props_round_trip():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import closure
 from prefaxiom import (
     DisconnectedGraphError,
+    EpsilonPolicy,
     NoUniqueTopError,
     NotConstantTotalError,
     NotConvergedError,
@@ -68,14 +69,14 @@ def _random_weights(rng: random.Random, n: int, m: int) -> WeightMatrix:
 
 def test_weight_matrix_infers_constant_total():
     w = WeightMatrix([[0, 3, 1], [1, 0, 2], [3, 2, 0]])
-    assert w.is_constant_total and w.pair_total == 4
+    assert w.pair_total == 4 and type(w.pair_total) is int
     u = WeightMatrix([[0, 3, 1], [1, 0, 2], [1, 2, 0]])
-    assert not u.is_constant_total and u.pair_total is None
+    assert u.pair_total is None
 
 
 def test_weights_gpm_pair_total_is_inferred():
     w = weights_gpm(ResponseDistribution((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))))
-    assert w.pair_total == 1 and w.is_constant_total
+    assert w.pair_total == 1
 
 
 def test_float_form_is_built_once_and_read_only():
@@ -104,6 +105,54 @@ def test_integer_weights_stay_integers_and_solve_alike():
     assert counts.pair_total == exact.pair_total == 9
     assert scores(counts) == scores(exact)
     assert solve_mle(counts).r == solve_mle(exact).r
+    # Copeland's wins and losses stay int, and only a half-split is a Fraction;
+    # an even electorate has half-splits, an odd one none
+    half_splits = 0
+    for t in (tally(generate_complete(5, 4, 1)), tally(generate_complete(5, 3, 1))):
+        for tie_policy in TiePolicy:
+            w = weights_copeland(t, tie_policy)
+            assert all((type(x) is int) == (x.denominator == 1) for row in w.w for x in row)
+            half_splits += sum(x == Fraction(1, 2) for row in w.w for x in row)
+            exact = WeightMatrix([[Fraction(x) for x in row] for row in w.w])
+            assert w.pair_total == exact.pair_total
+            assert w.array.tolist() == exact.array.tolist()
+            if w.pair_total is None:
+                with pytest.raises(NotConstantTotalError):
+                    scores(w)
+            else:
+                assert scores(w) == scores(exact)
+            assert solve_mle(w).r == solve_mle(exact).r
+    assert half_splits > 0
+
+
+@pytest.mark.parametrize("build, noun", [(PairwiseTally, "win counts"), (WeightMatrix, "weights")])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 1, 2], [1, 0, 2]], "{} must form a square matrix over >= 2 candidates"),
+        ([[0]], "{} must form a square matrix over >= 2 candidates"),
+        ([[1, 1], [1, 0]], "diagonal {} must be zero"),
+        ([[0, -1], [1, 0]], "{} must be nonnegative"),
+    ],
+)
+def test_tallies_and_weights_share_one_validator(build, noun, rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(noun))}$"):
+        build(rows)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: WeightMatrix([[0, v], [1, 0]]),
+        lambda v: tally_from_props(2, {(0, 1): v}),
+        EpsilonPolicy.finite,
+    ],
+    ids=["WeightMatrix", "tally_from_props", "EpsilonPolicy.finite"],
+)
+def test_non_finite_numbers_raise_a_value_error_naming_them(build, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} is not a finite number$"):
+        build(value)
 
 
 def test_weight_matrix_rejects_negative_and_diagonal():
