@@ -56,7 +56,6 @@ from .profiles import (
     Ranking,
     TiePolicy,
     Voter,
-    apply_permutation,
     complete_profile,
     default_labels,
     generalized_profile,
@@ -70,7 +69,6 @@ from .profiles import (
     profiles_equal_as_multisets,
     serialize_profile,
     tally,
-    tally_from_props,
 )
 from .reward import (
     RewardVector,

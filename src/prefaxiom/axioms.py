@@ -55,6 +55,8 @@ from .profiles import (
     generate_complete,
     majority_relation,
     profile_from_pairs,
+    require_count,
+    require_finite_nonnegative,
     tally,
 )
 from .reward import (
@@ -319,11 +321,6 @@ def axiom_premise(
     return _lookup(axiom)[1].premise(profile, epsilon_policy)
 
 
-def _require_tol(tol: float) -> None:
-    if not (tol >= 0 and math.isfinite(tol)):  # NaN fails too
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-
-
 def axiom_conclusion(
     axiom: str, facts, output: "Ranking | ResponseDistribution", *, tol: float = 1e-6
 ) -> AxiomReport:
@@ -332,7 +329,7 @@ def axiom_conclusion(
     None facts give the vacuous report; `tol` bounds the distributional
     comparisons and must be finite and nonnegative (else ValueError).
     """
-    _require_tol(tol)
+    require_finite_nonnegative(tol, "tol")
     name, entry = _lookup(axiom)
     if facts is None:
         return AxiomReport.vacuous(name)
@@ -727,16 +724,16 @@ def counterexample_search(
     lowest-index one.  Each profile goes through the rule's domain step
     (which raises what the rule would), then the axiom's premise; the rule
     is evaluated and the conclusion judged only where the premise holds.
-    A non-finite or negative `tol` raises ValueError before any profile.
+    A non-finite or negative `tol`, or a `budget` that is not a nonnegative
+    integer, raises ValueError before any profile.
     """
-    _require_tol(tol)
+    require_finite_nonnegative(tol, "tol")
+    stop = None if budget is None else require_count(budget, "budget")
     name, entry = _lookup(axiom)
     if rule.kind is not entry.kind:
         raise ValueError(f"axiom {axiom!r} needs a rule of kind {entry.kind.value}")
 
-    stream = iter_profiles(space)
-    if budget is not None:
-        stream = itertools.islice(stream, budget)
+    stream = itertools.islice(iter_profiles(space), stop)
 
     examined = applicable = vacuous = 0
     for idx, profile in enumerate(stream):

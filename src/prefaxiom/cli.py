@@ -442,20 +442,19 @@ def cmd_gpmd(input: str, epsilon: str, fmt: str):
     eps_policy = _parse_epsilon(epsilon)
     dist = gpmd(profile, eps_policy)
     labels = profile.candidates.names
+    exact = [_frac(x) for x in dist]
+    approx = [_fmt(x) for x in dist]
     payload = {
         "command": "gpmd",
         "version": __version__,
         "epsilon": epsilon,
-        "distribution": {labels[i]: _frac(x) for i, x in enumerate(dist)},
-        "distribution_float": {labels[i]: _jnum(x) for i, x in enumerate(dist)},
+        "distribution": dict(zip(labels, exact)),
+        # float(_fmt(x)) is _jnum(x): the JSON number matches the text
+        "distribution_float": {label: float(x) for label, x in zip(labels, approx)},
     }
+    rows = [["candidate", "exact", "float"], *map(list, zip(labels, exact, approx))]
     md = [f"# Group preference matching distribution (epsilon = {epsilon})", ""]
-    md += _md_table(
-        ["candidate", "exact", "float"],
-        [[labels[i], _frac(x), _fmt(x)] for i, x in enumerate(dist)],
-    )
-    rows = [["candidate", "exact", "float"]]
-    rows += [[labels[i], _frac(x), _fmt(x)] for i, x in enumerate(dist)]
+    md += _md_table(rows[0], rows[1:])
     _emit(fmt, payload, md, rows)
 
 
@@ -618,22 +617,22 @@ def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
     t = tally(profile)
     labels = profile.candidates.names
     cyclic, witness = has_condorcet_cycle(t)
-    borda = borda_scores(t)
-    copeland = copeland_scores(t)
+    borda = [_frac(v) for v in borda_scores(t)]
+    copeland = [_frac(v) for v in copeland_scores(t)]
     solution = solve_mle(weights_standard(t))
     dist = softmax(solution)
     residual = embedding_residual(t)
-    limit = gpmd(profile, EpsilonPolicy.limit())
+    limit = [_frac(x) for x in gpmd(profile, EpsilonPolicy.limit())]
     payload = {
         "profile": json.loads(serialize_profile(profile)),
         "props": [[None if t.prop(i, j) is None else _frac(t.prop(i, j)) for j in range(3)] for i in range(3)],
         "cycle": [labels[i] for i in witness],
-        "borda": [_frac(v) for v in borda],
-        "copeland": [_frac(v) for v in copeland],
+        "borda": borda,
+        "copeland": copeland,
         "mle_rewards": [_jnum(x) for x in solution.r],
         "softmax": [_jnum(x) for x in dist],
         "embedding_residual": _jnum(residual),
-        "gpmd_limit": [_frac(x) for x in limit],
+        "gpmd_limit": limit,
     }
     md = [
         "# The Condorcet paradox, end to end",
@@ -643,8 +642,8 @@ def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
         "",
         f"majority cycle: {' -> '.join(labels[i] for i in witness)} -> {labels[witness[0]]}",
         "",
-        f"Borda scores: {', '.join(_frac(v) for v in borda)} (three-way tie)",
-        f"Copeland scores: {', '.join(_frac(v) for v in copeland)} (three-way tie)",
+        f"Borda scores: {', '.join(borda)} (three-way tie)",
+        f"Copeland scores: {', '.join(copeland)} (three-way tie)",
         "",
         "The pairwise-logistic MLE agrees with the tie: it converges to equal",
         f"rewards ({', '.join(_fmt(x) for x in solution.r)}) and the uniform softmax",
@@ -654,7 +653,7 @@ def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
         f"around the cycle add up to {_fmt(residual)} (= 3 log 2) instead of 0,",
         "so the matching-distribution premise is not applicable here.",
         "",
-        f"The group matching distribution is uniform: {[_frac(x) for x in limit]}.",
+        f"The group matching distribution is uniform: {limit}.",
     ]
     return payload, md
 
@@ -667,8 +666,9 @@ def _demo_single_voter_cycle() -> tuple[dict, list[str]]:
     t = tally(profile)
     labels = profile.candidates.names
     transitive = is_transitive(profile.voters[0].comparisons)
-    solution = solve_mle(weights_standard(t))
-    ranking = rank_by_scores(weights_standard(t))
+    weights = weights_standard(t)
+    solution = solve_mle(weights)
+    ranking = rank_by_scores(weights)
     pareto = run_check("pareto", profile, ranking)
     payload = {
         "profile": json.loads(serialize_profile(profile)),
@@ -705,15 +705,17 @@ def _demo_borda_vs_copeland() -> tuple[dict, list[str]]:
     labels = profile.candidates.names
     t = tally(profile)
     winner = condorcet_winner(t)
-    borda_ranking = ranking_from_scores(borda_scores(t))
-    copeland_ranking = ranking_from_scores(copeland_scores(t))
+    borda, copeland = borda_scores(t), copeland_scores(t)
+    borda_ranking, copeland_ranking = ranking_from_scores(borda), ranking_from_scores(copeland)
+    borda_text, copeland_text = [_frac(v) for v in borda], [_frac(v) for v in copeland]
+    doc = json.loads(serialize_profile(profile))
     payload = {
-        "profile": json.loads(serialize_profile(profile)),
+        "profile": doc,
         "search_index": outcome.index,
         "condorcet_winner": labels[winner],
-        "borda_scores": [_frac(v) for v in borda_scores(t)],
+        "borda_scores": borda_text,
         "borda_ranking": borda_ranking.as_label_classes(profile.candidates),
-        "copeland_scores": [_frac(v) for v in copeland_scores(t)],
+        "copeland_scores": copeland_text,
         "copeland_ranking": copeland_ranking.as_label_classes(profile.candidates),
         "witness": _round_floats(outcome.report.to_json_dict()["witness"]),
     }
@@ -723,14 +725,14 @@ def _demo_borda_vs_copeland() -> tuple[dict, list[str]]:
         f"Exhaustive scan of all 3-voter, 3-candidate profiles stops at index {outcome.index}:",
         "",
         "```json",
-        json.dumps(json.loads(serialize_profile(profile)), indent=2),
+        json.dumps(doc, indent=2),
         "```",
         "",
         f"{labels[winner]} beats every rival by majority, but the Borda scores are",
-        f"{', '.join(_frac(v) for v in borda_scores(t))}, ranking {_ranking_text(borda_ranking, labels)}:",
+        f"{', '.join(borda_text)}, ranking {_ranking_text(borda_ranking, labels)}:",
         f"the Condorcet winner is not the unique top.",
         "",
-        f"Copeland scores {', '.join(_frac(v) for v in copeland_scores(t))} give {_ranking_text(copeland_ranking, labels)},",
+        f"Copeland scores {', '.join(copeland_text)} give {_ranking_text(copeland_ranking, labels)},",
         "with the Condorcet winner strictly first, as its majority-margin",
         "construction guarantees.",
     ]

@@ -307,6 +307,19 @@ def finite_fraction(value: Fraction | float | str) -> Fraction:
     return Fraction(value)
 
 
+def require_count(value: int, noun: str) -> int:
+    """`value` as a nonnegative int; a ValueError naming `noun` otherwise, floats included."""
+    count = operator.index(value) if hasattr(value, "__index__") else -1
+    if count < 0:
+        raise ValueError(f"{noun} must be a nonnegative integer, got {value!r}")
+    return count
+
+
+def require_finite_nonnegative(value: float, noun: str) -> None:
+    if not (value >= 0 and math.isfinite(value)):  # NaN fails too
+        raise ValueError(f"{noun} must be finite and nonnegative, got {value!r}")
+
+
 def require_pair_matrix(rows: Sequence[Sequence], noun: str) -> None:
     """Square over >= 2 candidates, zero diagonal, nonnegative; else a ValueError naming `noun`."""
     n = len(rows)
@@ -375,10 +388,6 @@ class PairwiseTally:
     def _pair_totals(self) -> tuple[tuple[int, int] | None, int | None]:
         return pair_totals(self.wins)  # one scan per tally serves every later question
 
-    @property
-    def defined_on_all_pairs(self) -> bool:
-        return self._pair_totals[0] is None
-
     def require_all_pairs(self) -> None:
         missing = self._pair_totals[0]
         if missing is not None:
@@ -410,25 +419,6 @@ def tally(profile: PreferenceProfile) -> PairwiseTally:
     The count runs once per profile: every later call returns the same tally.
     """
     return profile.pairwise_tally
-
-
-def tally_from_props(n: int, props: Mapping[tuple[int, int], "Fraction | float"]) -> PairwiseTally:
-    """Synthesize a tally realizing given proportions exactly.
-
-    `props` maps upper-triangle pairs (i, j), i < j, to the desired P(i over j).
-    Each pair gets the smallest integer counts with that exact proportion, so
-    per-pair totals generally differ.
-    """
-    wins = [[0] * n for _ in range(n)]
-    for (i, j), value in props.items():
-        if not 0 <= i < j < n:
-            raise ValueError(f"pair {(i, j)} must satisfy 0 <= i < j < n")
-        p = finite_fraction(value)
-        if not 0 <= p <= 1:
-            raise ValueError(f"proportion for pair {(i, j)} must lie in [0, 1]")
-        wins[i][j] = p.numerator
-        wins[j][i] = p.denominator - p.numerator
-    return PairwiseTally(tuple(tuple(row) for row in wins))
 
 
 class TiePolicy(Enum):
@@ -568,24 +558,6 @@ def profile_from_pairs(n: int, winners: Sequence[tuple[int, int]]) -> Preference
         Voter(id=f"v{k + 1}", comparisons=(Comparison(w, l),)) for k, (w, l) in enumerate(winners)
     )
     return PreferenceProfile(_default_candidates(n), voters)
-
-
-def apply_permutation(profile: PreferenceProfile, perm: Sequence[int]) -> PreferenceProfile:
-    """Relabel candidates: candidate i becomes perm[i] everywhere."""
-    n = profile.n
-    if sorted(perm) != list(range(n)):
-        raise DimensionMismatchError("perm must be a bijection on candidate indices")
-    voters = []
-    for v in profile.voters:
-        if v.ranking is not None:
-            order = tuple(perm[i] for i in v.ranking.order)
-            voters.append(Voter(id=v.id, ranking=Ranking(order)))
-        else:
-            comps = tuple(
-                Comparison(winner=perm[c.winner], loser=perm[c.loser]) for c in v.comparisons
-            )
-            voters.append(Voter(id=v.id, comparisons=comps))
-    return PreferenceProfile(profile.candidates, tuple(voters))
 
 
 def profiles_equal_as_multisets(a: PreferenceProfile, b: PreferenceProfile) -> bool:

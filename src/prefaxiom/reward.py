@@ -34,7 +34,8 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .profiles import PairwiseTally, Ranking, TiePolicy, finite_fraction, majority_relation
-from .profiles import pair_totals, reachable, require_pair_matrix
+from .profiles import pair_totals, reachable, require_count, require_finite_nonnegative
+from .profiles import require_pair_matrix
 from .rules import ranking_from_scores
 
 if TYPE_CHECKING:
@@ -139,10 +140,6 @@ class RewardVector:
         object.__setattr__(self, "r", tuple(float(x) for x in self.r))
         if self.status.kind is StatusKind.CONVERGED and abs(sum(self.r)) > 1e-12:
             raise ValueError("converged rewards must sum to zero within 1e-12")
-
-    @property
-    def n(self) -> int:
-        return len(self.r)
 
     @property
     def converged(self) -> bool:
@@ -259,14 +256,13 @@ def solve_mle(
 
     `ridge` > 0 adds an explicit Tikhonov term ridge * sum(r_k^2), which makes
     the objective strictly convex, so every connected instance then has a
-    finite optimum and never reports DIVERGED.
+    finite optimum and never reports DIVERGED.  A NaN, infinite or negative
+    `ridge`, or a float or negative `max_iters`, raises ValueError at once.
     """
     from . import _newton
 
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
+    require_finite_nonnegative(ridge, "ridge")
+    max_iters = require_count(max_iters, "max_iters")
     strongly_connected = minimizer_exists(weights)
     if not strongly_connected:
         _check_connected(weights)

@@ -50,6 +50,12 @@ def gpmd_by_blocks(
     return tuple(acc)
 
 
+def relabel(profile: PreferenceProfile, perm) -> PreferenceProfile:
+    """The complete profile with candidate i renamed perm[i] in every ranking."""
+    labels = profile.candidates.names
+    return complete_profile(labels, [[labels[perm[i]] for i in order] for order in profile.orders])
+
+
 def closure(n: int, edge) -> list[list[bool]]:
     """Reflexive-transitive closure of `edge` by Floyd-Warshall: an oracle."""
     reach = [[i == j or edge(i, j) for j in range(n)] for i in range(n)]

@@ -13,20 +13,20 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from conftest import gpmd_by_blocks
+from conftest import gpmd_by_blocks, relabel
 from prefaxiom import (
     Assumption1,
     EpsilonPolicy,
     ExhaustiveComplete,
     ORDINAL_AXIOMS,
+    PairwiseTally,
     RandomComplete,
     ResponseDistribution,
     RuleKind,
     StatusKind,
     TiePolicy,
-    apply_permutation,
     borda_scores,
-    bt_embeddable,
+    bt_odds,
     complete_profile,
     condorcet_winner,
     copeland_scores,
@@ -45,7 +45,6 @@ from prefaxiom import (
     softmax,
     solve_mle,
     tally,
-    tally_from_props,
     weights_copeland,
     weights_gpm,
     weights_standard,
@@ -157,26 +156,23 @@ def test_criterion_04_copeland_clean_borda_fails_condorcet():
 
 def test_criterion_05_bt_embedding_round_trip_and_paradox_rejection():
     rng = random.Random(505)
-    worst = 0.0
     for _ in range(200):
         n = rng.randint(2, 8)
         raw = [rng.uniform(-3.0, 3.0) for _ in range(n)]
-        strengths = [Fraction(round(math.exp(x) * 10**6), 10**6) for x in raw]
-        props = {
-            (i, j): Fraction(strengths[i], strengths[i] + strengths[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        }
-        fitted = bt_embeddable(tally_from_props(n, props))
-        assert fitted is not None
-        target = [math.log(float(s)) for s in strengths]
-        centered = [x - sum(target) / n for x in target]
-        worst = max(worst, max(abs(a - b) for a, b in zip(fitted.r, centered)))
-    assert worst <= 1e-9, worst
+        # strength i over the common denominator 10**6 is the count N_i, and
+        # wins[i][j] = N_i makes each pair's proportion exactly N_i / (N_i + N_j)
+        counts = [round(math.exp(x) * 10**6) for x in raw]
+        strengths = [Fraction(c, 10**6) for c in counts]
+        t = PairwiseTally([[0 if i == j else counts[i] for j in range(n)] for i in range(n)])
+        for i, j in itertools.permutations(range(n), 2):
+            assert t.prop(i, j) == strengths[i] / (strengths[i] + strengths[j])
+        odds = bt_odds(t)
+        assert odds == tuple(s / strengths[0] for s in strengths)
+        assert all(type(x) is Fraction for x in odds)
     t = tally(PARADOX)
-    assert bt_embeddable(t) is None
+    assert bt_odds(t) is None
     assert abs(embedding_residual(t) - 3 * math.log(2)) <= 1e-12
-    print(f"criterion 5: 200 BT round-trips worst {worst:.2e} <= 1e-9; paradox residual 3 log 2")
+    print("criterion 5: 200 BT round-trips recover every strength ratio exactly; paradox residual 3 log 2")
 
 
 def test_criterion_06_forced_symmetry_yields_equal_probabilities():
@@ -190,7 +186,7 @@ def test_criterion_06_forced_symmetry_yields_equal_probabilities():
         i, j = rng.sample(range(n), 2)
         swap = list(range(n))
         swap[i], swap[j] = swap[j], swap[i]
-        mirrored = apply_permutation(base, tuple(swap))
+        mirrored = relabel(base, swap)
         labels = base.candidates.names
         rankings = [
             [labels[k] for k in v.ranking.order] for v in base.voters + mirrored.voters

@@ -5,12 +5,14 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import relabel
 from prefaxiom import (
     Assumption1,
     AxiomReport,
@@ -35,7 +37,6 @@ from prefaxiom import (
     TiePolicy,
     Voter,
     ZeroProbabilityError,
-    apply_permutation,
     axiom_conclusion,
     axiom_kind,
     axiom_name,
@@ -50,7 +51,6 @@ from prefaxiom import (
     make_rule,
     minimizer_exists,
     profile_from_pairs,
-    profiles_equal_as_multisets,
     rank_by_scores,
     rule_weights,
     run_check,
@@ -201,7 +201,7 @@ def test_equally_preferred_matches_the_permuted_profile(drawn):
     profile, i, j = drawn
     perm = list(range(profile.n))
     perm[i], perm[j] = perm[j], perm[i]
-    expected = profiles_equal_as_multisets(profile, apply_permutation(profile, perm))
+    expected = Counter(profile.orders) == Counter(relabel(profile, perm).orders)
     pairs = axiom_premise("preference-equivalence", profile) or ()
     assert ((min(i, j), max(i, j)) in pairs) == expected
 
@@ -222,7 +222,7 @@ def test_checker_verdicts_are_permutation_equivariant(n, m, seed, pseed):
     profile = generate_complete(n, m, seed)
     pi = list(range(n))
     random.Random(pseed).shuffle(pi)
-    permuted = apply_permutation(profile, tuple(pi))
+    permuted = relabel(profile, pi)
     for name in ORDINAL_RULES:
         rule = make_rule(name, RuleKind.ORDINAL)
         out = rule(profile)
@@ -499,6 +499,20 @@ def test_search_budget_caps_examined():
     rule = make_rule("copeland", RuleKind.ORDINAL)
     out = counterexample_search(rule, "condorcet", ExhaustiveComplete(3, 3), budget=50)
     assert not out.found and out.examined == 50
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5])
+def test_search_rejects_a_bad_budget_before_the_first_profile(monkeypatch, budget):
+    # unchecked, both surfaced itertools.islice's message about its stop argument
+    from prefaxiom import axioms
+
+    def no_profiles(space):
+        raise AssertionError("a profile was requested")
+
+    monkeypatch.setattr(axioms, "iter_profiles", no_profiles)
+    rule = make_rule("copeland", RuleKind.ORDINAL)
+    with pytest.raises(ValueError, match=f"^budget must be a nonnegative integer, got {re.escape(repr(budget))}$"):
+        counterexample_search(rule, "condorcet", ExhaustiveComplete(3, 3), budget=budget)
 
 
 def test_search_rejects_mismatched_kind():

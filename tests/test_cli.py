@@ -154,6 +154,51 @@ def test_rank_mle_gpm_wide_rewards_converge_and_print_exact_scores(runner, tmp_p
     assert max(len(v) for v in doc["scores"].values()) > limit
 
 
+@pytest.fixture
+def strict_tie_file(tmp_path):
+    # y2 and y4 split 3-3, and the strict Copeland weight graph is strongly
+    # connected, so mle-copeland under --tie-policy strict solves to a finite optimum
+    profile = generate_complete(4, 6, 66)
+    assert tally(profile).wins[1][3] == tally(profile).wins[3][1] == 3
+    path = tmp_path / "strict.json"
+    path.write_bytes(serialize_profile(profile))
+    return str(path)
+
+
+def test_rank_copeland_strict_scores_no_point_for_a_tie(runner, strict_tie_file):
+    args = ["rank", strict_tie_file, "--rule", "copeland", "--tie-policy", "strict"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert "ranking: y1 > (y2 = y3 = y4)\n" in res.stdout
+    doc = json.loads(runner.invoke(main, [*args, "--format", "json"]).stdout)
+    assert doc["ranking"] == [["y1"], ["y2", "y3", "y4"]]
+    assert doc["scores"] == {"y1": "2", "y2": "1", "y3": "1", "y4": "1"}
+
+
+def test_rank_mle_copeland_strict_ranks_from_solved_rewards(runner, strict_tie_file):
+    # the tied pair carries no weight, so pair totals differ and no score shortcut applies
+    args = ["rank", strict_tie_file, "--rule", "mle-copeland", "--tie-policy", "strict"]
+    res = runner.invoke(main, [*args, "--format", "json"])
+    assert res.exit_code == 0
+    doc = json.loads(res.stdout)
+    assert doc["notes"] == ["pair totals differ, score shortcut unavailable; ranking from solved rewards"]
+    assert "scores" not in doc
+    assert doc["solver"]["status"] == "converged" and doc["solver"]["iterations"] == 4
+    assert doc["ranking"] == [["y1"], ["y2", "y4"], ["y3"]]
+    r1, r2, r3, r4 = doc["solver"]["rewards"]
+    assert abs(r1 - 0.528048909513) < 1e-9 and abs(r1 + r3) < 1e-12
+    assert abs(r2) < 1e-12 and abs(r4) < 1e-12
+    assert doc["softmax"]["y2"] == doc["softmax"]["y4"]
+    assert "ranking: y1 > (y2 = y4) > y3\n" in runner.invoke(main, args).stdout
+
+
+def test_axioms_mle_copeland_strict_needs_a_constant_pair_total(runner, strict_tie_file):
+    res = runner.invoke(main, ["axioms", strict_tie_file, "--rule", "mle-copeland", "--tie-policy", "strict"])
+    assert res.exit_code == 1
+    assert res.stderr == "error: scores need a constant per-pair total\n"
+    assert res.stdout == ""
+
+
 def test_axioms_exit_code_on_violation(runner, tmp_path):
     res = runner.invoke(
         main, ["axioms", _write(tmp_path, FOUR_VOTER), "--rule", "mle-standard"]

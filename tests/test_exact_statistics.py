@@ -25,6 +25,7 @@ from prefaxiom import (
     ExhaustiveComplete,
     NotConstantTotalError,
     ORDINAL_AXIOMS,
+    PairwiseTally,
     PrefaxiomError,
     PreferenceProfile,
     RandomComplete,
@@ -52,7 +53,6 @@ from prefaxiom import (
     run_check,
     scores,
     tally,
-    tally_from_props,
     weights_copeland,
     weights_gpm,
     weights_standard,
@@ -123,14 +123,15 @@ def assert_scores_match(weights: WeightMatrix) -> None:
         assert scores(weights) == expected
 
 
-def proportion_tally(n: int, seed: int):
-    """tally_from_props with random exact proportions: uneven per-pair totals."""
+def proportion_tally(n: int, seed: int) -> PairwiseTally:
+    """Each pair's two counts drawn directly, total 1 to 12: uneven per-pair totals."""
     rng = random.Random(seed)
-    props = {}
-    for pair in itertools.combinations(range(n), 2):
-        den = rng.randint(1, 12)
-        props[pair] = Fraction(rng.randint(0, den), den)
-    return tally_from_props(n, props)
+    wins = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        total = rng.randint(1, 12)
+        wins[i][j] = rng.randint(0, total)
+        wins[j][i] = total - wins[i][j]
+    return PairwiseTally(wins)
 
 
 PROFILE_ARGS = (st.integers(2, 6), st.integers(1, 7), st.integers(0, 10**6), st.booleans())

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gpmd_by_blocks
+from conftest import gpmd_by_blocks, relabel
 from prefaxiom import (
     EpsilonPolicy,
     ExhaustiveComplete,
     NotCompleteProfileError,
     ResponseDistribution,
     RuleKind,
-    apply_permutation,
     bt_odds,
     complete_profile,
     counterexample_search,
@@ -176,7 +175,7 @@ def test_gpmd_permutation_equivariance(n, m, seed, pseed):
     pi = list(range(n))
     random.Random(pseed).shuffle(pi)
     base = gpmd(profile, LIMIT)
-    mapped = gpmd(apply_permutation(profile, tuple(pi)), LIMIT)
+    mapped = gpmd(relabel(profile, pi), LIMIT)
     for i in range(n):
         assert mapped.p[pi[i]] == base.p[i]
 

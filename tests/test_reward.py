@@ -41,7 +41,6 @@ from prefaxiom import (
     softmax,
     solve_mle,
     tally,
-    tally_from_props,
     top_component,
     weights_copeland,
     weights_gpm,
@@ -145,10 +144,9 @@ def test_tallies_and_weights_share_one_validator(build, noun, rows, message):
     "build",
     [
         lambda v: WeightMatrix([[0, v], [1, 0]]),
-        lambda v: tally_from_props(2, {(0, 1): v}),
         EpsilonPolicy.finite,
     ],
-    ids=["WeightMatrix", "tally_from_props", "EpsilonPolicy.finite"],
+    ids=["WeightMatrix", "EpsilonPolicy.finite"],
 )
 def test_non_finite_numbers_raise_a_value_error_naming_them(build, value):
     with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} is not a finite number$"):
@@ -389,8 +387,33 @@ def test_step_cap_at_a_stationary_start_converges():
     w = WeightMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     status = solve_mle(w, max_iters=0).status
     assert (status.kind, status.grad_norm, status.iterations) == (StatusKind.CONVERGED, 0.0, 0)
-    with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+    with pytest.raises(ValueError, match=r"^max_iters must be a nonnegative integer, got -3$"):
         solve_mle(w, max_iters=-3)
+
+
+# a float cap never equals the step count: unchecked, 20000.5 ran 199,584 steps here
+LOPSIDED = [[0, 2, 1], [0, 0, 2000000], [0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "rows, option, value, message",
+    [
+        ([[0, 1], [1, 0]], "ridge", math.nan, "ridge must be finite and nonnegative, got nan"),
+        ([[0, 1], [1, 0]], "ridge", math.inf, "ridge must be finite and nonnegative, got inf"),
+        ([[0, 1], [1, 0]], "ridge", -math.inf, "ridge must be finite and nonnegative, got -inf"),
+        (LOPSIDED, "max_iters", 2.5, "max_iters must be a nonnegative integer, got 2.5"),
+        (LOPSIDED, "max_iters", 20000.5, "max_iters must be a nonnegative integer, got 20000.5"),
+    ],
+)
+def test_bad_ridge_or_step_cap_raises_before_any_step(monkeypatch, rows, option, value, message):
+    from prefaxiom import _newton
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a Newton step ran")
+
+    monkeypatch.setattr(_newton, "newton", no_step)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_mle(WeightMatrix(rows), **{option: value})
 
 
 def _constant_total(n: int, total: int, seed: int) -> list[list[int]]:
@@ -468,15 +491,12 @@ def test_bt_round_trip_exact_strengths():
     for _ in range(40):
         n = rng.randint(2, 8)
         raw = [rng.uniform(-3.0, 3.0) for _ in range(n)]
-        strengths = [Fraction(round(math.exp(x) * 10**6), 10**6) for x in raw]
-        props = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                props[(i, j)] = Fraction(strengths[i], strengths[i] + strengths[j])
-        t = tally_from_props(n, props)
+        # wins[i][j] = N_i: each pair's proportion is exactly N_i / (N_i + N_j)
+        counts = [round(math.exp(x) * 10**6) for x in raw]
+        t = PairwiseTally([[0 if i == j else counts[i] for j in range(n)] for i in range(n)])
         fitted = bt_embeddable(t)
         assert fitted is not None
-        target = [math.log(float(s)) for s in strengths]
+        target = [math.log(c / 10**6) for c in counts]
         centered = [x - sum(target) / n for x in target]
         assert max(abs(a - b) for a, b in zip(fitted.r, centered)) <= 1e-9
 
@@ -486,16 +506,11 @@ def test_solver_recovers_bt_ground_truth():
     for _ in range(15):
         n = rng.randint(2, 6)
         raw = [rng.uniform(-2.0, 2.0) for _ in range(n)]
-        strengths = [Fraction(round(math.exp(x) * 10**4), 10**4) for x in raw]
-        props = {
-            (i, j): Fraction(strengths[i], strengths[i] + strengths[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        }
-        w = weights_standard(tally_from_props(n, props))
-        sol = solve_mle(w)
+        counts = [round(math.exp(x) * 10**4) for x in raw]
+        t = PairwiseTally([[0 if i == j else counts[i] for j in range(n)] for i in range(n)])
+        sol = solve_mle(weights_standard(t))
         assert sol.status.kind is StatusKind.CONVERGED
-        target = [math.log(float(s)) for s in strengths]
+        target = [math.log(c / 10**4) for c in counts]
         centered = [x - sum(target) / n for x in target]
         assert max(abs(a - b) for a, b in zip(sol.r, centered)) <= 1e-8
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import relabel
 from prefaxiom import (
     NotCompleteProfileError,
     TiePolicy,
-    apply_permutation,
     borda_scores,
     condorcet_winner,
     copeland_scores,
@@ -64,7 +64,7 @@ def test_scores_are_permutation_equivariant(n, m, seed, pseed):
     pi = list(range(n))
     random.Random(pseed).shuffle(pi)
     t = tally(profile)
-    tp = tally(apply_permutation(profile, tuple(pi)))
+    tp = tally(relabel(profile, pi))
     for fn in (borda_scores, copeland_scores):
         base = fn(t)
         mapped = fn(tp)
