@@ -44,13 +44,11 @@ from .distributions import ResponseDistribution
 from .errors import NotCompleteProfileError, SpaceTooLargeError
 from .gpmd import EpsilonPolicy, gpmd
 from .profiles import (
-    CandidateSet,
     PairwiseTally,
     PreferenceProfile,
     Ranking,
     TiePolicy,
-    Voter,
-    default_labels,
+    enumerate_complete,
     generate_assumption1,
     generate_complete,
     majority_relation,
@@ -599,7 +597,7 @@ class ExhaustiveComplete:
         return math.factorial(self.n) ** self.m
 
     def profiles(self) -> Iterator[PreferenceProfile]:
-        return _iter_exhaustive_complete(self.n, self.m)
+        return enumerate_complete(self.n, self.m)
 
 
 @dataclass(frozen=True)
@@ -668,17 +666,6 @@ def iter_profiles(space) -> Iterator[PreferenceProfile]:
     return space.profiles()
 
 
-def _iter_exhaustive_complete(n: int, m: int) -> Iterator[PreferenceProfile]:
-    cset = CandidateSet(default_labels(n))
-    rankings = [Ranking(order) for order in sorted(itertools.permutations(range(n)))]
-    # one Voter per (seat, ranking), shared by every profile of the scan
-    seats = [
-        tuple(Voter(id=f"v{k + 1}", ranking=ranking) for ranking in rankings) for k in range(m)
-    ]
-    for voters in itertools.product(*seats):
-        yield PreferenceProfile(cset, voters)
-
-
 def _iter_tournaments(n: int) -> Iterator[PreferenceProfile]:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for code in range(2 ** len(pairs)):
@@ -696,7 +683,7 @@ class SearchOutcome:
     """Either a first violation (lowest index) or an exhaustion proof.
 
     Of the `examined` profiles, the axiom's premise held on `applicable` (the
-    violation included) and failed on `vacuous`.
+    violation included) and failed on the rest, the `vacuous` ones.
     """
 
     found: bool
@@ -705,7 +692,10 @@ class SearchOutcome:
     profile: PreferenceProfile | None = None
     report: AxiomReport | None = None
     applicable: int = 0
-    vacuous: int = 0
+
+    @property
+    def vacuous(self) -> int:
+        return self.examined - self.applicable
 
 
 def counterexample_search(
@@ -735,16 +725,15 @@ def counterexample_search(
 
     stream = itertools.islice(iter_profiles(space), stop)
 
-    examined = applicable = vacuous = 0
+    examined = applicable = 0
     for idx, profile in enumerate(stream):
         examined += 1
         prepared = rule.domain(profile)
         facts = entry.premise(profile, epsilon_policy)
         if facts is None:
-            vacuous += 1
             continue
         applicable += 1
         report = axiom_conclusion(name, facts, rule.evaluate(prepared), tol=tol)
         if report.violated:
-            return SearchOutcome(True, examined, idx, profile, report, applicable, vacuous)
-    return SearchOutcome(False, examined, applicable=applicable, vacuous=vacuous)
+            return SearchOutcome(True, examined, idx, profile, report, applicable)
+    return SearchOutcome(False, examined, applicable=applicable)

@@ -13,10 +13,12 @@ from __future__ import annotations
 import csv as _csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import click
 
@@ -47,6 +49,7 @@ from .errors import (
 )
 from .gpmd import EpsilonPolicy, gpmd
 from .profiles import (
+    PairwiseTally,
     PreferenceProfile,
     Ranking,
     TiePolicy,
@@ -84,7 +87,7 @@ def _fmt(x: float) -> str:
 def _jnum(x: float) -> float:
     # round-trip through 12 significant digits so JSON numbers match the
     # textual renderings byte for byte
-    return float(format(float(x), ".12g"))
+    return float(_fmt(x))
 
 
 def _frac(x) -> str:
@@ -111,23 +114,21 @@ def _round_floats(obj):
     return obj
 
 
-def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
+def _md_table(header: list[str], rows: Iterable) -> Iterator[str]:
+    yield "| " + " | ".join(header) + " |"
+    yield "|" + "|".join(" --- " for _ in header) + "|"
     for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return lines
+        yield "| " + " | ".join(str(c) for c in row) + " |"
 
 
-def _emit(fmt: str, payload: dict, md_lines: list[str], csv_rows: list[list] | None = None):
+def _emit(fmt: str, payload: dict, md_lines: Iterable[str], csv_rows: Iterable[list]):
+    """Print the one rendering asked for; JSON reports open with one shared header."""
     if fmt == "json":
-        click.echo(json.dumps({"schema": 1, **payload}, indent=2))
+        command = click.get_current_context().command.name
+        click.echo(json.dumps({"schema": 1, "command": command, "version": __version__, **payload}, indent=2))
     elif fmt == "csv":
-        if csv_rows is None:
-            raise click.UsageError("this command has no csv rendering")
         buf = io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerows(csv_rows)
+        _csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         click.echo(buf.getvalue(), nl=False)
     else:
         click.echo("\n".join(md_lines))
@@ -236,27 +237,25 @@ def cmd_tally(input: str, fmt: str):
         [_proportion(x, total) for x, total in zip(row, trow)] for row, trow in zip(w, totals)
     ]
     payload = {
-        "command": "tally",
-        "version": __version__,
         "candidates": list(labels),
         "wins": [list(row) for row in w],
         "totals": totals,
-        "props": [[props[i][j] or None for j in range(n)] for i in range(n)],
+        "props": [[p or None for p in row] for row in props],
     }
-    md = [f"# Pairwise tally ({n} candidates, {profile.m} voters)", ""]
-    md += _md_table(
-        ["wins"] + list(labels),
-        [[labels[i]] + [str(t.wins[i][j]) for j in range(n)] for i in range(n)],
+    # both renderings are lazy: only the printed one is built
+    md = itertools.chain(
+        [f"# Pairwise tally ({n} candidates, {profile.m} voters)", ""],
+        _md_table(["wins", *labels], ([label, *row] for label, row in zip(labels, w))),
+        [""],
+        _md_table(["prop", *labels], ([label] + [p or "-" for p in row] for label, row in zip(labels, props))),
     )
-    md.append("")
-    md += _md_table(
-        ["prop"] + list(labels),
-        [[labels[i]] + [props[i][j] or "-" for j in range(n)] for i in range(n)],
+    rows = itertools.chain(
+        [["winner", "loser", "wins", "losses", "prop"]],
+        (
+            [labels[i], labels[j], w[i][j], w[j][i], props[i][j] or ""]
+            for i in range(n) for j in range(i + 1, n)
+        ),
     )
-    rows = [["winner", "loser", "wins", "losses", "prop"]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append([labels[i], labels[j], t.wins[i][j], t.wins[j][i], props[i][j] or ""])
     _emit(fmt, payload, md, rows)
 
 
@@ -291,72 +290,62 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     # parsed for every rule, so malformed input exits 2 whichever rule is asked
     eps_policy = _parse_epsilon(epsilon)
     labels = profile.candidates.names
-    payload: dict = {"command": "rank", "version": __version__, "rule": rule}
-    md = [f"# Ranking under {rule}", ""]
-    notes: list[str] = []
-    solver_block = None
-    dist_block = None
-    score_block = None
-
+    payload: dict = {"rule": rule}
+    if rule == "mle-gpm":
+        payload["epsilon"] = epsilon
+    solution = None
     if rule == "borda":
-        score_block = borda_scores(tally(profile))
+        scores = borda_scores(tally(profile))
     elif rule == "copeland":
-        score_block = copeland_scores(tally(profile), policy)
+        scores = copeland_scores(tally(profile), policy)
     else:
-        if rule == "mle-gpm":
-            payload["epsilon"] = epsilon
         weights = rule_weights(rule, profile, tie_policy=policy, epsilon_policy=eps_policy)
         solution = solve_mle(weights)
-        if weights.pair_total is not None:
-            score_block = weight_scores(weights)
-        else:
-            notes.append("pair totals differ, score shortcut unavailable; ranking from solved rewards")
-            ranking = ranking_from_scores(solution.r, tol=1e-8)
-        solver_block = solution
-        if solution.converged:
-            dist_block = softmax(solution)
+        # None exactly when pair totals differ: no exact scores to print
+        scores = None if weights.pair_total is None else weight_scores(weights)
 
-    if score_block is not None:
+    if scores is None:
+        ranking = ranking_from_scores(solution.r, tol=1e-8)
+    else:
         # the rule's exact key ranks like the printed scores, ties included,
         # without sorting those large Fractions
         ranking = make_rule(rule, RuleKind.ORDINAL, tie_policy=policy, epsilon_policy=eps_policy)(profile)
     payload["ranking"] = ranking.as_label_classes(profile.candidates)
-    md.append(f"ranking: {_ranking_text(ranking, labels)}")
-    if score_block is not None:
-        rendered = [_frac(v) for v in score_block]
+    md = [f"# Ranking under {rule}", "", f"ranking: {_ranking_text(ranking, labels)}"]
+    if scores is not None:
+        rendered = [_frac(v) for v in scores]
         payload["scores"] = dict(zip(labels, rendered))
-        md.append("")
-        md += _md_table(["candidate", "score"], [list(row) for row in zip(labels, rendered)])
-    if solver_block is not None:
-        status = solver_block.status
+        md += ["", *_md_table(["candidate", "score"], zip(labels, rendered))]
+    if solution is not None:
+        status = solution.status
+        rewards = [_fmt(x) for x in solution.r]
         payload["solver"] = {
             "status": status.kind.value,
             "iterations": status.iterations,
             "grad_norm": _jnum(status.grad_norm),
-            "rewards": [_jnum(x) for x in solver_block.r],
+            "rewards": [float(x) for x in rewards],
         }
         if status.kind is StatusKind.DIVERGED:
-            payload["solver"]["drift_up"] = [labels[i] for i in status.drift_up]
-            payload["solver"]["drift_down"] = [labels[i] for i in status.drift_down]
-            md.append("")
-            md.append(
-                f"solver diverged: no finite optimum; drifting up {[labels[i] for i in status.drift_up]}, "
-                f"down {[labels[i] for i in status.drift_down]}"
-            )
+            up = payload["solver"]["drift_up"] = [labels[i] for i in status.drift_up]
+            down = payload["solver"]["drift_down"] = [labels[i] for i in status.drift_down]
+            md += ["", f"solver diverged: no finite optimum; drifting up {up}, down {down}"]
         else:
-            md.append("")
-            md.append(f"solver {status.kind.value} in {status.iterations} iterations, grad norm {_fmt(status.grad_norm)}")
-            md += ["", "rewards: " + ", ".join(f"{labels[i]}={_fmt(x)}" for i, x in enumerate(solver_block.r))]
-    if dist_block is not None:
-        payload["softmax"] = {labels[i]: _jnum(x) for i, x in enumerate(dist_block)}
-        md.append("softmax: " + ", ".join(f"{labels[i]}={_fmt(x)}" for i, x in enumerate(dist_block)))
-    for note in notes:
-        payload.setdefault("notes", []).append(note)
-        md += ["", f"note: {note}"]
+            md += [
+                "",
+                f"solver {status.kind.value} in {status.iterations} iterations, grad norm {_fmt(status.grad_norm)}",
+                "",
+                "rewards: " + ", ".join(f"{label}={x}" for label, x in zip(labels, rewards)),
+            ]
+        if solution.converged:
+            dist = [_fmt(x) for x in softmax(solution)]
+            payload["softmax"] = {label: float(x) for label, x in zip(labels, dist)}
+            md.append("softmax: " + ", ".join(f"{label}={x}" for label, x in zip(labels, dist)))
+        if scores is None:
+            note = "pair totals differ, score shortcut unavailable; ranking from solved rewards"
+            payload["notes"] = [note]
+            md += ["", f"note: {note}"]
     rows = [["class", "candidate"]]
-    for k, cls in enumerate(ranking.classes()):
-        for i in cls:
-            rows.append([k + 1, labels[i]])
+    rows += ([k + 1, labels[i]] for k, cls in enumerate(ranking.classes()) for i in cls)
     _emit(fmt, payload, md, rows)
 
 
@@ -409,26 +398,18 @@ def cmd_axioms(input: str, rule: str, checks: str, tie_policy: str, epsilon: str
         for axiom, kind in zip(selected, kinds)
     ]
 
-    payload = {
-        "command": "axioms",
-        "version": __version__,
-        "rule": rule,
-        "reports": [_round_floats(r.to_json_dict()) for r in reports],
-        "violations": sum(1 for r in reports if r.violated),
-    }
+    violations = sum(1 for r in reports if r.violated)
+    docs = [_round_floats(r.to_json_dict()) for r in reports]
+    payload = {"rule": rule, "reports": docs, "violations": violations}
+    # the text cells read the JSON dicts: true/false, and witnesses rounded once
+    cells = [[d["axiom"], json.dumps(d["applicable"]), json.dumps(d["satisfied"])] for d in docs]
     md = [f"# Axiom checks for {rule}", ""]
     md += _md_table(
         ["axiom", "applicable", "satisfied", "witness"],
-        [
-            [r.axiom, str(r.applicable).lower(), str(r.satisfied).lower(),
-             json.dumps(_round_floats(dict(r.witness))) if r.witness else "-"]
-            for r in reports
-        ],
+        ([*row, json.dumps(d["witness"]) if d["witness"] else "-"] for row, d in zip(cells, docs)),
     )
-    rows = [["axiom", "applicable", "satisfied"]]
-    rows += [[r.axiom, str(r.applicable).lower(), str(r.satisfied).lower()] for r in reports]
-    _emit(fmt, payload, md, rows)
-    if any(r.violated for r in reports):
+    _emit(fmt, payload, md, [["axiom", "applicable", "satisfied"], *cells])
+    if violations:
         sys.exit(EXIT_VIOLATION)
 
 
@@ -445,8 +426,6 @@ def cmd_gpmd(input: str, epsilon: str, fmt: str):
     exact = [_frac(x) for x in dist]
     approx = [_fmt(x) for x in dist]
     payload = {
-        "command": "gpmd",
-        "version": __version__,
         "epsilon": epsilon,
         "distribution": dict(zip(labels, exact)),
         # float(_fmt(x)) is _jnum(x): the JSON number matches the text
@@ -529,8 +508,6 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
     )
 
     payload = {
-        "command": "search",
-        "version": __version__,
         "rule": rule,
         "axiom": axiom,
         "space": space,
@@ -542,21 +519,23 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
     }
     md = [f"# Search: {rule} vs {axiom} on {space}", ""]
     if outcome.found:
-        doc = json.loads(serialize_profile(outcome.profile))
-        payload["index"] = outcome.index
-        payload["profile"] = doc
-        payload["report"] = _round_floats(outcome.report.to_json_dict())
-        md.append(f"violation found at index {outcome.index} after examining {outcome.examined} instances")
-        md.append("")
-        md.append("```json")
-        md.append(json.dumps(doc, indent=2))
-        md.append("```")
-        md.append("")
-        md.append(f"witness: {json.dumps(_round_floats(outcome.report.to_json_dict()['witness']))}")
+        data = serialize_profile(outcome.profile)
+        doc = json.loads(data)
+        report = _round_floats(outcome.report.to_json_dict())
+        payload.update(index=outcome.index, profile=doc, report=report)
+        md += [
+            f"violation found at index {outcome.index} after examining {outcome.examined} instances",
+            "",
+            "```json",
+            json.dumps(doc, indent=2),
+            "```",
+            "",
+            f"witness: {json.dumps(report['witness'])}",
+        ]
         if output:
             try:
                 with open(output, "wb") as handle:
-                    handle.write(serialize_profile(outcome.profile))
+                    handle.write(data)
             except OSError as e:
                 click.echo(f"error: cannot write {output}: {e.strerror or e}", err=True)
                 sys.exit(EXIT_SCHEMA)
@@ -589,12 +568,7 @@ def cmd_experiment_cycles(n_list: str, m: int, trials: int, seed: int, fmt: str)
         hits = sum(1 for p in iter_profiles(space) if condorcet_winner(tally(p)) is None)
         results.append({"n": n, "m": m, "trials": trials, "no_winner": hits,
                         "frequency": _jnum(hits / trials)})
-    payload = {
-        "command": "experiment-cycles",
-        "version": __version__,
-        "seed": seed,
-        "rows": results,
-    }
+    payload = {"seed": seed, "rows": results}
     md = [f"# No-Condorcet-winner frequency (m = {m}, {trials} trials, seed {seed})", ""]
     md += _md_table(
         ["n", "no winner", "frequency"],
@@ -605,15 +579,16 @@ def cmd_experiment_cycles(n_list: str, m: int, trials: int, seed: int, fmt: str)
     _emit(fmt, payload, md, rows)
 
 
-def _paradox_profile() -> PreferenceProfile:
-    return complete_profile(
-        ["y1", "y2", "y3"],
-        [["y1", "y2", "y3"], ["y2", "y3", "y1"], ["y3", "y1", "y2"]],
-    )
+def _exact_props(t: PairwiseTally) -> list[list[str | None]]:
+    """Each pair's exact proportion as a fraction string; None where undefined."""
+    return [[None if (p := t.prop(i, j)) is None else _frac(p) for j in range(t.n)] for i in range(t.n)]
 
 
 def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
-    profile = _paradox_profile()
+    profile = complete_profile(
+        ["y1", "y2", "y3"],
+        [["y1", "y2", "y3"], ["y2", "y3", "y1"], ["y3", "y1", "y2"]],
+    )
     t = tally(profile)
     labels = profile.candidates.names
     cyclic, witness = has_condorcet_cycle(t)
@@ -625,7 +600,7 @@ def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
     limit = [_frac(x) for x in gpmd(profile, EpsilonPolicy.limit())]
     payload = {
         "profile": json.loads(serialize_profile(profile)),
-        "props": [[None if t.prop(i, j) is None else _frac(t.prop(i, j)) for j in range(3)] for i in range(3)],
+        "props": _exact_props(t),
         "cycle": [labels[i] for i in witness],
         "borda": borda,
         "copeland": copeland,
@@ -673,7 +648,7 @@ def _demo_single_voter_cycle() -> tuple[dict, list[str]]:
     payload = {
         "profile": json.loads(serialize_profile(profile)),
         "voter_transitive": transitive,
-        "props": [[None if i == j or t.prop(i, j) is None else _frac(t.prop(i, j)) for j in range(3)] for i in range(3)],
+        "props": _exact_props(t),
         "mle_rewards": [_jnum(x) for x in solution.r],
         "ranking": ranking.as_label_classes(profile.candidates),
         "pareto": _round_floats(pareto.to_json_dict()),
@@ -752,10 +727,8 @@ _DEMOS = {
 def cmd_demo(name: str, fmt: str):
     """Deterministic walkthroughs of the central phenomena."""
     payload, md = _DEMOS[name]()
-    payload = {"command": "demo", "version": __version__, "name": name, **payload}
-    rows = [["key", "value"]]
-    rows += [[k, json.dumps(v)] for k, v in payload.items() if k not in ("command", "version")]
-    _emit(fmt, payload, md, rows)
+    payload = {"name": name, **payload}
+    _emit(fmt, payload, md, [["key", "value"], *([k, json.dumps(v)] for k, v in payload.items())])
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -531,6 +531,21 @@ def generate_complete(n: int, m: int, seed: int) -> PreferenceProfile:
         rng.shuffle(order)
         voters.append(_seated_voter(k, tuple(order)))
     return PreferenceProfile(_default_candidates(n), tuple(voters))
+
+
+def enumerate_complete(n: int, m: int) -> Iterator[PreferenceProfile]:
+    """Every profile of m strict rankings of n candidates: each voter runs
+    through the n! orders lexicographically, the last voter fastest.
+
+    Voters come from `generate_complete`'s cache; each seat's tuple holds
+    its n! voters for the whole scan, so a scan wider than the cache only
+    costs later rebuilds.
+    """
+    candidates = _default_candidates(n)
+    orders = sorted(itertools.permutations(range(n)))
+    seats = [tuple(_seated_voter(k, order) for order in orders) for k in range(m)]
+    for voters in itertools.product(*seats):
+        yield PreferenceProfile(candidates, voters)
 
 
 def generate_assumption1(n: int, seed: int) -> PreferenceProfile:

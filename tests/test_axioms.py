@@ -399,6 +399,19 @@ def test_exhaustive_space_yields_distinct_profiles():
     assert len(seen) == 36
 
 
+def test_exhaustive_space_draws_the_voters_generate_complete_shares():
+    labels = default_labels(3)
+    profiles = list(iter_profiles(ExhaustiveComplete(3, 2)))
+    # index order: each voter's ranking in lexicographic order, the last voter fastest
+    assert profiles == [
+        complete_profile(labels, rankings) for rankings in itertools.product(itertools.permutations(labels), repeat=2)
+    ]
+    seated = {(k, v.ranking.order): v for p in profiles for k, v in enumerate(p.voters)}
+    drawn = generate_complete(3, 2, 1)
+    assert drawn.candidates is profiles[0].candidates
+    assert all(v is seated[k, v.ranking.order] for k, v in enumerate(drawn.voters))
+
+
 def test_exhaustive_space_too_large():
     with pytest.raises(SpaceTooLargeError):
         list(iter_profiles(ExhaustiveComplete(6, 10)))

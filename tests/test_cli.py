@@ -521,6 +521,50 @@ def test_search_repeated_space_parameter_exit_two(runner):
     assert "space parameter 'n' given more than once" in res.stderr
 
 
+BORDA_CONDORCET = ["search", "--rule", "borda", "--axiom", "condorcet"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (BORDA_CONDORCET + ["--space", "bogus:n=3"],
+         "unknown space 'bogus'; expected exhaustive-complete, random-complete, or assumption1"),
+        (BORDA_CONDORCET + ["--space", "exhaustive-complete:n=3"],
+         "space 'exhaustive-complete' needs parameter 'm'"),
+        (BORDA_CONDORCET + ["--space", "exhaustive-complete:n=x,m=2"], "space parameter 'n' must be an integer"),
+        (BORDA_CONDORCET + ["--space", "exhaustive-complete:n"], "bad space parameter 'n'"),
+        (BORDA_CONDORCET + ["--space", "exhaustive-complete:n=3,m=3,k=2"], "unknown space parameters ['k']"),
+        (BORDA_CONDORCET + ["--space", "random-complete:n=3,m=3,trials=3"], "random spaces need a seed"),
+        (["search", "--rule", "gpmd-limit", "--axiom", "condorcet", "--space", "exhaustive-complete:n=3,m=3"],
+         "rule 'gpmd-limit' has no ordinal form"),
+        (["experiment-cycles", "--n-list", "3,x", "--seed", "1"], "--n-list must be comma-separated integers"),
+        (["experiment-cycles", "--n-list", "1", "--seed", "1"], "--n-list needs integers >= 2"),
+        (["axioms", "PROFILE", "--rule", "borda", "--checks", "pareto,nope"], "unknown axiom 'nope'"),
+    ],
+    ids=[
+        "unknown-space", "missing-parameter", "non-integer-parameter", "parameter-without-value",
+        "unknown-parameter", "random-without-seed", "rule-without-form", "n-list-not-integers",
+        "n-list-below-two", "unknown-check",
+    ],
+)
+def test_usage_errors_exit_two_with_their_message(runner, tmp_path, args, message):
+    args = [_write(tmp_path, PARADOX) if a == "PROFILE" else a for a in args]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stderr.endswith(f"\nError: {message}\n")
+    assert res.stdout == ""
+
+
+def test_search_skips_an_empty_space_parameter(runner):
+    docs = [
+        json.loads(runner.invoke(main, BORDA_CONDORCET + ["--space", space, "--format", "json"]).output)
+        for space in ("exhaustive-complete:n=3,,m=3", "exhaustive-complete:n=3,m=3")
+    ]
+    assert docs[0]["space"] == "exhaustive-complete:n=3,,m=3"
+    assert {**docs[0], "space": docs[1]["space"]} == docs[1]
+    assert (docs[0]["found"], docs[0]["index"]) == (True, 3)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["axioms", "search"])
 def test_bad_tolerance_exit_two(runner, tmp_path, command, tol):
@@ -624,7 +668,8 @@ def test_version_flag(runner):
 # Byte-identity pin: sha256 of stdout and the exit code for a fixed command
 # matrix.  A change that alters any report byte for these inputs fails here;
 # a digest is updated only together with an intended change of output.
-PINNED_FORMATS = ("json", "markdown")
+# The csv digests were recorded before the report renderings were merged.
+PINNED_FORMATS = ("json", "markdown", "csv")
 PINNED_PROFILES = ("paradox", "four_voter")
 
 
@@ -661,66 +706,95 @@ def _pinned_matrix() -> dict[str, tuple[str | None, list[str]]]:
 
 
 PINNED = {
+    "axioms-borda-four_voter-csv": (0, "a155b06b15daf331229436721e1679d019d4d12213533e18d61d75999c6925eb"),
     "axioms-borda-four_voter-json": (0, "ba17755a12222cfbf6b824c90566cd1cb5ee7f951d59f428b0b31f145f1d3d50"),
     "axioms-borda-four_voter-markdown": (0, "3dc6a1ade142f018f70c29c03bdcf2e8054696800cf1635e470757649a9189b7"),
+    "axioms-borda-paradox-csv": (0, "a155b06b15daf331229436721e1679d019d4d12213533e18d61d75999c6925eb"),
     "axioms-borda-paradox-json": (0, "ba17755a12222cfbf6b824c90566cd1cb5ee7f951d59f428b0b31f145f1d3d50"),
     "axioms-borda-paradox-markdown": (0, "3dc6a1ade142f018f70c29c03bdcf2e8054696800cf1635e470757649a9189b7"),
+    "axioms-copeland-four_voter-csv": (0, "a155b06b15daf331229436721e1679d019d4d12213533e18d61d75999c6925eb"),
     "axioms-copeland-four_voter-json": (0, "1e6da11241990180ecdfaac584f7f7c7bc597a83dfd2072af1098e54bec1e38f"),
     "axioms-copeland-four_voter-markdown": (0, "187ac7bf0fa1d61d89f5016311fc5754bc1bb8ca1153d17b834a207b4e50fe37"),
+    "axioms-copeland-paradox-csv": (0, "a155b06b15daf331229436721e1679d019d4d12213533e18d61d75999c6925eb"),
     "axioms-copeland-paradox-json": (0, "1e6da11241990180ecdfaac584f7f7c7bc597a83dfd2072af1098e54bec1e38f"),
     "axioms-copeland-paradox-markdown": (0, "187ac7bf0fa1d61d89f5016311fc5754bc1bb8ca1153d17b834a207b4e50fe37"),
+    "axioms-gpmd-limit-four_voter-csv": (0, "32c64c51eee299a5505104a1ff40713c7b64d65107d413abac9fe28049c7d261"),
     "axioms-gpmd-limit-four_voter-json": (0, "223fee3600131a31e291bc3b3af25511983951531f625245c7e041aa1bae71ca"),
     "axioms-gpmd-limit-four_voter-markdown": (0, "69a81a0af948e1db53f6e0be99b50640e02fb342809be093fbbb1deef7dd2a9b"),
+    "axioms-gpmd-limit-paradox-csv": (0, "32c64c51eee299a5505104a1ff40713c7b64d65107d413abac9fe28049c7d261"),
     "axioms-gpmd-limit-paradox-json": (0, "223fee3600131a31e291bc3b3af25511983951531f625245c7e041aa1bae71ca"),
     "axioms-gpmd-limit-paradox-markdown": (0, "69a81a0af948e1db53f6e0be99b50640e02fb342809be093fbbb1deef7dd2a9b"),
+    "axioms-mle-copeland-four_voter-csv": (4, "fff4903ec8126c3b07d620fd86f0847fe0ed0a16ab580728f5b925d78cf508f7"),
     "axioms-mle-copeland-four_voter-json": (4, "c277882f633952144331208b1db6197b26e0c704aa7c20d008f7362eba94a460"),
     "axioms-mle-copeland-four_voter-markdown": (4, "b2906e1c771298b6b95b7e3a6a4e8cc85d49ff6eefd9d9fe25abc2af55f936b1"),
+    "axioms-mle-copeland-paradox-csv": (0, "ca27637615c6fef614c5c60d3a8fbebb273c5293eee0ab01d0e8344dd0ef4b4e"),
     "axioms-mle-copeland-paradox-json": (0, "a88b8347808ea1ac93d741b429a42cfb78a598912d007d64aac0fe25140aaa5e"),
     "axioms-mle-copeland-paradox-markdown": (0, "44b8573e738d73d54d4ed19bab85d0f8e5e5587b408079a5b7c554257db92008"),
+    "axioms-mle-gpm-four_voter-csv": (4, "fff4903ec8126c3b07d620fd86f0847fe0ed0a16ab580728f5b925d78cf508f7"),
     "axioms-mle-gpm-four_voter-json": (4, "8a9af72c803e03be59afa0ff64a93ac846dd55890ccaae26df128808ecdea19f"),
     "axioms-mle-gpm-four_voter-markdown": (4, "3fca5b2a985c725ff685234c63f4ee74b01477d113d7b1dfeb4a5547c447fb0c"),
+    "axioms-mle-gpm-paradox-csv": (0, "ca27637615c6fef614c5c60d3a8fbebb273c5293eee0ab01d0e8344dd0ef4b4e"),
     "axioms-mle-gpm-paradox-json": (0, "534b19f975cc2fdfa38f21e49593fb2001759df1530d54ed38c27fd91fde4ff6"),
     "axioms-mle-gpm-paradox-markdown": (0, "05c076589babb5499a78339f3e9d65915998bfc49e7d899d0118a1113b030e8e"),
+    "axioms-mle-standard-four_voter-csv": (4, "fff4903ec8126c3b07d620fd86f0847fe0ed0a16ab580728f5b925d78cf508f7"),
     "axioms-mle-standard-four_voter-json": (4, "8784b587ad8f2cea9c3dca163978d7e260d4e1aeca11f237184a9f67b709542a"),
     "axioms-mle-standard-four_voter-markdown": (4, "5f8c24dc83dc54860da8ca4c495591e5ea5760f0a287211d7eeb2712bb3674c6"),
+    "axioms-mle-standard-paradox-csv": (0, "ca27637615c6fef614c5c60d3a8fbebb273c5293eee0ab01d0e8344dd0ef4b4e"),
     "axioms-mle-standard-paradox-json": (0, "d998c38490b320bd022b1d9541463fc9c01458ecfdf2cf19f53ce1c759705c49"),
     "axioms-mle-standard-paradox-markdown": (0, "ec0f9eb77183815c5dce5bbb27e4585b5a38f57a2eacded51e9929238fe588e1"),
+    "demo-borda-vs-copeland-csv": (0, "ec5c9e2dad4c6ab8306d7f93664e54e6e17da827e7a17e100e0e309d346565ed"),
     "demo-borda-vs-copeland-json": (0, "c6ba355192fb54158db85f574128a35b6eb7e16786d1618a426cc38659caee5c"),
     "demo-borda-vs-copeland-markdown": (0, "7b75d9b357770f1f112b5397ba936a868fa2d24439fd70cabb58099eeef9d204"),
+    "demo-condorcet-paradox-csv": (0, "4ca73903bcbe3aa3cf259ec8348f223f36ce15de2d24de2882ce5c10a1f2caa5"),
     "demo-condorcet-paradox-json": (0, "30d0ecc8a4ef25f58c9dc7c32c131e3991a680dfe8db7f1479433a99bc7008a5"),
     "demo-condorcet-paradox-markdown": (0, "f6fac8c76c77647724c45cb1d5e17b86571278f55ccf0a1f37e1c339048f2ce3"),
+    "demo-single-voter-cycle-csv": (0, "21c470c30bc499d043e9d4d9d83d0677ee7a8e58f6050848831d335c4427268d"),
     "demo-single-voter-cycle-json": (0, "fd83c78b19e2cbfb8be7872117c9763071f3baf3c04e0fa87e00170458182d41"),
     "demo-single-voter-cycle-markdown": (0, "c426111802814a2dd335c244341218e6e85c8a77b5969eb45ee9950066cd932c"),
     "experiment-cycles": (0, "7bbc782d1883e35cff4037f20b9ccb5ee75b155aaccd515f631b0415fea93fea"),
+    "gpmd-four_voter-csv": (0, "16c08159f8275e359bbf144587540850d18b2b215f4b15a4eb86c885572daa89"),
     "gpmd-four_voter-json": (0, "cff469a32a0033d0f147c31632c797b924d502e04e1284cbe4b04c6ded64a7fc"),
     "gpmd-four_voter-markdown": (0, "2d3ee7cf18cbce53af8e4e6f0dd4231d7d1b4b2a07baea363d36669b3b88fc74"),
+    "gpmd-paradox-csv": (0, "ff3bf58ac10eca52fcd8a13c093800a7aa0c8cf836cbd4f6a415bfd2f3a64e80"),
     "gpmd-paradox-json": (0, "8af81117105b56ae3f76560fb9f2a8760aa7bba264c7f7216778510b66883c56"),
     "gpmd-paradox-markdown": (0, "19228730f3f93a2db8cee684d1570392245535ba82b9ce1596ad9cdbd340a9b4"),
+    "rank-borda-four_voter-csv": (0, "2e8dfc551ce1deedfb9b9d9a3e9f7be0e5324aa7cf36382fd3a62fd061abf982"),
     "rank-borda-four_voter-json": (0, "5eb212f213ee043035f20cae86f5ab384b304de6a426d2d5f15f052dc6e9e798"),
     "rank-borda-four_voter-markdown": (0, "8a9e69a5f9535f1b3f1a4cf782d953fe5bbed24e2ff162cc6173e769caacab45"),
+    "rank-borda-paradox-csv": (0, "0f9439afc882e9d8cf61a2dca4f3b22d2c3df5d7bd54f1c0c7054740292bdeba"),
     "rank-borda-paradox-json": (0, "6330bffa0d925b2975a2dca76886765b54022232118d29a56c7021b25b244f0b"),
     "rank-borda-paradox-markdown": (0, "505065730238d7275d9473eee58daecb9ddca0b00d0d36b42c71ac9f228bffad"),
+    "rank-copeland-four_voter-csv": (0, "2e8dfc551ce1deedfb9b9d9a3e9f7be0e5324aa7cf36382fd3a62fd061abf982"),
     "rank-copeland-four_voter-json": (0, "af225f9cc4aa5499acee2352b17b2a8a1692c27b457acefd1ef04c0c93e5962a"),
     "rank-copeland-four_voter-markdown": (0, "bbaa88278d94ab442458d8317a7d6c0e2557e63da7b55413043ea01f110cf3e4"),
+    "rank-copeland-paradox-csv": (0, "0f9439afc882e9d8cf61a2dca4f3b22d2c3df5d7bd54f1c0c7054740292bdeba"),
     "rank-copeland-paradox-json": (0, "93aa7e202d263576f4ac28e8ea622550332334b5538cfcc0b36bc455a0ed9817"),
     "rank-copeland-paradox-markdown": (0, "df1197d8df014084c36166ffcc2f503936f38ffa71519d6e5713e6ca31cfac2d"),
+    "rank-mle-copeland-four_voter-csv": (0, "2e8dfc551ce1deedfb9b9d9a3e9f7be0e5324aa7cf36382fd3a62fd061abf982"),
     "rank-mle-copeland-four_voter-json": (0, "5a289ed3673120d51b9d8043cf08b7e42325a137c1fabf1805f918fc014d64e5"),
     "rank-mle-copeland-four_voter-markdown": (0, "86f49a2249f4215c37ddd80aa1629f579b83b17c0d6169514c37248bc7b32a6a"),
+    "rank-mle-copeland-paradox-csv": (0, "0f9439afc882e9d8cf61a2dca4f3b22d2c3df5d7bd54f1c0c7054740292bdeba"),
     "rank-mle-copeland-paradox-json": (0, "049a7ef80b18a302e21d36077b61cf33ed57ad237281842c22c9a186c5b2a558"),
     "rank-mle-copeland-paradox-markdown": (0, "9326bc3f61f8c04f9906c3414703301528090b2b1e70767f52e09e2a76bc1f86"),
+    "rank-mle-gpm-four_voter-csv": (0, "2e8dfc551ce1deedfb9b9d9a3e9f7be0e5324aa7cf36382fd3a62fd061abf982"),
     "rank-mle-gpm-four_voter-json": (0, "73fd5d79a634a8527cc0212798edfaa4fbda410f38aadbca82f20ea02cb50b63"),
     "rank-mle-gpm-four_voter-markdown": (0, "6eaa3e21779484c470da370903c194f76db3981f0b5fb233448d79d73e4ac220"),
+    "rank-mle-gpm-paradox-csv": (0, "0f9439afc882e9d8cf61a2dca4f3b22d2c3df5d7bd54f1c0c7054740292bdeba"),
     "rank-mle-gpm-paradox-json": (0, "ceab7dd4b19755fa0cfd6eeb5eed22b54621436c722537578fbf204cea20b295"),
     "rank-mle-gpm-paradox-markdown": (0, "f99f0c9f5451fc92333aa5f2c7715d74b812e8b6d77eac4ea388fe08365dcbcf"),
+    "rank-mle-standard-four_voter-csv": (0, "2e8dfc551ce1deedfb9b9d9a3e9f7be0e5324aa7cf36382fd3a62fd061abf982"),
     "rank-mle-standard-four_voter-json": (0, "6081a16dd38cd9cbf6cf8730f8708727c5a6730df8243a8ea7227f1c63a41c51"),
     "rank-mle-standard-four_voter-markdown": (0, "fd1a02453eaf4086b7a916fa67971653b498590893ee981c7e75120cdf867ff3"),
+    "rank-mle-standard-paradox-csv": (0, "0f9439afc882e9d8cf61a2dca4f3b22d2c3df5d7bd54f1c0c7054740292bdeba"),
     "rank-mle-standard-paradox-json": (0, "d04af2e1611dd383910a91799e3f8429031bc05b809641dea3a8ff8e570d7f35"),
     "rank-mle-standard-paradox-markdown": (0, "5b33b5b6cb803322df50f8c9beabd2866d4284a7ff19517221d6fd3de99d4417"),
     "search-assumption1": (0, "b139680c783e987b6f39d32fb9bce007bbf9425158bde7780900f135ffc8610c"),
     "search-exhaustive-complete": (0, "77822ff070f0453d1044c69758d5847e74a863d1aec85e425f671c1fe8d51f88"),
     "search-random-complete": (0, "12a6257cd7a317bffd3cc61c07ead0077208785c67ac0a793a4abf8568ebe360"),
+    "tally-four_voter-csv": (0, "b97a4c2ef53aa7fc1b68b3e381c34d1784bd3ceb153faa7217a09e56489b5b6c"),
     "tally-four_voter-json": (0, "0bd3d1cfaf3301fbebc0e171ecdfa247755fa433a90b2a7374a598d9501ee74d"),
     "tally-four_voter-markdown": (0, "1f1440d4b74cca287806ae42ee61960111684cd22bb08a2e9edcccfeecc27e01"),
+    "tally-paradox-csv": (0, "6f015864c84679997350418b10c6fd1c903345a3426f7f22bc05e05e20986c41"),
     "tally-paradox-json": (0, "d40b0d273ae21ffa18ab77d8314e470b1a55ac1f8da0ff024a503a44406df42e"),
     "tally-paradox-markdown": (0, "56381b1408a63daaa6042bca06544b91566c9630b73d0bb7773d5ebc7a68664d"),
 }
@@ -756,7 +830,7 @@ UNEVEN_WIDE = {
 def _arithmetic_matrix() -> dict[str, tuple[str, list[str]]]:
     """Case id -> (input profile name, CLI arguments after the profile path)."""
     cases: dict[str, tuple[str, list[str]]] = {}
-    for fmt in PINNED_FORMATS:
+    for fmt in ("json", "markdown"):
         tail = ["--format", fmt]
         for eps in ("1/1000", "1/3"):
             cases[f"gpmd-{eps.replace('/', 'over')}-n30-{fmt}"] = ("n30", ["gpmd", "--epsilon", eps, *tail])

@@ -446,6 +446,47 @@ def test_large_weights_stop_at_the_gradients_rounding_floor(rows, ridge):
     assert sol.status.iterations < 20
 
 
+# lopsided weights whose Newton steps overshoot: the Armijo search halves
+# the step, and where the Newton direction does not descend a
+# steepest-descent step stands in
+@pytest.mark.parametrize(
+    "rows, kind, drift",
+    [
+        ([[0, 2, 3, 3], [10**6, 0, 1000, 3], [1000, 0, 0, 10**9], [10**6, 3, 0, 0]],
+         StatusKind.CONVERGED, ((), ())),
+        ([[0, 1, 1000, 1000], [10**9, 0, 0, 2], [0, 3, 0, 0], [3, 10**9, 10**9, 0]],
+         StatusKind.CONVERGED, ((), ())),
+        ([[0, 1, 0], [10**9, 0, 2], [0, 0, 0]], StatusKind.DIVERGED, ((0, 1), (2,))),
+    ],
+    ids=["halvings", "halvings-and-fallback", "diverged-fallback"],
+)
+def test_lopsided_weights_backtrack_and_fall_back(rows, kind, drift):
+    w = WeightMatrix(rows)
+    sol = solve_mle(w)
+    status = sol.status
+    assert status.kind is kind
+    assert status.grad_norm == max(abs(g) for g in gradient(w, sol))
+    assert (status.drift_up, status.drift_down) == drift
+    if kind is StatusKind.CONVERGED:
+        # at most the gradient's rounding floor: 16 eps times the largest row sum of w + w.T
+        t = np.array(rows, dtype=float)
+        assert status.grad_norm <= 16.0 * np.finfo(float).eps * float((t + t.T).sum(axis=1).max())
+        assert abs(sum(sol.r)) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the damped Newton loop stalls at |g| ~ 6 after 29 steps on this strongly connected matrix",
+)
+def test_strongly_connected_lopsided_weights_converge():
+    w = WeightMatrix([[0, 2, 1000, 0], [1, 0, 2, 3], [0, 10**9, 0, 1], [10**9, 10**6, 3, 0]])
+    if not minimizer_exists(w):
+        # pytest.fail is not an AssertionError, so a broken premise fails the test
+        pytest.fail("the matrix must be strongly connected")
+    assert solve_mle(w).status.kind is StatusKind.CONVERGED
+
+
 # ---------------------------------------------------------------------- scores
 
 def test_scores_match_borda_and_copeland(four_voter):
