@@ -40,9 +40,8 @@ def _nll(w: np.ndarray, r: np.ndarray) -> np.float64:
     return (w * sp).sum()
 
 
-def _nll_grad(w: np.ndarray, t: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Gradient of _nll; t = w + w.T is passed in so solver loops build it once."""
-    s = _sigmoid(r[:, None] - r[None, :])
+def _nll_grad(w: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gradient of _nll from t = w + w.T and s = sigma(r_i - r_j), which solver steps share."""
     g = t * s - w
     np.fill_diagonal(g, 0.0)
     return g.sum(axis=1)
@@ -54,7 +53,7 @@ def loss(w: np.ndarray, values: Sequence[float]) -> float:
 
 def gradient(w: np.ndarray, values: Sequence[float]) -> tuple[float, ...]:
     arr = _as_vector(values, len(w))
-    return tuple(_nll_grad(w, w + w.T, arr))
+    return tuple(_nll_grad(w, w + w.T, _sigmoid(arr[:, None] - arr[None, :])))
 
 
 def newton(
@@ -77,20 +76,15 @@ def newton(
     def objective(r: np.ndarray) -> float:
         return float(_nll(w, r) + ridge * (r * r).sum())
 
-    def grad(r: np.ndarray) -> np.ndarray:
-        return _nll_grad(w, t, r) + 2.0 * ridge * r
-
     r = np.zeros(n)
     steps = 0
     while True:
-        g = grad(r)
+        s = _sigmoid(r[:, None] - r[None, :])
+        g = _nll_grad(w, t, s) + 2.0 * ridge * r
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol or steps == max_iters:
             break
         steps += 1
-
-        d = r[:, None] - r[None, :]
-        s = _sigmoid(d)
         curv = t * s * (1.0 - s)
         np.fill_diagonal(curv, 0.0)
         hess = np.diag(curv.sum(axis=1)) - curv + 2.0 * ridge * np.eye(n)

@@ -26,8 +26,8 @@ runs the domain step and the premise on every profile, and evaluates the
 rule only where the premise holds: a vacuous profile costs no solve, yet a
 profile outside the rule's domain still raises.
 
-Search spaces check their own parameters when built and know their size,
-whether they are exhaustive, and their deterministic profile stream.
+Search spaces check their own parameters when built and know their size and
+its log10, whether they are exhaustive, and their deterministic profile stream.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ from .profiles import (
 from .reward import (
     WeightMatrix,
     bt_odds,
-    minimizer_exists,
     require_constant,
     require_positive,
     softmax,
@@ -393,19 +392,16 @@ def _copeland_weights_tally(profile: PreferenceProfile, tie_policy: TiePolicy) -
     return t
 
 
-def _mle_domain(weights: WeightMatrix) -> tuple[WeightMatrix, tuple[int, ...] | None]:
-    """The weights and, when no finite MLE exists, the top component.
+def _mle_domain(weights: WeightMatrix) -> tuple[WeightMatrix, tuple[int, ...]]:
+    """The weights and their top component: every candidate when a finite MLE exists.
 
-    Raises what top_component raises when the MLE is infinite and has no
-    unique top.
+    Raises what top_component raises on a split graph or an infinite MLE with no unique top.
     """
-    return weights, None if minimizer_exists(weights) else top_component(weights)
+    return weights, top_component(weights)
 
 
-def _mle_distribution(
-    domain: tuple[WeightMatrix, tuple[int, ...] | None]
-) -> ResponseDistribution:
-    """Softmax of the MLE rewards, or its ridge -> 0 limit when they are infinite.
+def _mle_distribution(domain: tuple[WeightMatrix, tuple[int, ...]]) -> ResponseDistribution:
+    """Softmax of the MLE rewards, or its ridge -> 0 limit when a smaller top makes them infinite.
 
     Along the ridge path the top component's rewards pull away from every
     other candidate's while their differences inside the component tend to
@@ -413,7 +409,7 @@ def _mle_distribution(
     zero elsewhere.
     """
     weights, top = domain
-    if top is None:
+    if len(top) == weights.n:
         return softmax(solve_mle(weights))
     probs = [0.0] * weights.n
     if len(top) == 1:
@@ -596,6 +592,10 @@ class ExhaustiveComplete:
     def size(self) -> int:
         return math.factorial(self.n) ** self.m
 
+    @property
+    def size_log10(self) -> float:
+        return self.m * math.lgamma(self.n + 1) / math.log(10)
+
     def profiles(self) -> Iterator[PreferenceProfile]:
         return enumerate_complete(self.n, self.m)
 
@@ -643,6 +643,10 @@ class Assumption1:
     def size(self) -> int:
         return 2 ** (self.n * (self.n - 1) // 2) if self.trials is None else self.trials
 
+    @property
+    def size_log10(self) -> float:
+        return self.n * (self.n - 1) / 2 * math.log10(2) if self.trials is None else math.log10(self.trials)
+
     def profiles(self) -> Iterator[PreferenceProfile]:
         if self.trials is None:
             return _iter_tournaments(self.n)
@@ -657,25 +661,23 @@ def iter_profiles(space) -> Iterator[PreferenceProfile]:
     """Deterministic profile stream for a search space.
 
     Exhaustive spaces larger than the enumeration bound (10^7) are refused
-    here, before the first profile.
+    here, before the first profile.  A size of 4,200 digits or more is
+    neither built (2000!^2000 takes seconds) nor printed in full.
     """
-    if space.exhaustive and space.size > ENUMERATION_BOUND:
-        raise SpaceTooLargeError(
-            f"{space.size} instances exceed the enumeration bound {ENUMERATION_BOUND}"
-        )
+    if space.exhaustive:
+        digits = space.size_log10
+        size = space.size if digits < 4200 else f"about 10^{digits:.0f}"
+        if digits >= 4200 or size > ENUMERATION_BOUND:
+            raise SpaceTooLargeError(f"{size} instances exceed the enumeration bound {ENUMERATION_BOUND}")
     return space.profiles()
 
 
 def _iter_tournaments(n: int) -> Iterator[PreferenceProfile]:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
     for code in range(2 ** len(pairs)):
-        winners = []
-        for bit, (i, j) in enumerate(pairs):
-            if code >> bit & 1:
-                winners.append((i, j))
-            else:
-                winners.append((j, i))
-        yield profile_from_pairs(n, winners)
+        yield profile_from_pairs(
+            n, [(i, j) if code >> bit & 1 else (j, i) for bit, (i, j) in enumerate(pairs)]
+        )
 
 
 @dataclass(frozen=True)
@@ -733,7 +735,8 @@ def counterexample_search(
         if facts is None:
             continue
         applicable += 1
-        report = axiom_conclusion(name, facts, rule.evaluate(prepared), tol=tol)
-        if report.violated:
+        witness = entry.conclusion(facts, rule.evaluate(prepared), tol)
+        if witness is not None:
+            report = AxiomReport(name, applicable=True, satisfied=False, witness=witness)
             return SearchOutcome(True, examined, idx, profile, report, applicable)
     return SearchOutcome(False, examined, applicable=applicable)

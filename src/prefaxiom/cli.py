@@ -49,7 +49,6 @@ from .errors import (
 )
 from .gpmd import EpsilonPolicy, gpmd
 from .profiles import (
-    PairwiseTally,
     PreferenceProfile,
     Ranking,
     TiePolicy,
@@ -233,14 +232,12 @@ def cmd_tally(input: str, fmt: str):
     w = t.wins
     # totals[i][j] = w[i][j] + w[j][i], zero on the diagonal
     totals = [[x + y for x, y in zip(row, col)] for row, col in zip(w, zip(*w))]
-    props = [
-        [_proportion(x, total) for x, total in zip(row, trow)] for row, trow in zip(w, totals)
-    ]
+    props = _exact_props(w)
     payload = {
         "candidates": list(labels),
         "wins": [list(row) for row in w],
         "totals": totals,
-        "props": [[p or None for p in row] for row in props],
+        "props": props,
     }
     # both renderings are lazy: only the printed one is built
     md = itertools.chain(
@@ -253,18 +250,23 @@ def cmd_tally(input: str, fmt: str):
         [["winner", "loser", "wins", "losses", "prop"]],
         (
             [labels[i], labels[j], w[i][j], w[j][i], props[i][j] or ""]
-            for i in range(n) for j in range(i + 1, n)
+            for i, j in itertools.combinations(range(n), 2)
         ),
     )
     _emit(fmt, payload, md, rows)
 
 
-def _proportion(wins: int, total: int) -> str:
-    """wins/total in lowest terms, written as a Fraction prints; "" when total is 0."""
+def _proportion(wins: int, total: int) -> str | None:
+    """wins/total in lowest terms, written as a Fraction prints; None when total is 0."""
     if total == 0:
-        return ""
+        return None
     g = math.gcd(wins, total)
     return str(wins // g) if g == total else f"{wins // g}/{total // g}"
+
+
+def _exact_props(w) -> list[list[str | None]]:
+    """Each pair's exact proportion from the win counts; None where the pair is uncompared."""
+    return [[_proportion(x, x + y) for x, y in zip(row, col)] for row, col in zip(w, zip(*w))]
 
 
 def _ranking_text(ranking: Ranking, labels) -> str:
@@ -472,9 +474,12 @@ def _parse_space(text: str, seed: int | None):
         elif field.default is dataclasses.MISSING:
             raise click.UsageError(f"space {kind!r} needs parameter {field.name!r}")
     try:
-        return space_cls(**args), params
+        space = space_cls(**args)
     except ValueError as e:
         raise click.UsageError(str(e))
+    if params:
+        raise click.UsageError(f"unknown space parameters {sorted(params)}")
+    return space
 
 
 @main.command("search")
@@ -494,9 +499,7 @@ def _parse_space(text: str, seed: int | None):
 @FORMAT_OPTION
 def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
     """Scan a profile space for the first axiom violation by a rule."""
-    space_obj, extra = _parse_space(space, seed)
-    if extra:
-        raise click.UsageError(f"unknown space parameters {sorted(extra)}")
+    space_obj = _parse_space(space, seed)
     kind = axiom_kind(axiom)
     eps_policy = _parse_epsilon(epsilon)
     try:
@@ -579,11 +582,6 @@ def cmd_experiment_cycles(n_list: str, m: int, trials: int, seed: int, fmt: str)
     _emit(fmt, payload, md, rows)
 
 
-def _exact_props(t: PairwiseTally) -> list[list[str | None]]:
-    """Each pair's exact proportion as a fraction string; None where undefined."""
-    return [[None if (p := t.prop(i, j)) is None else _frac(p) for j in range(t.n)] for i in range(t.n)]
-
-
 def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
     profile = complete_profile(
         ["y1", "y2", "y3"],
@@ -600,7 +598,7 @@ def _demo_condorcet_paradox() -> tuple[dict, list[str]]:
     limit = [_frac(x) for x in gpmd(profile, EpsilonPolicy.limit())]
     payload = {
         "profile": json.loads(serialize_profile(profile)),
-        "props": _exact_props(t),
+        "props": _exact_props(t.wins),
         "cycle": [labels[i] for i in witness],
         "borda": borda,
         "copeland": copeland,
@@ -648,7 +646,7 @@ def _demo_single_voter_cycle() -> tuple[dict, list[str]]:
     payload = {
         "profile": json.loads(serialize_profile(profile)),
         "voter_transitive": transitive,
-        "props": _exact_props(t),
+        "props": _exact_props(t.wins),
         "mle_rewards": [_jnum(x) for x in solution.r],
         "ranking": ranking.as_label_classes(profile.candidates),
         "pareto": _round_floats(pareto.to_json_dict()),

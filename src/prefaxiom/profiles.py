@@ -337,12 +337,11 @@ def pair_totals(rows: Sequence[Sequence]) -> tuple[tuple[int, int] | None, int |
     The total is None unless every pair has the same positive rows[i][j] + rows[j][i].
     """
     totals = set()
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            total = row[j] + rows[j][i]
-            if total == 0:
-                return (i, j), None
-            totals.add(total)
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        total = rows[i][j] + rows[j][i]
+        if total == 0:
+            return (i, j), None
+        totals.add(total)
     return None, totals.pop() if len(totals) == 1 else None
 
 
@@ -555,7 +554,7 @@ def generate_assumption1(n: int, seed: int) -> PreferenceProfile:
     every per-pair total is 1 and all proportions are 0 or 1 (a tournament).
     """
     rng = random.Random(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = itertools.combinations(range(n), 2)
     return profile_from_pairs(n, [(i, j) if rng.random() < 0.5 else (j, i) for i, j in pairs])
 
 
@@ -566,7 +565,7 @@ def profile_from_pairs(n: int, winners: Sequence[tuple[int, int]]) -> Preference
     exhaustive tournament enumeration.
     """
     expected = {(min(w, l), max(w, l)) for w, l in winners}
-    required = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    required = set(itertools.combinations(range(n), 2))
     if expected != required or len(winners) != len(required):
         raise ValueError("winners must orient each unordered pair exactly once")
     voters = tuple(
@@ -633,6 +632,10 @@ def parse_profile(data: "bytes | str") -> PreferenceProfile:
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise SchemaError(f"invalid JSON: {e.msg}", line=e.lineno) from None
+    except ValueError:  # the one left: an integer past the int-to-str digit limit
+        raise SchemaError("invalid JSON: integer literal too long") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("top-level value must be an object")
     unknown = set(doc) - {"candidates", "voters"}

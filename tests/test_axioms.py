@@ -390,6 +390,9 @@ def test_space_sizes():
     assert space_size(ExhaustiveComplete(3, 3)) == 216
     assert space_size(Assumption1(4)) == 64
     assert space_size(RandomComplete(3, 3, 500, seed=1)) == 500
+    # the logarithm that iter_profiles reads before it builds or prints a size
+    for space in (ExhaustiveComplete(3, 3), ExhaustiveComplete(30, 30), Assumption1(4), Assumption1(9, 7, seed=1)):
+        assert space.size_log10 == pytest.approx(math.log10(space.size), rel=1e-12)
 
 
 def test_exhaustive_space_yields_distinct_profiles():

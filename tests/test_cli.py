@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -323,10 +325,15 @@ def test_disconnected_exit_three(runner, tmp_path):
             {"id": "v2", "comparisons": [["c", "d"]]},
         ],
     }
-    res = runner.invoke(
-        main, ["rank", _write(tmp_path, doc), "--rule", "mle-standard"]
-    )
-    assert res.exit_code == 3
+    path = _write(tmp_path, doc)
+    for args in (
+        ["rank", path, "--rule", "mle-standard"],
+        ["axioms", path, "--rule", "mle-standard", "--checks", "preference-matching"],
+    ):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 3
+        assert res.stderr == "error: comparison graph splits; candidates [2, 3] unreachable from 0\n"
+        assert res.stdout == ""
 
 
 UNJUDGED_PAIR = {
@@ -343,24 +350,31 @@ UNEVEN_TOTALS = {
 
 
 @pytest.mark.parametrize(
-    "doc, command, options",
+    "doc, command, options, message",
     [
-        pytest.param(UNJUDGED_PAIR, cmd, ["--rule", rule], id=f"{cmd}-{rule}-unjudged-pair")
+        pytest.param(
+            UNJUDGED_PAIR, cmd, ["--rule", rule], "pair (0, 2) has no comparisons",
+            id=f"{cmd}-{rule}-unjudged-pair",
+        )
         for cmd in ("rank", "axioms")
         for rule in ("borda", "copeland", "mle-copeland")
     ]
     + [
         pytest.param(
-            UNEVEN_TOTALS, "axioms", ["--rule", "mle-standard"], id="axioms-mle-standard-uneven-totals"
+            UNEVEN_TOTALS, "axioms", ["--rule", "mle-standard"], "scores need a constant per-pair total",
+            id="axioms-mle-standard-uneven-totals",
         ),
-        pytest.param(UNJUDGED_PAIR, "gpmd", [], id="gpmd-comparison-voters"),
+        pytest.param(
+            UNJUDGED_PAIR, "gpmd", [], "needs full rankings; voter 'v1' gives comparisons",
+            id="gpmd-comparison-voters",
+        ),
     ],
 )
-def test_package_errors_exit_one_with_message(runner, tmp_path, doc, command, options):
+def test_package_errors_exit_one_with_message(runner, tmp_path, doc, command, options, message):
     res = runner.invoke(main, [command, _write(tmp_path, doc), *options])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
-    assert res.stderr.startswith("error: ")
+    assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
 
 
@@ -406,12 +420,56 @@ def test_bad_integer_input_exit_two(runner, args):
     assert isinstance(res.exception, SystemExit)
 
 
+BORDA_CONDORCET = ["search", "--rule", "borda", "--axiom", "condorcet"]
+
+
 def test_search_space_too_large_exit_five(runner):
-    res = runner.invoke(
-        main,
-        ["search", "--rule", "borda", "--axiom", "condorcet", "--space", "exhaustive-complete:n=4,m=6"],
-    )
-    assert res.exit_code == 5
+    for n, m in [(4, 6), (30, 30)]:
+        res = runner.invoke(main, BORDA_CONDORCET + ["--space", f"exhaustive-complete:n={n},m={m}"])
+        assert res.exit_code == 5
+        assert res.stderr == f"error: {math.factorial(n) ** m} instances exceed the enumeration bound 10000000\n"
+
+
+@pytest.mark.parametrize(
+    "args, code, line",
+    [
+        pytest.param(
+            ["tally", "integer-literal-too-long"], 2, "schema error: invalid JSON: integer literal too long",
+            id="integer-literal-too-long",
+        ),
+        pytest.param(
+            ["tally", "nested-too-deeply"], 2, "schema error: invalid JSON: nested too deeply",
+            id="nested-too-deeply",
+        ),
+        pytest.param(
+            BORDA_CONDORCET + ["--space", "exhaustive-complete:n=200,m=20"], 5,
+            "error: about 10^7498 instances exceed the enumeration bound 10000000",
+            id="exhaustive-n-200-m-20",
+        ),
+        pytest.param(
+            BORDA_CONDORCET + ["--space", "assumption1:n=200"], 5,
+            "error: about 10^5990 instances exceed the enumeration bound 10000000",
+            id="assumption1-n-200",
+        ),
+        pytest.param(
+            BORDA_CONDORCET + ["--space", "exhaustive-complete:n=2000,m=2000"], 5,
+            "error: about 10^11471041 instances exceed the enumeration bound 10000000",
+            id="exhaustive-n-2000-m-2000",
+        ),
+    ],
+)
+def test_hostile_input_exits_with_one_line_in_bounded_time(runner, tmp_path, args, code, line):
+    docs = {case[0]: case[1] for case in MALFORMED}
+    if args[0] == "tally":
+        path = tmp_path / "hostile.json"
+        path.write_bytes(docs[args[1]])
+        args = ["tally", str(path)]
+    start = time.perf_counter()
+    res = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == code and isinstance(res.exception, SystemExit)
+    assert res.stderr == line + "\n"
+    assert res.stdout == ""
 
 
 def test_search_requires_seed_for_random(runner):
@@ -519,9 +577,6 @@ def test_search_repeated_space_parameter_exit_two(runner):
     )
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert "space parameter 'n' given more than once" in res.stderr
-
-
-BORDA_CONDORCET = ["search", "--rule", "borda", "--axiom", "condorcet"]
 
 
 @pytest.mark.parametrize(

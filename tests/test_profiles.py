@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -753,6 +754,14 @@ MALFORMED = [
         "voters[1].comparisons[1]",
         None,
     ),
+    # json.loads raises neither as a JSONDecodeError
+    (
+        "integer-literal-too-long",
+        b'{"candidates": ' + b"9" * (sys.get_int_max_str_digits() + 1) + b"}",
+        None,
+        None,
+    ),
+    ("nested-too-deeply", b"[" * 100_000, None, None),
 ]
 
 
