@@ -56,6 +56,25 @@ def gradient(w: np.ndarray, values: Sequence[float]) -> tuple[float, ...]:
     return tuple(_nll_grad(w, w + w.T, _sigmoid(arr[:, None] - arr[None, :])))
 
 
+def _newton_direction(curv: np.ndarray, g: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]:
+    """The sum-zero Newton direction from the pair curvatures, and its slope g . direction.
+
+    The slope is NaN when the system is singular.
+    """
+    n = len(g)
+    np.fill_diagonal(curv, 0.0)
+    hess = np.diag(curv.sum(axis=1)) - curv + 2.0 * ridge * np.eye(n)
+    # rank-one shift along the all-ones null direction keeps the
+    # system nonsingular without disturbing sum-zero solutions
+    shift = max(float(np.trace(hess)) / n, 1e-12)
+    try:
+        direction = np.linalg.solve(hess + shift * np.ones((n, n)) / n, -g)
+    except np.linalg.LinAlgError:
+        return None, np.nan
+    direction = direction - direction.mean()
+    return direction, float(g @ direction)
+
+
 def newton(
     w: np.ndarray, ridge: float, max_iters: int, tol: float, recenter: bool
 ) -> tuple[tuple[float, ...], float, bool, int]:
@@ -79,24 +98,18 @@ def newton(
     r = np.zeros(n)
     steps = 0
     while True:
-        s = _sigmoid(r[:, None] - r[None, :])
+        d = r[:, None] - r[None, :]
+        s = _sigmoid(d)
         g = _nll_grad(w, t, s) + 2.0 * ridge * r
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol or steps == max_iters:
             break
         steps += 1
-        curv = t * s * (1.0 - s)
-        np.fill_diagonal(curv, 0.0)
-        hess = np.diag(curv.sum(axis=1)) - curv + 2.0 * ridge * np.eye(n)
-        # rank-one shift along the all-ones null direction keeps the
-        # system nonsingular without disturbing sum-zero solutions
-        shift = max(float(np.trace(hess)) / n, 1e-12)
-        try:
-            direction = np.linalg.solve(hess + shift * np.ones((n, n)) / n, -g)
-            direction = direction - direction.mean()
-            slope = float(g @ direction)
-        except np.linalg.LinAlgError:
-            slope = np.nan
+        direction, slope = _newton_direction(t * s * (1.0 - s), g, ridge)
+        if not slope < 0.0:
+            # once sigma(d) rounds to 1, 1 - s is exactly 0 and the saturated
+            # pairs lose their curvature; sigma(-d) keeps it up to d ~ 745
+            direction, slope = _newton_direction(t * s * _sigmoid(-d), g, ridge)
         # NaN too for a non-finite direction: steepest descent where Newton does not descend
         if not slope < 0.0:
             direction = -(g - g.mean())

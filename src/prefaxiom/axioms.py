@@ -59,6 +59,7 @@ from .profiles import (
 )
 from .reward import (
     WeightMatrix,
+    _balanced_distribution,
     bt_odds,
     require_constant,
     require_positive,
@@ -400,24 +401,40 @@ def _mle_domain(weights: WeightMatrix) -> tuple[WeightMatrix, tuple[int, ...]]:
     return weights, top_component(weights)
 
 
+def _mle_softmax(weights: WeightMatrix) -> ResponseDistribution:
+    """The softmax of the MLE rewards of a strongly connected weight matrix.
+
+    Exact, with no solve, when the weights are in detailed balance: every
+    pair weighs both ways and the pair odds factor, so q, the normalised
+    odds against candidate 0, has w_ij * q_j == w_ji * q_i on every pair.
+    The gradient at r = log q is then exactly 0, and with every pair weighed
+    both ways that minimiser is the only one (Ford 1957).  Otherwise the
+    float softmax of the solved rewards.
+    """
+    exact = _balanced_distribution(weights.w)
+    return softmax(solve_mle(weights)) if exact is None else ResponseDistribution(exact)
+
+
 def _mle_distribution(domain: tuple[WeightMatrix, tuple[int, ...]]) -> ResponseDistribution:
     """Softmax of the MLE rewards, or its ridge -> 0 limit when a smaller top makes them infinite.
 
     Along the ridge path the top component's rewards pull away from every
     other candidate's while their differences inside the component tend to
     the component's own MLE, so the limit is that component's softmax and
-    zero elsewhere.
+    zero elsewhere.  `_mle_softmax` gives the whole matrix's softmax or the
+    component's, exact and with no solve when its weights factor.
     """
     weights, top = domain
     if len(top) == weights.n:
-        return softmax(solve_mle(weights))
-    probs = [0.0] * weights.n
+        return _mle_softmax(weights)
     if len(top) == 1:
-        probs[top[0]] = 1.0
+        inner = (1.0,)
     else:
-        inner = WeightMatrix([[weights.w[i][j] for j in top] for i in top])
-        for i, p in zip(top, softmax(solve_mle(inner))):
-            probs[i] = p
+        inner = _mle_softmax(WeightMatrix([[weights.w[i][j] for j in top] for i in top]))
+    # zero elsewhere, exact beside an exact component
+    probs = [0 * inner[0]] * weights.n
+    for i, p in zip(top, inner):
+        probs[i] = p
     return ResponseDistribution(tuple(probs))
 
 
@@ -515,10 +532,15 @@ def make_rule(
     mle-copeland by Copeland's half points, mle-gpm by the group matching
     distribution p* itself.  So an ordinal MLE rule ranks like
     rank_by_scores(rule_weights(...)) without a weight matrix.  Probabilistic
-    MLE rules take their weights from rule_weights and softmax the solved
+    MLE rules take their weights from rule_weights and softmax the MLE
     rewards when a finite MLE exists (the positive-weight digraph is strongly
     connected).  Otherwise they return the exact ridge -> 0 limit of the
-    regularized softmax: the top component's own softmax, zero elsewhere.  A
+    regularized softmax: the top component's own softmax, zero elsewhere.
+    Either softmax is exact and runs no solve when its weights are in
+    detailed balance (every pair weighed both ways, pair odds that factor
+    through the odds against the first candidate), as mle-gpm's always are
+    and mle-standard's are on a Bradley-Terry-embeddable tally; any other
+    weights are solved in floats.  A
     generalized profile whose digraph has several source components (strongly
     connected components that no edge enters) has no such top and raises
     NoUniqueTopError.
@@ -662,11 +684,18 @@ def iter_profiles(space) -> Iterator[PreferenceProfile]:
 
     Exhaustive spaces larger than the enumeration bound (10^7) are refused
     here, before the first profile.  A size of 4,200 digits or more is
-    neither built (2000!^2000 takes seconds) nor printed in full.
+    neither built (2000!^2000 takes seconds) nor printed in full, and one
+    whose digit count is past float range is not counted either.
     """
     if space.exhaustive:
-        digits = space.size_log10
-        size = space.size if digits < 4200 else f"about 10^{digits:.0f}"
+        try:
+            digits = space.size_log10
+        except OverflowError:  # a parameter past float range
+            digits = math.inf
+        if digits < 4200:
+            size = space.size
+        else:
+            size = f"about 10^{digits:.0f}" if digits < math.inf else "more than 10^(10^308)"
         if digits >= 4200 or size > ENUMERATION_BOUND:
             raise SpaceTooLargeError(f"{size} instances exceed the enumeration bound {ENUMERATION_BOUND}")
     return space.profiles()

@@ -240,8 +240,11 @@ def solve_mle(
     """Minimize the loss over the sum-zero gauge.
 
     Newton steps solve the reduced system through a rank-one shift along the
-    all-ones null direction, with Armijo backtracking; a steepest-descent step
-    stands in when the Newton system is singular or its solution non-finite.
+    all-ones null direction, with Armijo backtracking.  When the Newton
+    direction fails (a singular system, or a slope that does not descend),
+    the curvature is rebuilt as t * sigma(d) * sigma(-d), which stays positive
+    on pairs where 1 - sigma(d) rounds to 0, and solved once more; a
+    steepest-descent step stands in when that fails too.
     The loop stops once the largest gradient entry is at most GRAD_TOL.
 
     The status follows Ford's condition, read from the weight graph: CONVERGED
@@ -357,26 +360,44 @@ def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
     return WeightMatrix(rows)
 
 
+def _balanced_distribution(w: Sequence[Sequence[Fraction | int]]) -> tuple[Fraction, ...] | None:
+    """The normalised odds against row 0 when the rows are in detailed balance, or None.
+
+    The rows w are in detailed balance when every pair has positive weight
+    both ways and the odds q = (1, w_10 / w_01, ...) have w_ab * q_b ==
+    w_ba * q_a on every pair, which is w_ab * w_0a * w_b0 == w_ba * w_a0 * w_0b.
+    Each pair's test cross-multiplies integers, the odds over their common
+    denominator against the entries' numerators and denominators, so it
+    takes no gcd (at mle-gpm's n = 200 the entries run to about 600 digits).
+    """
+    n = len(w)
+    if not all(w[a][0] and w[0][a] for a in range(1, n)):
+        return None
+    odds = (Fraction(1),) + tuple(Fraction(w[a][0], w[0][a]) for a in range(1, n))
+    common = math.lcm(*(q.denominator for q in odds))
+    scaled = [q.numerator * (common // q.denominator) for q in odds]
+    for a, b in itertools.combinations(range(1, n), 2):
+        ab, ba = w[a][b], w[b][a]
+        if not (ab and ba) or (
+            ab.numerator * ba.denominator * scaled[b] != ba.numerator * ab.denominator * scaled[a]
+        ):
+            return None
+    total = sum(scaled)
+    return tuple(Fraction(x, total) for x in scaled)
+
+
 def bt_odds(t: PairwiseTally) -> tuple[Fraction, ...] | None:
     """Each candidate's exact Bradley-Terry odds against candidate 0, or None.
 
     The candidates embed in a Bradley-Terry model iff every pair was judged
     both ways and the pair odds factor through the odds against the anchor,
-    candidate 0: w_ab * w_0a * w_b0 == w_ba * w_a0 * w_0b for every pair a, b,
-    decided by integer cross-multiplication alone.  Then candidate a's odds
-    are w_a0 / w_0a = exp(r_a - r_0) for the embedding's rewards r, and the
-    anchor's are 1.
+    candidate 0: w_ab * w_0a * w_b0 == w_ba * w_a0 * w_0b for every pair a, b
+    of win counts, decided by integer cross-multiplication alone.  Then
+    candidate a's odds are w_a0 / w_0a = exp(r_a - r_0) for the embedding's
+    rewards r, and the anchor's are 1.
     """
-    w = t.wins
-    to_anchor = w[0]
-    rest = range(1, t.n)
-    if not all(w[a][0] and to_anchor[a] for a in rest):
-        return None
-    for a, b in itertools.combinations(rest, 2):
-        ab, ba = w[a][b], w[b][a]
-        if not (ab and ba) or ab * to_anchor[a] * w[b][0] != ba * w[a][0] * to_anchor[b]:
-            return None
-    return (Fraction(1),) + tuple(Fraction(w[a][0], to_anchor[a]) for a in rest)
+    q = _balanced_distribution(t.wins)
+    return None if q is None else tuple(x / q[0] for x in q)
 
 
 def _log(x: Fraction) -> float:

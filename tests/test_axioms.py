@@ -36,17 +36,20 @@ from prefaxiom import (
     SpaceTooLargeError,
     TiePolicy,
     Voter,
+    WeightMatrix,
     ZeroProbabilityError,
     axiom_conclusion,
     axiom_kind,
     axiom_name,
     axiom_premise,
+    bt_odds,
     complete_profile,
     counterexample_search,
     default_labels,
     generalized_profile,
     generate_complete,
     gpmd,
+    gradient,
     iter_profiles,
     make_rule,
     minimizer_exists,
@@ -58,6 +61,7 @@ from prefaxiom import (
     solve_mle,
     space_size,
     tally,
+    top_component,
     weights_copeland,
     weights_standard,
 )
@@ -368,6 +372,71 @@ def test_probabilistic_mle_rule_refuses_two_undominated_sets():
     profile = generalized_profile(["a", "b", "c"], {"v1": [("a", "c")], "v2": [("b", "c")]})
     with pytest.raises(NoUniqueTopError):
         make_rule("mle-standard", RuleKind.PROBABILISTIC)(profile)
+
+
+def _mle_softmax(weights: WeightMatrix) -> ResponseDistribution:
+    """A probabilistic MLE rule's evaluation on weights given directly."""
+    return make_rule("mle-standard", RuleKind.PROBABILISTIC).evaluate((weights, top_component(weights)))
+
+
+@st.composite
+def _balanced_weights(draw):
+    """Weights in detailed balance, w_ij = c_ij q_i / (q_i + q_j), and q."""
+    n = draw(st.integers(2, 6))
+    fractions = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+    q = draw(st.lists(fractions, min_size=n, max_size=n))
+    c = {pair: draw(fractions) for pair in itertools.combinations(range(n), 2)}
+    rows = [
+        [0 if i == j else c[min(i, j), max(i, j)] * q[i] / (q[i] + q[j]) for j in range(n)]
+        for i in range(n)
+    ]
+    return WeightMatrix(rows), q
+
+
+@given(_balanced_weights())
+@settings(max_examples=60, deadline=None)
+def test_mle_softmax_is_exact_in_detailed_balance(drawn):
+    w, q = drawn
+    exact = tuple(x / sum(q) for x in q)
+    dist = _mle_softmax(w)
+    assert dist.p == exact and all(type(x) is Fraction for x in dist)
+    # log q is the stationary point, and the float solve lands on it
+    scale = max(sum(float(x) for x in row) for row in w.w)
+    assert max(abs(g) for g in gradient(w, [math.log(x) for x in q])) <= 1e-12 * scale
+    assert softmax(solve_mle(w)).linf_distance(ResponseDistribution(exact)) <= 1e-9
+
+
+def test_mle_softmax_solves_weights_that_do_not_factor(paradox, four_voter):
+    profiles = [paradox, four_voter] + [generate_complete(4, 5, seed) for seed in range(20)]
+    cases = [weights_standard(tally(p)) for p in profiles if bt_odds(tally(p)) is None]
+    cases.append(WeightMatrix([[0, 2, 1], [1, 0, 3], [1, 2, 0]]))
+    cases = [w for w in cases if minimizer_exists(w)]
+    assert len(cases) >= 10
+    for w in cases:
+        assert _mle_softmax(w).p == softmax(solve_mle(w)).p
+
+
+def test_mle_softmax_of_a_top_component_that_factors():
+    # {0, 1, 2} never loses to 3, and inside it w_ij = q_i / (q_i + q_j) for q = (1, 2, 3)
+    q = (1, 2, 3)
+    rows = [[0 if i == j else Fraction(q[i], q[i] + q[j]) for j in range(3)] + [1] for i in range(3)]
+    w = WeightMatrix(rows + [[0, 0, 0, 0]])
+    assert top_component(w) == (0, 1, 2)
+    dist = _mle_softmax(w)
+    assert dist.p == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 0)
+    assert all(type(x) is Fraction for x in dist)
+    assert dist.linf_distance(softmax(solve_mle(w, ridge=1e-8))) <= 1e-6
+    # a two-candidate top always factors; a single top is certain
+    pair_top = WeightMatrix([[0, 1, 1], [2, 0, 1], [0, 0, 0]])
+    assert _mle_softmax(pair_top).p == (Fraction(1, 3), Fraction(2, 3), 0)
+    assert _mle_softmax(WeightMatrix([[0, 1, 1], [0, 0, 1], [0, 0, 0]])).p == (1.0, 0.0, 0.0)
+
+
+def test_mle_gpm_returns_the_group_matching_distribution_exactly():
+    policy = EpsilonPolicy.finite(Fraction(1, 100))
+    rule = make_rule("mle-gpm", RuleKind.PROBABILISTIC, epsilon_policy=policy)
+    for profile in iter_profiles(ExhaustiveComplete(3, 2)):
+        assert rule(profile).p == gpmd(profile, policy).p
 
 
 def test_mle_rules_coincide_on_assumption1_tournaments():

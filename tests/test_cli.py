@@ -456,6 +456,17 @@ def test_search_space_too_large_exit_five(runner):
             "error: about 10^11471041 instances exceed the enumeration bound 10000000",
             id="exhaustive-n-2000-m-2000",
         ),
+        # sizes whose log10 is past float range
+        pytest.param(
+            BORDA_CONDORCET + ["--space", "assumption1:n=1" + "0" * 160], 5,
+            "error: more than 10^(10^308) instances exceed the enumeration bound 10000000",
+            id="assumption1-n-161-digits",
+        ),
+        pytest.param(
+            BORDA_CONDORCET + ["--space", "exhaustive-complete:n=1" + "0" * 400 + ",m=2"], 5,
+            "error: more than 10^(10^308) instances exceed the enumeration bound 10000000",
+            id="exhaustive-n-401-digits",
+        ),
     ],
 )
 def test_hostile_input_exits_with_one_line_in_bounded_time(runner, tmp_path, args, code, line):
@@ -757,6 +768,16 @@ def _pinned_matrix() -> dict[str, tuple[str | None, list[str]]]:
         cases[f"search-{space.partition(':')[0]}"] = (
             None, ["search", "--rule", "borda", "--axiom", "condorcet", "--space", space, *seed]
         )
+    # mle-gpm's weights are in detailed balance, so its witness is exact: the
+    # pair's share 1497002/1498501 prints as 0.998999667001 (the float solve
+    # gave 0.998999667)
+    cases["search-mle-gpm-preference-matching-json"] = (
+        None,
+        [
+            "search", "--rule", "mle-gpm", "--axiom", "preference-matching",
+            "--space", "exhaustive-complete:n=3,m=4", "--epsilon", "1/1000", "--format", "json",
+        ],
+    )
     return cases
 
 
@@ -845,6 +866,7 @@ PINNED = {
     "rank-mle-standard-paradox-markdown": (0, "5b33b5b6cb803322df50f8c9beabd2866d4284a7ff19517221d6fd3de99d4417"),
     "search-assumption1": (0, "b139680c783e987b6f39d32fb9bce007bbf9425158bde7780900f135ffc8610c"),
     "search-exhaustive-complete": (0, "77822ff070f0453d1044c69758d5847e74a863d1aec85e425f671c1fe8d51f88"),
+    "search-mle-gpm-preference-matching-json": (0, "8e560a3a0f52409eb78bbf2d0a0f71ba2f471b510dbbf5e53d83832a455d63bb"),
     "search-random-complete": (0, "12a6257cd7a317bffd3cc61c07ead0077208785c67ac0a793a4abf8568ebe360"),
     "tally-four_voter-csv": (0, "b97a4c2ef53aa7fc1b68b3e381c34d1784bd3ceb153faa7217a09e56489b5b6c"),
     "tally-four_voter-json": (0, "0bd3d1cfaf3301fbebc0e171ecdfa247755fa433a90b2a7374a598d9501ee74d"),

@@ -110,6 +110,11 @@ def test_exact_commands_leave_numpy_unloaded(profile_path, even_profile_path):
         # the majority paths, half-splits included
         ["rank", even_profile_path, "--rule", "copeland", "--tie-policy", "strict"],
         ["search", "--rule", "mle-copeland", "--axiom", "pairwise-majority", "--space", "assumption1:n=4"],
+        # mle-gpm's weights are in detailed balance: its distribution is exact, with no solve
+        [
+            "search", "--rule", "mle-gpm", "--axiom", "gpm",
+            "--space", "exhaustive-complete:n=3,m=3", "--epsilon", "1/100",
+        ],
         ["axioms", even_profile_path, "--rule", "mle-copeland", "--tie-policy", "strict"],
     ]
     report = _probe(commands)
