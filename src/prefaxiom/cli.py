@@ -113,6 +113,49 @@ def _round_floats(obj):
     return obj
 
 
+# the types the stdlib writes as one JSON token; their subclasses (which it
+# writes the same way) take the recursive path
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_key(key) -> str:
+    """A dict key as the stdlib writes it: scalars coerced to their JSON text, then quoted."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _indented_json(obj, pad: str = "\n") -> str:
+    """Exactly json.dumps(obj, indent=2), with the C encoder writing each flat container.
+
+    Given an indent, the stdlib falls back to its pure-Python encoder.  Here a
+    list, tuple or str-keyed dict of scalars is one C-encoder call whose item
+    separator carries the line break and indent, and only its brackets are
+    re-framed; other containers recurse.  `pad` is the line break and indent
+    of the line that closes obj.
+    """
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _SCALARS.issuperset(map(type, obj)):
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        else:
+            body = ("," + inner).join(_indented_json(x, inner) for x in obj)
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if _SCALARS.issuperset(map(type, obj.values())) and all(type(k) is str for k in obj):
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        else:
+            body = ("," + inner).join(f"{_json_key(k)}: {_indented_json(v, inner)}" for k, v in obj.items())
+        return "{" + inner + body + pad + "}"
+    return json.dumps(obj)
+
+
 def _md_table(header: list[str], rows: Iterable) -> Iterator[str]:
     yield "| " + " | ".join(header) + " |"
     yield "|" + "|".join(" --- " for _ in header) + "|"
@@ -124,7 +167,7 @@ def _emit(fmt: str, payload: dict, md_lines: Iterable[str], csv_rows: Iterable[l
     """Print the one rendering asked for; JSON reports open with one shared header."""
     if fmt == "json":
         command = click.get_current_context().command.name
-        click.echo(json.dumps({"schema": 1, "command": command, "version": __version__, **payload}, indent=2))
+        click.echo(_indented_json({"schema": 1, "command": command, "version": __version__, **payload}))
     elif fmt == "csv":
         buf = io.StringIO()
         _csv.writer(buf, lineterminator="\n").writerows(csv_rows)
@@ -265,8 +308,14 @@ def _proportion(wins: int, total: int) -> str | None:
 
 
 def _exact_props(w) -> list[list[str | None]]:
-    """Each pair's exact proportion from the win counts; None where the pair is uncompared."""
-    return [[_proportion(x, x + y) for x, y in zip(row, col)] for row, col in zip(w, zip(*w))]
+    """Each pair's exact proportion from the win counts; None where the pair is uncompared.
+
+    Each distinct (wins, losses) pair is rendered once: a complete m-voter
+    tally has at most m + 1 of them.
+    """
+    pairs = [list(zip(row, col)) for row, col in zip(w, zip(*w))]
+    text = {p: _proportion(p[0], p[0] + p[1]) for p in set().union(*pairs)}
+    return [list(map(text.get, row)) for row in pairs]
 
 
 def _ranking_text(ranking: Ranking, labels) -> str:
@@ -530,7 +579,7 @@ def cmd_search(rule, axiom, space, seed, tol, epsilon, budget, output, fmt):
             f"violation found at index {outcome.index} after examining {outcome.examined} instances",
             "",
             "```json",
-            json.dumps(doc, indent=2),
+            _indented_json(doc),
             "```",
             "",
             f"witness: {json.dumps(report['witness'])}",
@@ -698,7 +747,7 @@ def _demo_borda_vs_copeland() -> tuple[dict, list[str]]:
         f"Exhaustive scan of all 3-voter, 3-candidate profiles stops at index {outcome.index}:",
         "",
         "```json",
-        json.dumps(doc, indent=2),
+        _indented_json(doc),
         "```",
         "",
         f"{labels[winner]} beats every rival by majority, but the Borda scores are",

@@ -295,16 +295,27 @@ def scores(weights: WeightMatrix) -> tuple[Fraction, ...]:
     In constant-total mode the loss minimizer orders candidates exactly by
     these scores, so they stand in for the solver wherever only the ordering
     matters.
+
+    Each row's integer entries are summed directly, and its nonzero Fraction
+    entries by a product tree: pairwise as unreduced (numerator,
+    denominator) pairs, a/b + c/d = (ad + cb)/(bd), so that the operands of
+    each product stay balanced in size.  One Fraction per row reduces the
+    sum; the value is the same as any other exact summation's.
     """
     total = require_constant(weights.pair_total)
     values = []
     for row in weights.w:
-        # integer numerators over this row's own lcm: one exact division per
-        # row, and no common denominator across rows (at mle-gpm's n = 40 a
-        # matrix-wide lcm runs to thousands of digits)
-        common = math.lcm(*(x.denominator for x in row))
-        numerator = sum(x.numerator * (common // x.denominator) for x in row)
-        values.append(Fraction(numerator * total.denominator, common * total.numerator))
+        whole, terms = 0, []
+        for x in row:
+            if type(x) is int:
+                whole += x
+            elif x:
+                terms.append((x.numerator, x.denominator))
+        while len(terms) > 1:
+            odd = terms[-1:] if len(terms) % 2 else []
+            terms = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])] + odd
+        num, den = terms[0] if terms else (0, 1)
+        values.append(Fraction((num + whole * den) * total.denominator, den * total.numerator))
     return tuple(values)
 
 

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prefaxiom import (
     ORDINAL_AXIOMS,
@@ -26,7 +28,7 @@ from prefaxiom import (
     tally,
     weights_gpm,
 )
-from prefaxiom.cli import main
+from prefaxiom.cli import _indented_json, main
 from test_profiles import MALFORMED, malformed_bytes
 
 PARADOX = {
@@ -726,6 +728,38 @@ def test_round_trip_serialization_matches_cli_input(tmp_path):
     assert serialize_profile(profile).endswith(b"\n")
 
 
+# the JSON scalars, with the floats the encoder spells out, and text with
+# non-ASCII and control characters
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x9F))
+)
+_JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES)
+@example([])
+@example({})
+@example({"a": [[], {}, [[{}]], {"b": {}}], "c": ()})
+@example({1: 2, "1": 3, 1.5: [], True: None, None: {}, -0.0: math.nan})
+@example([math.inf, -math.inf, -0.0, "\x00\u00e9\u2028\U0001f600", ["\n\t"]])
+@settings(max_examples=300, deadline=None)
+def test_indented_writer_equals_the_stdlib(obj):
+    assert _indented_json(obj) == json.dumps(obj, indent=2)
+
+
 def test_version_flag(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0 and "prefaxiom" in res.output
@@ -916,7 +950,16 @@ def _arithmetic_matrix() -> dict[str, tuple[str, list[str]]]:
         cases[f"rank-mle-gpm-n12-{fmt}"] = ("n12", ["rank", "--rule", "mle-gpm", *tail])
     cases["tally-two-byte-json"] = ("two-byte", ["tally", "--format", "json"])
     cases["rank-mle-standard-two-byte-json"] = ("two-byte", ["rank", "--rule", "mle-standard", "--format", "json"])
+    cases["tally-n30-json"] = ("n30", ["tally", "--format", "json"])
+    # m = 20 is even: mle-copeland's tied pairs weigh Fraction(1, 2) each way
+    cases["rank-mle-copeland-n30-json"] = ("n30", ["rank", "--rule", "mle-copeland", "--format", "json"])
+    cases["rank-mle-gpm-n40-json"] = ("n40", ["rank", "--rule", "mle-gpm", "--format", "json"])
     return cases
+
+
+# cases whose digest covers only the exact members: the solver floats beside
+# them vary with the CPU's SIMD level
+EXACT_MEMBERS_ONLY = {"rank-mle-copeland-n30-json", "rank-mle-gpm-n40-json"}
 
 
 def _arithmetic_profile(name: str) -> bytes:
@@ -931,6 +974,8 @@ def _arithmetic_profile(name: str) -> bytes:
         return serialize_profile(parse_profile(json.dumps(UNEVEN_WIDE)))
     if name == "n30":
         return serialize_profile(generate_complete(30, 20, 17))
+    if name == "n40":
+        return serialize_profile(generate_complete(40, 10, 5))
     return serialize_profile(generate_complete(12, 8, 5))
 
 
@@ -950,6 +995,11 @@ PINNED_ARITHMETIC = {
     # recorded on the one-increment-per-pair tally, before rows were packed
     "tally-two-byte-json": (0, "787f987ccba31f20e88fc4c779b37835a262c904768141301b8afff87ccfe9c9"),
     "rank-mle-standard-two-byte-json": (0, "80ad71cae121855a0bcdac9242c5c0aee8de397aaa22f0edb269ee9185d50527"),
+    # recorded on the pure-Python indented encoder, per-row-lcm score sums
+    # and one gcd per proportion
+    "tally-n30-json": (0, "5b29ba1fcbeb1cca2d07f9965a47ee8d4afd309c22b36c611802b4fb42d32021"),
+    "rank-mle-copeland-n30-json": (0, "9305459fb9ecaf7bdd3a9a418203e8170976dbb118df67883c53b2d4754f37e7"),
+    "rank-mle-gpm-n40-json": (0, "06fd22ef7c797394521d3d1bec08118c0e54709fe2dfc59c32cd4112d86d8d60"),
 }
 
 
@@ -959,5 +1009,9 @@ def test_pinned_exact_arithmetic_output(case, runner, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_bytes(_arithmetic_profile(name))
     res = runner.invoke(main, [args[0], str(path), *args[1:]])
-    digest = hashlib.sha256(res.stdout_bytes).hexdigest()
+    out = res.stdout_bytes
+    if case in EXACT_MEMBERS_ONLY:
+        doc = json.loads(out)
+        out = json.dumps({"scores": doc["scores"], "ranking": doc["ranking"]}).encode()
+    digest = hashlib.sha256(out).hexdigest()
     assert (res.exit_code, digest) == PINNED_ARITHMETIC[case]

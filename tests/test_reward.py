@@ -32,6 +32,7 @@ from prefaxiom import (
     embedding_residual,
     generalized_profile,
     generate_complete,
+    gpmd,
     gradient,
     loss,
     minimizer_exists,
@@ -499,6 +500,50 @@ def test_scores_require_constant_totals():
     )
     with pytest.raises(NotConstantTotalError):
         scores(weights_standard(tally(p)))
+
+
+def _lcm_scores(weights: WeightMatrix) -> tuple[Fraction, ...]:
+    """Reference: each row's numerators over that row's own lcm, one division per row."""
+    total = weights.pair_total
+    values = []
+    for row in weights.w:
+        common = math.lcm(*(x.denominator for x in row))
+        numerator = sum(x.numerator * (common // x.denominator) for x in row)
+        values.append(Fraction(numerator * total.denominator, common * total.numerator))
+    return tuple(values)
+
+
+@st.composite
+def _constant_total_weights(draw) -> WeightMatrix:
+    """Int, Fraction and zero entries whose pairs share an int or a Fraction total."""
+    n = draw(st.integers(2, 7))
+    total = draw(st.integers(1, 12) | st.fractions(Fraction(1, 50), 12, max_denominator=60))
+    rows: list[list] = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if type(total) is int and draw(st.booleans()):
+            share = draw(st.integers(0, total))
+        else:
+            edges = st.sampled_from([Fraction(0), Fraction(total), Fraction(total) / 2])
+            share = draw(edges | st.fractions(0, total, max_denominator=97))
+        rows[i][j], rows[j][i] = share, total - share
+    w = WeightMatrix(rows)
+    assert w.pair_total == total
+    return w
+
+
+@given(_constant_total_weights())
+@settings(max_examples=200, deadline=None)
+def test_scores_equal_the_per_row_lcm_sums(w):
+    expected = _lcm_scores(w)
+    got = scores(w)
+    assert got == expected
+    assert all(type(x) is Fraction for x in got)
+
+
+def test_scores_equal_the_per_row_lcm_sums_on_mle_gpm_weights_at_n40():
+    w = weights_gpm(gpmd(generate_complete(40, 10, 5), EpsilonPolicy.finite(Fraction(1, 1000))))
+    assert w.pair_total == 1
+    assert scores(w) == _lcm_scores(w)
 
 
 @given(st.integers(2, 6), st.integers(1, 9), st.integers(0, 10**6))
