@@ -1,9 +1,9 @@
 """Float kernels of the reward solver; the package's one numpy module.
 
-`reward` imports this module inside the functions that need floats, so a
-process that only tallies, ranks by exact scores or checks ordinal axioms
-never loads numpy.  Everything here takes and returns plain floats or
-read-only arrays built from a weight matrix's exact rows.
+`reward` and `WeightMatrix.array` import this module inside the functions
+that need floats, so a process that only tallies, ranks by exact scores or
+checks ordinal axioms never loads numpy.  Everything here takes and returns
+plain floats or read-only arrays built from a weight matrix's exact rows.
 """
 from __future__ import annotations
 

@@ -5,6 +5,7 @@ candidate set, either as full strict rankings or as sets of pairwise
 comparisons.  Tallies are kept in exact integer and rational arithmetic so
 that downstream majority and score decisions never depend on floating-point
 rounding; the majority relation is the sign of each pair's integer margin.
+A tally is the `WeightMatrix` of its win counts, the reward model's weights.
 Each profile is tallied once, counts its first places once, lists its
 voters' orders once (the one check that every voter gives a full ranking)
 and keeps its group matching distribution per epsilon policy; each tally
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -33,6 +34,9 @@ from .errors import (
     TiesNotAllowedError,
     UndefinedPairError,
 )
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 
 @dataclass(frozen=True)
@@ -331,71 +335,117 @@ def require_pair_matrix(rows: Sequence[Sequence], noun: str) -> None:
         raise ValueError(f"{noun} must be nonnegative")
 
 
-def pair_totals(rows: Sequence[Sequence]) -> tuple[tuple[int, int] | None, int | Fraction | None]:
-    """The first pair (i < j) with nothing either way, and the common pair total.
+# maps a row of 0/1 flag bytes to the digits of a base-2 numeral
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
-    The total is None unless every pair has the same positive rows[i][j] + rows[j][i].
-    """
-    totals = set()
-    for i, j in itertools.combinations(range(len(rows)), 2):
-        total = rows[i][j] + rows[j][i]
-        if total == 0:
-            return (i, j), None
-        totals.add(total)
-    return None, totals.pop() if len(totals) == 1 else None
+
+def _mask(flags: bytes) -> int:
+    """The bitmask with bit j set where flags[j] is 1."""
+    return int(flags[::-1].translate(_BINARY_DIGITS), 2)
 
 
 @dataclass(frozen=True)
-class PairwiseTally:
-    """Pairwise win counts with exact rational proportions.
+class WeightMatrix:
+    """Nonnegative per-ordered-pair weights, exact.
 
-    wins[i][j] counts judgments of i over j; props[i][j] = wins / (wins both
-    ways) as a Fraction, or None when the pair was never compared.
+    `WeightMatrix(rows)` keeps each entry that is already a Fraction or an
+    int, converts every other entry, bools and floats included, to a
+    Fraction, and makes the pair-matrix checks.  Derived on first use and
+    cached: one scan of the pair totals, which `pair_total` reads (the
+    common positive w[i][j] + w[j][i], an int on int entries, else None: no
+    score shortcut, but the solver still applies), the read-only float form
+    `array`, and the weight graph's bitmasks.  A PairwiseTally is the weight
+    matrix of its win counts.
     """
 
-    wins: tuple[tuple[int, ...], ...]
+    w: tuple[tuple[Fraction | int, ...], ...]
+
+    def __post_init__(self):
+        rows = tuple(
+            tuple(x if type(x) is int or type(x) is Fraction else finite_fraction(x) for x in row)
+            for row in self.w
+        )
+        object.__setattr__(self, "w", rows)
+        require_pair_matrix(rows, "weights")
+
+    @property
+    def n(self) -> int:
+        return len(self.w)
+
+    @cached_property
+    def _pair_totals(self) -> tuple[tuple[int, int] | None, Fraction | int | None]:
+        """The first pair (i < j) with no weight either way, and the common pair total.
+
+        The total is None unless every pair has the same positive w[i][j] + w[j][i].
+        """
+        w, totals = self.w, set()
+        for i, j in itertools.combinations(range(len(w)), 2):
+            total = w[i][j] + w[j][i]
+            if total == 0:
+                return (i, j), None
+            totals.add(total)
+        return None, totals.pop() if len(totals) == 1 else None
+
+    @property
+    def pair_total(self) -> Fraction | int | None:
+        """The common positive total of every pair, or None when pairs differ."""
+        return self._pair_totals[1]
+
+    @cached_property
+    def array(self) -> ndarray:
+        """The weights as a float matrix, built once and read-only."""
+        from . import _newton
+
+        return _newton.weight_array(self.w)
+
+    @cached_property
+    def _graph(self) -> tuple[list[int], list[int]]:
+        """Successor and predecessor bitmasks of the digraph with an edge i -> j iff w_ij > 0."""
+        # weights are nonnegative: one truth test per entry decides its edge
+        flags = [bytes(map(bool, row)) for row in self.w]
+        return [_mask(f) for f in flags], [_mask(bytes(col)) for col in zip(*flags)]
+
+
+@dataclass(frozen=True)
+class PairwiseTally(WeightMatrix):
+    """Pairwise win counts with exact rational proportions: the weight matrix of the counts.
+
+    wins[i][j] = w[i][j] counts judgments of i over j; prop(i, j) = wins /
+    (wins both ways) as a Fraction, or None when the pair was never compared.
+    """
 
     def __post_init__(self):
         try:
-            rows = tuple(tuple(operator.index(x) for x in row) for row in self.wins)
+            rows = tuple(tuple(operator.index(x) for x in row) for row in self.w)
         except TypeError:
             raise ValueError("win counts must be integers") from None
-        object.__setattr__(self, "wins", rows)
+        object.__setattr__(self, "w", rows)
         require_pair_matrix(rows, "win counts")
 
     @classmethod
     def _of_counts(cls, wins: tuple[tuple[int, ...], ...]) -> "PairwiseTally":
         """A tally of counts already known to be valid: no conversion, no checks."""
         t = object.__new__(cls)
-        object.__setattr__(t, "wins", wins)
+        object.__setattr__(t, "w", wins)
         return t
 
     @property
-    def n(self) -> int:
-        return len(self.wins)
+    def wins(self) -> tuple[tuple[int, ...], ...]:
+        return self.w
 
     def total(self, i: int, j: int) -> int:
-        return self.wins[i][j] + self.wins[j][i]
+        return self.w[i][j] + self.w[j][i]
 
     def prop(self, i: int, j: int) -> Fraction | None:
         t = self.total(i, j)
         if t == 0:
             return None
-        return Fraction(self.wins[i][j], t)
-
-    @cached_property
-    def _pair_totals(self) -> tuple[tuple[int, int] | None, int | None]:
-        return pair_totals(self.wins)  # one scan per tally serves every later question
+        return Fraction(self.w[i][j], t)
 
     def require_all_pairs(self) -> None:
         missing = self._pair_totals[0]
         if missing is not None:
             raise UndefinedPairError(f"pair {missing} has no comparisons")
-
-    @property
-    def pair_total(self) -> int | None:
-        """The common positive total of every pair, or None when pairs differ."""
-        return self._pair_totals[1]
 
     @cached_property
     def majority(self) -> tuple[tuple[int, ...], ...]:
@@ -405,7 +455,7 @@ class PairwiseTally:
         never compared.
         """
         self.require_all_pairs()
-        w = self.wins
+        w = self.w
         # row i beside column i pairs each w_ij with w_ji; the diagonal is 0
         return tuple(
             tuple((x > y) - (x < y) for x, y in zip(row, col)) for row, col in zip(w, zip(*w))

@@ -12,7 +12,8 @@ cross-checked against exact rational scores.
 
 Everything here is exact except the float solve: its numpy code lives in the
 private `_newton` module, which the float functions (`solve_mle`, `loss`,
-`gradient`, `softmax`, `WeightMatrix.array`) import on first call, so that
+`gradient`, `softmax`, and `WeightMatrix.array` in `profiles`, where a tally
+is the weight matrix of its win counts) import on first call, so that
 exact-only work never pays numpy's import.
 """
 from __future__ import annotations
@@ -22,8 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .distributions import ResponseDistribution
 from .errors import (
@@ -33,25 +33,12 @@ from .errors import (
     NotConvergedError,
     ZeroProbabilityError,
 )
-from .profiles import PairwiseTally, Ranking, TiePolicy, finite_fraction, majority_relation
-from .profiles import pair_totals, reachable, require_count, require_finite_nonnegative
-from .profiles import require_pair_matrix
+from .profiles import PairwiseTally, Ranking, TiePolicy, WeightMatrix, majority_relation
+from .profiles import reachable, require_count, require_finite_nonnegative
 from .rules import ranking_from_scores
-
-if TYPE_CHECKING:
-    from numpy import ndarray
 
 # solver stop: largest absolute gradient entry at convergence
 GRAD_TOL = 1e-10
-
-
-# maps a row of 0/1 flag bytes to the digits of a base-2 numeral
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _mask(flags: bytes) -> int:
-    """The bitmask with bit j set where flags[j] is 1."""
-    return int(flags[::-1].translate(_BINARY_DIGITS), 2)
 
 
 def require_constant(total: "Fraction | int | None") -> "Fraction | int":
@@ -66,52 +53,6 @@ def require_positive(pstar: ResponseDistribution) -> ResponseDistribution:
     if any(x <= 0 for x in pstar):
         raise ZeroProbabilityError("GPM weights need strictly positive probabilities")
     return pstar
-
-
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Nonnegative per-ordered-pair weights, exact.
-
-    `WeightMatrix(rows)` keeps each entry that is already a Fraction or an
-    int (win counts and Copeland's integral weights stay integers), converts
-    every other entry, bools and floats included, to a Fraction, and makes
-    the tally's checks.  Derived on first use and cached: `pair_total` from
-    the tally's scan (the common positive w[i][j] + w[j][i], an int on int
-    entries, else None: no score shortcut, but the solver still applies),
-    the read-only float form `array`, and the weight graph's bitmasks.
-    """
-
-    w: tuple[tuple[Fraction | int, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(
-            tuple(x if type(x) is int or type(x) is Fraction else finite_fraction(x) for x in row)
-            for row in self.w
-        )
-        object.__setattr__(self, "w", rows)
-        require_pair_matrix(rows, "weights")
-
-    @property
-    def n(self) -> int:
-        return len(self.w)
-
-    @cached_property
-    def pair_total(self) -> Fraction | int | None:
-        return pair_totals(self.w)[1]
-
-    @cached_property
-    def array(self) -> ndarray:
-        """The weights as a float matrix, built once and read-only."""
-        from . import _newton
-
-        return _newton.weight_array(self.w)
-
-    @cached_property
-    def _graph(self) -> tuple[list[int], list[int]]:
-        """Successor and predecessor bitmasks of the digraph with an edge i -> j iff w_ij > 0."""
-        # weights are nonnegative: one truth test per entry decides its edge
-        flags = [bytes(map(bool, row)) for row in self.w]
-        return [_mask(f) for f in flags], [_mask(bytes(col)) for col in zip(*flags)]
 
 
 class StatusKind(Enum):
@@ -333,9 +274,9 @@ def softmax(r: "RewardVector | Sequence[float]") -> ResponseDistribution:
     return ResponseDistribution(_newton.softmax(_values(r)))
 
 
-def weights_standard(t: PairwiseTally) -> WeightMatrix:
-    """Raw win counts as weights; constant-total mode when per-pair totals agree."""
-    return WeightMatrix(t.wins)
+def weights_standard(t: PairwiseTally) -> PairwiseTally:
+    """Raw win counts as weights: the tally itself; constant-total mode when pair totals agree."""
+    return t
 
 
 def weights_copeland(

@@ -211,6 +211,27 @@ def test_axioms_exit_code_on_violation(runner, tmp_path):
     assert "| gpm | true | false |" in res.output
 
 
+def test_preference_matching_witnesses_a_pair_with_no_probability(runner, tmp_path):
+    # every pair splits 1:1, so the tally is BT-embeddable, yet the limit
+    # distribution is (0, 0, 1/2, 1/2): pair (a, b) has no probability to split
+    doc = {
+        "candidates": ["a", "b", "c", "d"],
+        "voters": [
+            {"id": "v1", "ranking": ["c", "a", "b", "d"]},
+            {"id": "v2", "ranking": ["d", "b", "a", "c"]},
+        ],
+    }
+    res = runner.invoke(
+        main,
+        ["axioms", _write(tmp_path, doc), "--rule", "gpmd-limit", "--checks", "preference-matching",
+         "--format", "json"],
+    )
+    assert res.exit_code == 4
+    (report,) = json.loads(res.output)["reports"]
+    assert (report["applicable"], report["satisfied"]) == (True, False)
+    assert report["witness"] == {"pair": [0, 1], "note": "both probabilities are zero"}
+
+
 def test_axioms_all_pass_exit_zero(runner, tmp_path):
     res = runner.invoke(main, ["axioms", _write(tmp_path, PARADOX), "--rule", "borda"])
     assert res.exit_code == 0
@@ -685,7 +706,7 @@ def test_search_package_errors_exit_one_with_message(runner, rule, axiom):
     assert res.stdout == ""
 
 
-def test_experiment_cycles_deterministic_across_jobs(runner):
+def test_experiment_cycles_deterministic_across_runs(runner):
     args = ["experiment-cycles", "--n-list", "3", "--m", "3", "--trials", "400", "--seed", "7", "--format", "json"]
     a = runner.invoke(main, args)
     b = runner.invoke(main, args)

@@ -30,6 +30,7 @@ from prefaxiom import (
     PreferenceProfile,
     RandomComplete,
     Ranking,
+    RewardVector,
     RuleKind,
     TiePolicy,
     UndefinedPairError,
@@ -46,13 +47,16 @@ from prefaxiom import (
     has_condorcet_cycle,
     make_rule,
     majority_relation,
+    minimizer_exists,
     pm_consistent_ranking,
     rank_by_scores,
     ranking_from_scores,
     rule_weights,
     run_check,
     scores,
+    solve_mle,
     tally,
+    top_component,
     weights_copeland,
     weights_gpm,
     weights_standard,
@@ -185,6 +189,40 @@ def test_scores_match_fraction_sums(n, m, seed, complete):
     for tt in (t, proportion_tally(n, seed)):
         props = [[tt.prop(i, j) if i != j else 0 for j in range(n)] for i in range(n)]
         assert_scores_match(WeightMatrix(props))
+
+
+def _outcome(f, weights):
+    """f(weights), or the type and the message of the package error it raises."""
+    try:
+        return f(weights)
+    except PrefaxiomError as e:
+        return type(e), str(e)
+
+
+def _bits(sol) -> tuple:
+    """A solve's rewards and gradient norm as exact float bit patterns (-0.0 is not 0.0)."""
+    return [x.hex() for x in sol.r], sol.status.grad_norm.hex()
+
+
+@given(*PROFILE_ARGS, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_a_tally_answers_as_the_weight_matrix_of_its_counts(n, m, seed, complete, all_pairs):
+    # complete tallies, comparison-voter tallies, and ones with a pair never compared
+    profile = random_profile(n, m, seed, complete, all_pairs=all_pairs)
+    t = tally(profile)
+    w = WeightMatrix(t.wins)
+    assert isinstance(t, WeightMatrix) and weights_standard(t) is t
+    assert rule_weights("mle-standard", profile) is t
+    assert (t.pair_total, type(t.pair_total)) == (w.pair_total, type(w.pair_total))
+    assert (t.array.dtype, t.array.shape) == (w.array.dtype, w.array.shape)
+    assert t.array.tobytes() == w.array.tobytes()
+    assert minimizer_exists(t) == minimizer_exists(w)
+    assert _outcome(top_component, t) == _outcome(top_component, w)
+    assert _outcome(scores, t) == _outcome(scores, w)
+    solved = _outcome(solve_mle, t), _outcome(solve_mle, w)
+    assert solved[0] == solved[1]
+    if isinstance(solved[0], RewardVector):
+        assert _bits(solved[0]) == _bits(solved[1])
 
 
 @given(st.integers(2, 7), st.integers(1, 9), st.integers(0, 10**6),
@@ -454,8 +492,9 @@ def test_ordinal_mle_search_builds_no_weight_matrix(monkeypatch):
                         counterexample_search(rule, axiom, space)
                     except PrefaxiomError:
                         pass  # a profile outside the rule's domain stops the scan
+    # the patch is live: a call that does build a weight matrix refuses
     with pytest.raises(AssertionError):
-        weights_standard(tally(generate_complete(3, 3, 1)))
+        weights_copeland(tally(generate_complete(3, 3, 1)))
 
 
 # ------------------------------------------------------------------- pareto

@@ -46,9 +46,15 @@ import sys
 from fractions import Fraction
 from prefaxiom import (
     Comparison, DisconnectedGraphError, EpsilonPolicy, WeightMatrix, bt_odds,
-    complete_profile, gpmd, is_transitive, minimizer_exists, tally, top_component,
+    complete_profile, gpmd, is_transitive, minimizer_exists, scores, tally, top_component,
+    weights_standard,
 )
 profile = complete_profile(["a", "b", "c"], [["a", "b", "c"], ["c", "b", "a"]])
+# a tally is mle-standard's weight matrix: its exact questions need no numpy
+t = tally(profile)
+assert weights_standard(t) is t
+assert minimizer_exists(t) and top_component(t) == (0, 1, 2)
+assert scores(t) == (1, 1, 1)
 assert gpmd(profile, EpsilonPolicy.finite(Fraction(1, 100))).p[1] == Fraction(99, 9901)
 assert gpmd(profile, EpsilonPolicy.limit()).p == (Fraction(1, 2), 0, Fraction(1, 2))
 odds = bt_odds(tally(profile))

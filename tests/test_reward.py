@@ -392,6 +392,18 @@ def test_step_cap_at_a_stationary_start_converges():
         solve_mle(w, max_iters=-3)
 
 
+def test_solver_stalls_when_no_backtracked_step_is_accepted(monkeypatch):
+    from prefaxiom import _newton
+
+    # a loss that is finite only at the start: Armijo halves the first step below 1e-14
+    monkeypatch.setattr(_newton, "_nll", lambda w, r: 0.0 if not r.any() else math.inf)
+    w = WeightMatrix([[0, 2, 1], [1, 0, 1], [1, 1, 0]])
+    sol = solve_mle(w)
+    assert (sol.status.kind, sol.status.iterations) == (StatusKind.MAX_ITERS, 1)
+    assert sol.r == (0.0, 0.0, 0.0)
+    assert sol.status.grad_norm == max(abs(g) for g in gradient(w, (0.0, 0.0, 0.0))) == 0.5
+
+
 # a float cap never equals the step count: unchecked, 20000.5 ran 199,584 steps here
 LOPSIDED = [[0, 2, 1], [0, 0, 2000000], [0, 0, 0]]
 
