@@ -59,7 +59,6 @@ from .profiles import (
 )
 from .reward import (
     WeightMatrix,
-    _balanced_distribution,
     bt_odds,
     require_constant,
     require_positive,
@@ -404,15 +403,18 @@ def _mle_domain(weights: WeightMatrix) -> tuple[WeightMatrix, tuple[int, ...]]:
 def _mle_softmax(weights: WeightMatrix) -> ResponseDistribution:
     """The softmax of the MLE rewards of a strongly connected weight matrix.
 
-    Exact, with no solve, when the weights are in detailed balance: every
-    pair weighs both ways and the pair odds factor, so q, the normalised
-    odds against candidate 0, has w_ij * q_j == w_ji * q_i on every pair.
-    The gradient at r = log q is then exactly 0, and with every pair weighed
-    both ways that minimiser is the only one (Ford 1957).  Otherwise the
-    float softmax of the solved rewards.
+    Exact, with no solve, when `bt_odds` finds the weights in detailed
+    balance: the odds q against candidate 0 have w_ij * q_j == w_ji * q_i on
+    every pair, so the gradient at r = log q is exactly 0, and with every
+    pair weighed both ways that minimiser is the only one (Ford 1957); its
+    softmax is q normalised.  Otherwise the float softmax of the solved
+    rewards.
     """
-    exact = _balanced_distribution(weights.w)
-    return softmax(solve_mle(weights)) if exact is None else ResponseDistribution(exact)
+    odds = bt_odds(weights)
+    if odds is None:
+        return softmax(solve_mle(weights))
+    total = sum(odds)
+    return ResponseDistribution(tuple(q / total for q in odds))
 
 
 def _mle_distribution(domain: tuple[WeightMatrix, tuple[int, ...]]) -> ResponseDistribution:
@@ -438,6 +440,11 @@ def _mle_distribution(domain: tuple[WeightMatrix, tuple[int, ...]]) -> ResponseD
     return ResponseDistribution(tuple(probs))
 
 
+def _gpm_target(profile: PreferenceProfile, eps: EpsilonPolicy | None) -> ResponseDistribution:
+    """p* under `eps` (else the finite 1/1000 policy); ZeroProbabilityError unless every entry is positive."""
+    return require_positive(gpmd(profile, eps or EpsilonPolicy.finite()))
+
+
 class _Rule(NamedTuple):
     """A rule's forms; a form is None where the rule has none.
 
@@ -445,8 +452,8 @@ class _Rule(NamedTuple):
     argument.  The ordinal form is `domain`, which takes the profile and
     raises what the rule raises, and `key`, which reads what the domain
     returns and has the order and the ties of the rule's exact scores.  The
-    probabilistic form is `weights`, the weight matrix of an MLE rule, or
-    `distribution`, computed with no solve.
+    probabilistic form is `distribution`, computed with no solve, where the
+    rule has one, else the MLE of `weights`, an MLE rule's weight matrix.
     """
 
     domain: Callable | None = None
@@ -480,11 +487,13 @@ _RULES = {
     ),
     # over a common denominator p_i = N_i / D, and the score
     # s_i = sum_j N_i / (N_i + N_j) is strictly increasing in N_i, so p*
-    # itself ranks like the scores, ties included
+    # itself ranks like the scores, ties included; and w_ij * p_j ==
+    # w_ji * p_i on every pair, so the MLE softmax of the weights is p*
     "mle-gpm": _Rule(
-        domain=lambda p, tie, eps: require_positive(gpmd(p, eps or EpsilonPolicy.finite())),
+        domain=lambda p, tie, eps: _gpm_target(p, eps),
         key=lambda pstar, tie, eps: pstar.p,
-        weights=lambda p, tie, eps: weights_gpm(gpmd(p, eps or EpsilonPolicy.finite())),
+        weights=lambda p, tie, eps: weights_gpm(_gpm_target(p, eps)),
+        distribution=lambda p, tie, eps: _gpm_target(p, eps),
     ),
     "gpmd-limit": _Rule(distribution=lambda p, tie, eps: gpmd(p, EpsilonPolicy.limit())),
 }
@@ -532,26 +541,26 @@ def make_rule(
     mle-copeland by Copeland's half points, mle-gpm by the group matching
     distribution p* itself.  So an ordinal MLE rule ranks like
     rank_by_scores(rule_weights(...)) without a weight matrix.  Probabilistic
-    MLE rules take their weights from rule_weights and softmax the MLE
-    rewards when a finite MLE exists (the positive-weight digraph is strongly
-    connected).  Otherwise they return the exact ridge -> 0 limit of the
-    regularized softmax: the top component's own softmax, zero elsewhere.
-    Either softmax is exact and runs no solve when its weights are in
-    detailed balance (every pair weighed both ways, pair odds that factor
-    through the odds against the first candidate), as mle-gpm's always are
-    and mle-standard's are on a Bradley-Terry-embeddable tally; any other
-    weights are solved in floats.  A
-    generalized profile whose digraph has several source components (strongly
-    connected components that no edge enters) has no such top and raises
-    NoUniqueTopError.
+    mle-gpm returns p* itself, the exact MLE softmax of its weights, and
+    builds no weight matrix.  The other probabilistic MLE rules take their
+    weights from rule_weights and softmax the MLE rewards when a finite MLE
+    exists (the positive-weight digraph is strongly connected).  Otherwise
+    they return the exact ridge -> 0 limit of the regularized softmax: the
+    top component's own softmax, zero elsewhere.  Either softmax is exact
+    and runs no solve when `bt_odds` finds its weights in detailed balance,
+    as mle-standard's are on a Bradley-Terry-embeddable tally; any other
+    weights are solved in floats.  A generalized profile whose digraph has
+    several source components (strongly connected components that no edge
+    enters) has no such top and raises NoUniqueTopError.
 
     Each rule's domain step does everything up to the evaluation and raises
     what the rule raises: the tally and its every-pair check for Borda and
     Copeland; for ordinal MLE, what the weights and their constant-total
     check raise (NotConstantTotalError for mle-standard, UndefinedPairError
     and then, under STRICT_ONLY, NotConstantTotalError for mle-copeland,
-    gpmd's errors and then ZeroProbabilityError for mle-gpm); the weights and
-    top_component for probabilistic MLE; and gpmd itself for gpmd-limit.
+    gpmd's errors and then ZeroProbabilityError for mle-gpm, in either form);
+    the weights and top_component for the other probabilistic MLE rules; and
+    gpmd itself for gpmd-limit.
     counterexample_search runs it on every profile, and the evaluation (key
     and ranking, or solve and softmax) only where the axiom's premise holds.
     """

@@ -118,13 +118,12 @@ def minimizer_exists(weights: WeightMatrix) -> bool:
     """Whether the loss attains a finite minimum (Ford's condition).
 
     A finite minimizer exists iff the digraph with an edge i -> j whenever
-    w_ij > 0 is strongly connected: every candidate is reachable from
-    candidate 0 and reaches it.  Otherwise some dominant candidate set never
-    loses weight across the cut and its rewards drift to infinity.
+    w_ij > 0 is strongly connected: its first source component holds every
+    candidate.  Otherwise some dominant candidate set never loses weight
+    across the cut and its rewards drift to infinity.
     """
-    succ, pred = weights._graph
-    everyone = (1 << weights.n) - 1
-    return reachable(succ, 0) == everyone and reachable(pred, 0) == everyone
+    sources, _ = _ends(weights)
+    return len(sources[0]) == weights.n
 
 
 def _ends(weights: WeightMatrix) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -133,7 +132,8 @@ def _ends(weights: WeightMatrix) -> tuple[tuple[tuple[int, ...], ...], tuple[tup
     One forward and one backward pass per component: a component is a
     source when nothing outside it reaches it, and a sink when it reaches
     nothing outside.  Each lists its members ascending; the sources come
-    descending by smallest member, the sinks ascending.
+    descending by smallest member, the sinks ascending.  The digraph is
+    strongly connected exactly when the first source holds every candidate.
     """
     succ, pred = weights._graph
     sources, sinks = [], []
@@ -161,14 +161,13 @@ def top_component(weights: WeightMatrix) -> tuple[int, ...]:
     when the comparison graph splits and NoUniqueTopError when several
     components are sources.
     """
-    if minimizer_exists(weights):
-        return tuple(range(weights.n))
-    _check_connected(weights)
     sources, _ = _ends(weights)
-    if len(sources) != 1:
-        raise NoUniqueTopError(
-            f"no finite MLE and {len(sources)} undominated candidate sets {list(sources)}"
-        )
+    if len(sources[0]) < weights.n:
+        _check_connected(weights)
+        if len(sources) != 1:
+            raise NoUniqueTopError(
+                f"no finite MLE and {len(sources)} undominated candidate sets {list(sources)}"
+            )
     return sources[0]
 
 
@@ -207,7 +206,8 @@ def solve_mle(
 
     require_finite_nonnegative(ridge, "ridge")
     max_iters = require_count(max_iters, "max_iters")
-    strongly_connected = minimizer_exists(weights)
+    sources, sinks = _ends(weights)
+    strongly_connected = len(sources[0]) == weights.n
     if not strongly_connected:
         _check_connected(weights)
     diverged = ridge == 0.0 and not strongly_connected
@@ -215,7 +215,6 @@ def solve_mle(
         weights.array, ridge, max_iters, GRAD_TOL, recenter=not diverged
     )
     if diverged:
-        sources, sinks = _ends(weights)
         status = SolverStatus(
             StatusKind.DIVERGED,
             gnorm,
@@ -312,17 +311,21 @@ def weights_gpm(pstar: ResponseDistribution) -> WeightMatrix:
     return WeightMatrix(rows)
 
 
-def _balanced_distribution(w: Sequence[Sequence[Fraction | int]]) -> tuple[Fraction, ...] | None:
-    """The normalised odds against row 0 when the rows are in detailed balance, or None.
+def bt_odds(weights: WeightMatrix) -> tuple[Fraction, ...] | None:
+    """Each candidate's exact odds against candidate 0 in detailed balance, or None.
 
-    The rows w are in detailed balance when every pair has positive weight
+    The weights are in detailed balance when every pair has positive weight
     both ways and the odds q = (1, w_10 / w_01, ...) have w_ab * q_b ==
     w_ba * q_a on every pair, which is w_ab * w_0a * w_b0 == w_ba * w_a0 * w_0b.
-    Each pair's test cross-multiplies integers, the odds over their common
-    denominator against the entries' numerators and denominators, so it
-    takes no gcd (at mle-gpm's n = 200 the entries run to about 600 digits).
+    On a tally that is the test that the candidates embed in a Bradley-Terry
+    model, and candidate a's odds are w_a0 / w_0a = exp(r_a - r_0) for the
+    embedding's rewards r; on any weights the MLE rewards are then log q up
+    to a common shift.  Each pair's test cross-multiplies integers, the odds
+    over their common denominator against the entries' numerators and
+    denominators, so it takes no gcd (mle-gpm's weights at n = 200 run to
+    about 600 digits).
     """
-    n = len(w)
+    w, n = weights.w, weights.n
     if not all(w[a][0] and w[0][a] for a in range(1, n)):
         return None
     odds = (Fraction(1),) + tuple(Fraction(w[a][0], w[0][a]) for a in range(1, n))
@@ -334,22 +337,7 @@ def _balanced_distribution(w: Sequence[Sequence[Fraction | int]]) -> tuple[Fract
             ab.numerator * ba.denominator * scaled[b] != ba.numerator * ab.denominator * scaled[a]
         ):
             return None
-    total = sum(scaled)
-    return tuple(Fraction(x, total) for x in scaled)
-
-
-def bt_odds(t: PairwiseTally) -> tuple[Fraction, ...] | None:
-    """Each candidate's exact Bradley-Terry odds against candidate 0, or None.
-
-    The candidates embed in a Bradley-Terry model iff every pair was judged
-    both ways and the pair odds factor through the odds against the anchor,
-    candidate 0: w_ab * w_0a * w_b0 == w_ba * w_a0 * w_0b for every pair a, b
-    of win counts, decided by integer cross-multiplication alone.  Then
-    candidate a's odds are w_a0 / w_0a = exp(r_a - r_0) for the embedding's
-    rewards r, and the anchor's are 1.
-    """
-    q = _balanced_distribution(t.wins)
-    return None if q is None else tuple(x / q[0] for x in q)
+    return odds
 
 
 def _log(x: Fraction) -> float:

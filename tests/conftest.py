@@ -1,11 +1,12 @@
 """Shared fixtures and small helpers for the test suite."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from prefaxiom import EpsilonPolicy, PreferenceProfile, complete_profile, gpmd
+from prefaxiom import EpsilonPolicy, PreferenceProfile, WeightMatrix, complete_profile, gpmd
 
 
 @pytest.fixture
@@ -29,6 +30,17 @@ def four_voter() -> PreferenceProfile:
             ["y3", "y1", "y2"],
         ],
     )
+
+
+def random_weights(rng: random.Random, n: int, m: int) -> WeightMatrix:
+    """Random integer weights over n candidates whose every pair totals m."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = rng.randint(0, m)
+            rows[i][j] = w
+            rows[j][i] = m - w
+    return WeightMatrix(rows)
 
 
 def gpmd_by_blocks(

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from click.testing import CliRunner
 
-from conftest import gpmd_by_blocks, relabel
+from conftest import gpmd_by_blocks, random_weights, relabel
 from prefaxiom import (
     Assumption1,
     EpsilonPolicy,
@@ -60,18 +60,6 @@ FOUR_VOTER = complete_profile(
 )
 # bisection oracle for the four-voter fixture (root of sigma(s)+sigma(2s)=5/4)
 FIXTURE_GAP = 0.07063496451193108
-
-
-def _random_weight_matrix(rng: random.Random, n: int, m: int):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = rng.randint(0, m)
-            rows[i][j] = w
-            rows[j][i] = m - w
-    from prefaxiom import WeightMatrix
-
-    return WeightMatrix(rows)
 
 
 def test_criterion_01_mle_standard_implements_borda():
@@ -273,7 +261,7 @@ def test_criterion_10_gradient_and_convexity():
     worst_grad = 0.0
     for _ in range(100):
         n = rng.randint(2, 6)
-        w = _random_weight_matrix(rng, n, rng.randint(1, 9))
+        w = random_weights(rng, n, rng.randint(1, 9))
         r = [rng.uniform(-2, 2) for _ in range(n)]
         g = gradient(w, r)
         h = 1e-6
@@ -286,7 +274,7 @@ def test_criterion_10_gradient_and_convexity():
     assert worst_grad <= 1e-6, worst_grad
     for _ in range(100):
         n = rng.randint(2, 6)
-        w = _random_weight_matrix(rng, n, rng.randint(1, 9))
+        w = random_weights(rng, n, rng.randint(1, 9))
         a = [rng.uniform(-3, 3) for _ in range(n)]
         b = [rng.uniform(-3, 3) for _ in range(n)]
         mid = [(x + y) / 2 for x, y in zip(a, b)]

@@ -433,10 +433,29 @@ def test_mle_softmax_of_a_top_component_that_factors():
 
 
 def test_mle_gpm_returns_the_group_matching_distribution_exactly():
+    # the theorem probabilistic mle-gpm rests on, on the generic MLE path:
+    # the MLE softmax of its weights is p*, exactly
+    spaces = (ExhaustiveComplete(3, 3), ExhaustiveComplete(3, 4), ExhaustiveComplete(4, 2))
+    checked = 0
+    for epsilon, space in itertools.product((Fraction(1, 3), Fraction(1, 100), Fraction(1, 1000)), spaces):
+        policy = EpsilonPolicy.finite(epsilon)
+        rule = make_rule("mle-gpm", RuleKind.PROBABILISTIC, epsilon_policy=policy)
+        for profile in iter_profiles(space):
+            w = rule_weights("mle-gpm", profile, epsilon_policy=policy)
+            assert _mle_softmax(w).p == gpmd(profile, policy).p == rule(profile).p
+            checked += 1
+    assert checked == 6264
+
+
+def test_probabilistic_mle_gpm_builds_no_weight_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("built a weight matrix")
+
+    monkeypatch.setattr(WeightMatrix, "__post_init__", refuse)
     policy = EpsilonPolicy.finite(Fraction(1, 100))
     rule = make_rule("mle-gpm", RuleKind.PROBABILISTIC, epsilon_policy=policy)
-    for profile in iter_profiles(ExhaustiveComplete(3, 2)):
-        assert rule(profile).p == gpmd(profile, policy).p
+    outcome = counterexample_search(rule, "gpm", ExhaustiveComplete(3, 3), epsilon_policy=policy)
+    assert (outcome.found, outcome.examined, outcome.applicable) == (False, 216, 216)
 
 
 def test_mle_rules_coincide_on_assumption1_tournaments():

@@ -781,6 +781,15 @@ def test_indented_writer_equals_the_stdlib(obj):
     assert _indented_json(obj) == json.dumps(obj, indent=2)
 
 
+@pytest.mark.parametrize("obj", [{(1, 2): 1}, [0, {(1, 2): 1}], {"a": {"b": [{(1,): 2}]}}])
+def test_indented_writer_refuses_keys_as_the_stdlib_does(obj):
+    with pytest.raises(TypeError) as stdlib:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as ours:
+        _indented_json(obj)
+    assert str(ours.value) == str(stdlib.value) == "keys must be str, int, float, bool or None, not tuple"
+
+
 def test_version_flag(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0 and "prefaxiom" in res.output

@@ -34,6 +34,24 @@ from prefaxiom import (
 LIMIT = EpsilonPolicy.limit()
 
 
+# -------------------------------------------------------------- distributions
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ResponseDistribution((1,)), "distribution needs at least two candidates"),
+        (lambda: ResponseDistribution((0.5, 0.4)), "probabilities must sum to 1, got 0.9"),
+        (
+            lambda: ResponseDistribution((0.5, 0.5)).linf_distance(ResponseDistribution((0.25,) * 4)),
+            "distributions differ in length",
+        ),
+    ],
+)
+def test_distribution_refuses_short_or_unnormalised_entries_and_mixed_lengths(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # -------------------------------------------------------------------- epsilon
 
 def test_epsilon_policy_bounds():

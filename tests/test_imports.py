@@ -116,7 +116,7 @@ def test_exact_commands_leave_numpy_unloaded(profile_path, even_profile_path):
         # the majority paths, half-splits included
         ["rank", even_profile_path, "--rule", "copeland", "--tie-policy", "strict"],
         ["search", "--rule", "mle-copeland", "--axiom", "pairwise-majority", "--space", "assumption1:n=4"],
-        # mle-gpm's weights are in detailed balance: its distribution is exact, with no solve
+        # probabilistic mle-gpm returns p* itself, the exact softmax of its weights' MLE
         [
             "search", "--rule", "mle-gpm", "--axiom", "gpm",
             "--space", "exhaustive-complete:n=3,m=3", "--epsilon", "1/100",

@@ -89,6 +89,28 @@ def test_ranking_ties_must_be_contiguous():
     assert Ranking((1, 0, 2), ((1,), (0,), (2,))).ties is None
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: PreferenceProfile(CandidateSet(("a", "b", "c")), (Voter("v1", ranking=Ranking((0, 1))),)),
+            DimensionMismatchError,
+            "voter 'v1' ranks 2 candidates, profile has 3",
+        ),
+        (
+            lambda: PreferenceProfile(CandidateSet(("a", "b")), (Voter("v1", comparisons=(Comparison(2, 0),)),)),
+            DimensionMismatchError,
+            "voter 'v1' compares candidate index out of range",
+        ),
+        (lambda: Comparison(-1, 0), ValueError, "candidate indices must be nonnegative"),
+        (lambda: Ranking((0, 1), ((0, 1), ())), ValueError, "tie classes must be non-empty"),
+    ],
+)
+def test_construction_refuses_out_of_range_indices_and_empty_tie_classes(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 @st.composite
 def tied_rankings(draw):
     """Strict rankings and rankings cut into tie classes at random places."""

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import closure
+from conftest import closure, random_weights
 from prefaxiom import (
+    DimensionMismatchError,
     DisconnectedGraphError,
     EpsilonPolicy,
     NoUniqueTopError,
@@ -21,6 +22,8 @@ from prefaxiom import (
     NotConvergedError,
     PairwiseTally,
     ResponseDistribution,
+    RewardVector,
+    SolverStatus,
     StatusKind,
     TiePolicy,
     WeightMatrix,
@@ -55,14 +58,22 @@ FIXED_POINT_S = 0.3430064055342722
 FIXTURE_SOFTMAX = (0.45183167018558856, 0.3206349645119311, 0.22753336530248028)
 
 
-def _random_weights(rng: random.Random, n: int, m: int) -> WeightMatrix:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = rng.randint(0, m)
-            rows[i][j] = w
-            rows[j][i] = m - w
-    return WeightMatrix(rows)
+@pytest.mark.parametrize("kind", list(StatusKind))
+def test_only_converged_rewards_must_sum_to_zero(kind):
+    status = SolverStatus(kind, 0.0, 0)
+    if kind is StatusKind.CONVERGED:
+        with pytest.raises(ValueError, match="converged rewards must sum to zero"):
+            RewardVector((1.0, 0.0), status)
+    else:
+        assert RewardVector((1.0, 0.0), status).r == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("fn", [loss, gradient])
+@pytest.mark.parametrize("r", [(0.0, 0.0), (0.0,) * 4])
+def test_loss_and_gradient_refuse_reward_vectors_of_the_wrong_length(fn, r):
+    w = WeightMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    with pytest.raises(DimensionMismatchError, match="reward vector must have length 3"):
+        fn(w, r)
 
 
 # --------------------------------------------------------------- weight matrix
@@ -167,7 +178,7 @@ def test_gradient_matches_finite_differences():
     rng = random.Random(42)
     for _ in range(30):
         n = rng.randint(2, 6)
-        w = _random_weights(rng, n, rng.randint(1, 9))
+        w = random_weights(rng, n, rng.randint(1, 9))
         r = [rng.uniform(-2, 2) for _ in range(n)]
         g = gradient(w, r)
         h = 1e-6
@@ -184,7 +195,7 @@ def test_loss_gauge_invariance():
     rng = random.Random(7)
     for _ in range(20):
         n = rng.randint(2, 6)
-        w = _random_weights(rng, n, 5)
+        w = random_weights(rng, n, 5)
         r = [rng.uniform(-3, 3) for _ in range(n)]
         base = loss(w, r)
         for c in (-10.0, 0.5, 4.0):
@@ -195,7 +206,7 @@ def test_loss_convexity_midpoint():
     rng = random.Random(99)
     for _ in range(40):
         n = rng.randint(2, 6)
-        w = _random_weights(rng, n, 6)
+        w = random_weights(rng, n, 6)
         a = [rng.uniform(-3, 3) for _ in range(n)]
         b = [rng.uniform(-3, 3) for _ in range(n)]
         mid = [(x + y) / 2 for x, y in zip(a, b)]
@@ -225,7 +236,7 @@ def test_four_voter_fixture_matches_bisection_oracle(four_voter):
 def test_gauge_zero_sum_on_convergence():
     rng = random.Random(3)
     for _ in range(20):
-        w = _random_weights(rng, rng.randint(2, 6), 7)
+        w = random_weights(rng, rng.randint(2, 6), 7)
         sol = solve_mle(w)
         if sol.status.kind is StatusKind.CONVERGED:
             assert abs(sum(sol.r)) <= 1e-12 * max(1, len(sol.r))
