@@ -58,8 +58,11 @@ from .profiles import (
     tally,
 )
 from .reward import (
+    EXACT_STATUS,
+    SolverStatus,
     WeightMatrix,
     bt_odds,
+    centred_logs,
     require_constant,
     require_positive,
     softmax,
@@ -353,13 +356,16 @@ class RuleUnderTest:
 
     `domain` takes a profile and raises whatever the rule raises on it before
     it evaluates; it returns what `evaluate` needs, which then computes the
-    output.  Calling the rule runs both.
+    output.  Calling the rule runs both.  An ordinal rule's `key` reads the
+    same and returns (D, k): the exact key k that its ranking sorts, and the
+    one denominator D that turns k into the rule's scores.
     """
 
     name: str
     kind: RuleKind
     domain: Callable[[PreferenceProfile], object]
     evaluate: Callable[[object], "Ranking | ResponseDistribution"]
+    key: Callable[[object], tuple] | None = None
 
     def __call__(self, profile: PreferenceProfile):
         return self.evaluate(self.domain(profile))
@@ -451,7 +457,8 @@ class _Rule(NamedTuple):
     Every callable takes the tie policy and the epsilon policy after its
     argument.  The ordinal form is `domain`, which takes the profile and
     raises what the rule raises, and `key`, which reads what the domain
-    returns and has the order and the ties of the rule's exact scores.  The
+    returns and gives the rule's exact scores over one denominator D as
+    (D, numerators); the numerators have the scores' order and ties.  The
     probabilistic form is `distribution`, computed with no solve, where the
     rule has one, else the MLE of `weights`, an MLE rule's weight matrix.
     """
@@ -473,7 +480,7 @@ _RULES = {
     ),
     "copeland": _Rule(
         domain=lambda p, tie, eps: _complete_tally(p),
-        key=lambda t, tie, eps: copeland_half_points(t, tie),
+        key=lambda t, tie, eps: (2, copeland_half_points(t, tie)),
     ),
     "mle-standard": _Rule(
         domain=lambda p, tie, eps: _pair_total_tally(p),
@@ -482,7 +489,7 @@ _RULES = {
     ),
     "mle-copeland": _Rule(
         domain=lambda p, tie, eps: _copeland_weights_tally(p, tie),
-        key=lambda t, tie, eps: copeland_half_points(t, tie),
+        key=lambda t, tie, eps: (2, copeland_half_points(t, tie)),
         weights=lambda p, tie, eps: weights_copeland(tally(p), tie),
     ),
     # over a common denominator p_i = N_i / D, and the score
@@ -491,7 +498,7 @@ _RULES = {
     # w_ji * p_i on every pair, so the MLE softmax of the weights is p*
     "mle-gpm": _Rule(
         domain=lambda p, tie, eps: _gpm_target(p, eps),
-        key=lambda pstar, tie, eps: pstar.p,
+        key=lambda pstar, tie, eps: (1, pstar.p),
         weights=lambda p, tie, eps: weights_gpm(_gpm_target(p, eps)),
         distribution=lambda p, tie, eps: _gpm_target(p, eps),
     ),
@@ -525,6 +532,36 @@ def rule_weights(
     return weights(profile, tie_policy, epsilon_policy)
 
 
+def rule_mle(
+    name: str,
+    profile: PreferenceProfile,
+    *,
+    tie_policy: TiePolicy = TiePolicy.HALF_POINT,
+    epsilon_policy: EpsilonPolicy | None = None,
+) -> tuple[tuple[float, ...], SolverStatus, ResponseDistribution | None]:
+    """An MLE rule's rewards in the sum-zero gauge, their solver status, and their softmax.
+
+    Exact, with no solve, where the rule's probabilistic form is exact: the
+    odds are mle-gpm's distribution p*, with no weight matrix built, or the
+    `bt_odds` of the rule's weights.  The rewards are then the centred log
+    odds, the status EXACT_STATUS, and the softmax the odds normalised.
+    Elsewhere the weights are solved in floats, with no softmax unless the
+    solve converged.  ValueError for a rule with no weights.
+    """
+    entry = _RULES.get(name, _Rule())
+    # mle-gpm: its distribution is its weights' exact MLE softmax
+    if entry.weights and entry.distribution:
+        dist = entry.distribution(profile, tie_policy, epsilon_policy)
+        return centred_logs(dist.p), EXACT_STATUS, dist
+    weights = rule_weights(name, profile, tie_policy=tie_policy, epsilon_policy=epsilon_policy)
+    odds = bt_odds(weights)
+    if odds is None:
+        solution = solve_mle(weights)
+        return solution.r, solution.status, softmax(solution) if solution.converged else None
+    total = sum(odds)
+    return centred_logs(odds), EXACT_STATUS, ResponseDistribution(tuple(q / total for q in odds))
+
+
 def make_rule(
     name: str,
     kind: RuleKind,
@@ -537,9 +574,10 @@ def make_rule(
     ORDINAL_RULES and PROBABILISTIC_RULES list the names each kind accepts.
     An ordinal rule ranks by an exact integer or rational key with the order
     and ties of its exact scores, and ranking_from_scores groups equal keys
-    into tie classes: Borda and mle-standard by borda_points, Copeland and
-    mle-copeland by Copeland's half points, mle-gpm by the group matching
-    distribution p* itself.  So an ordinal MLE rule ranks like
+    into tie classes: Borda and mle-standard by borda_points over L,
+    Copeland and mle-copeland by Copeland's half points over 2, mle-gpm by
+    the group matching distribution p* itself over 1; the rule's `key`
+    returns the denominator and the key.  So an ordinal MLE rule ranks like
     rank_by_scores(rule_weights(...)) without a weight matrix.  Probabilistic
     mle-gpm returns p* itself, the exact MLE softmax of its weights, and
     builds no weight matrix.  The other probabilistic MLE rules take their
@@ -572,7 +610,8 @@ def make_rule(
         domain, key = entry.domain, entry.key
         # ranking_from_scores too is looked up each time the rule runs
         return RuleUnderTest(
-            name, kind, lambda p: domain(p, tie, eps), lambda x: ranking_from_scores(key(x, tie, eps))
+            name, kind, lambda p: domain(p, tie, eps),
+            lambda x: ranking_from_scores(key(x, tie, eps)[1]), lambda x: key(x, tie, eps),
         )
     if entry.distribution is not None:
         distribution = entry.distribution

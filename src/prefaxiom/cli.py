@@ -38,11 +38,12 @@ from .axioms import (
     counterexample_search,
     iter_profiles,
     make_rule,
-    rule_weights,
+    rule_mle,
     run_check,
 )
 from .errors import (
     DisconnectedGraphError,
+    NotConstantTotalError,
     PrefaxiomError,
     SchemaError,
     SpaceTooLargeError,
@@ -64,7 +65,6 @@ from .reward import (
     StatusKind,
     embedding_residual,
     rank_by_scores,
-    scores as weight_scores,
     softmax,
     solve_mle,
     weights_standard,
@@ -91,9 +91,9 @@ def _jnum(x: float) -> float:
 
 def _frac(x) -> str:
     q = Fraction(x)
-    # exact scores can outgrow the interpreter's int-to-str digit limit
-    # (mle-gpm at n = 40 reaches ~9,000 digits); lift it for this one
-    # rendering only, so importing the package changes no global state
+    # exact fractions can outgrow the interpreter's int-to-str digit limit
+    # (gpmd at epsilon 1e-40 adds 40 digits per candidate); lift it for this
+    # one rendering only, so importing the package changes no global state
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -337,39 +337,29 @@ def _ranking_text(ranking: Ranking, labels) -> str:
 def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
     """Aggregate ranking of a profile under one rule."""
     profile = _read_profile(input)
-    policy = TiePolicy(tie_policy)
     # parsed for every rule, so malformed input exits 2 whichever rule is asked
-    eps_policy = _parse_epsilon(epsilon)
+    options = {"tie_policy": TiePolicy(tie_policy), "epsilon_policy": _parse_epsilon(epsilon)}
     labels = profile.candidates.names
     payload: dict = {"rule": rule}
     if rule == "mle-gpm":
         payload["epsilon"] = epsilon
-    solution = None
-    if rule == "borda":
-        scores = borda_scores(tally(profile))
-    elif rule == "copeland":
-        scores = copeland_scores(tally(profile), policy)
-    else:
-        weights = rule_weights(rule, profile, tie_policy=policy, epsilon_policy=eps_policy)
-        solution = solve_mle(weights)
-        # None exactly when pair totals differ: no exact scores to print
-        scores = None if weights.pair_total is None else weight_scores(weights)
-
-    if scores is None:
-        ranking = ranking_from_scores(solution.r, tol=1e-8)
-    else:
-        # the rule's exact key ranks like the printed scores, ties included,
-        # without sorting those large Fractions
-        ranking = make_rule(rule, RuleKind.ORDINAL, tie_policy=policy, epsilon_policy=eps_policy)(profile)
+    ordinal = make_rule(rule, RuleKind.ORDINAL, **options)
+    try:
+        common, key = ordinal.key(ordinal.domain(profile))
+    except NotConstantTotalError:
+        # an MLE rule's pair totals differ: no exact key, so its MLE rewards rank
+        key = None
+    fit = rule_mle(rule, profile, **options) if rule in PROBABILISTIC_RULES else None
+    ranking = ranking_from_scores(fit[0], tol=1e-8) if key is None else ranking_from_scores(key)
     payload["ranking"] = ranking.as_label_classes(profile.candidates)
     md = [f"# Ranking under {rule}", "", f"ranking: {_ranking_text(ranking, labels)}"]
-    if scores is not None:
-        rendered = [_frac(v) for v in scores]
+    if key is not None:
+        rendered = [_frac(Fraction(k, common)) for k in key]
         payload["scores"] = dict(zip(labels, rendered))
         md += ["", *_md_table(["candidate", "score"], zip(labels, rendered))]
-    if solution is not None:
-        status = solution.status
-        rewards = [_fmt(x) for x in solution.r]
+    if fit is not None:
+        r, status, dist = fit
+        rewards = [_fmt(x) for x in r]
         payload["solver"] = {
             "status": status.kind.value,
             "iterations": status.iterations,
@@ -387,11 +377,11 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
                 "",
                 "rewards: " + ", ".join(f"{label}={x}" for label, x in zip(labels, rewards)),
             ]
-        if solution.converged:
-            dist = [_fmt(x) for x in softmax(solution)]
+        if dist is not None:
+            dist = [_fmt(x) for x in dist]
             payload["softmax"] = {label: float(x) for label, x in zip(labels, dist)}
             md.append("softmax: " + ", ".join(f"{label}={x}" for label, x in zip(labels, dist)))
-        if scores is None:
+        if key is None:
             note = "pair totals differ, score shortcut unavailable; ranking from solved rewards"
             payload["notes"] = [note]
             md += ["", f"note: {note}"]

@@ -70,6 +70,10 @@ class SolverStatus:
     drift_down: tuple[int, ...] = ()
 
 
+# the status of rewards computed in closed form: no solve ran
+EXACT_STATUS = SolverStatus(StatusKind.CONVERGED, 0.0, 0)
+
+
 @dataclass(frozen=True)
 class RewardVector:
     """Per-candidate rewards in the sum-zero gauge, plus solver status."""
@@ -235,28 +239,9 @@ def scores(weights: WeightMatrix) -> tuple[Fraction, ...]:
     In constant-total mode the loss minimizer orders candidates exactly by
     these scores, so they stand in for the solver wherever only the ordering
     matters.
-
-    Each row's integer entries are summed directly, and its nonzero Fraction
-    entries by a product tree: pairwise as unreduced (numerator,
-    denominator) pairs, a/b + c/d = (ad + cb)/(bd), so that the operands of
-    each product stay balanced in size.  One Fraction per row reduces the
-    sum; the value is the same as any other exact summation's.
     """
     total = require_constant(weights.pair_total)
-    values = []
-    for row in weights.w:
-        whole, terms = 0, []
-        for x in row:
-            if type(x) is int:
-                whole += x
-            elif x:
-                terms.append((x.numerator, x.denominator))
-        while len(terms) > 1:
-            odd = terms[-1:] if len(terms) % 2 else []
-            terms = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])] + odd
-        num, den = terms[0] if terms else (0, 1)
-        values.append(Fraction((num + whole * den) * total.denominator, den * total.numerator))
-    return tuple(values)
+    return tuple(Fraction(sum(row)) / total for row in weights.w)
 
 
 def rank_by_scores(weights: WeightMatrix) -> Ranking:
@@ -361,21 +346,28 @@ def embedding_residual(t: PairwiseTally) -> float | None:
     return max(abs(s[i][j] - (s[i][0] - s[j][0])) for i in range(n) for j in range(n) if i != j)
 
 
+def centred_logs(odds: Sequence[Fraction]) -> tuple[float, ...]:
+    """The log of each positive exact ratio, from its integer parts, shifted to sum to zero.
+
+    These are the MLE rewards of weights in detailed balance with the odds.
+    """
+    r = [_log(x) for x in odds]
+    n = len(r)
+    mean = sum(r) / n
+    centered = [x - mean for x in r]
+    shift = sum(centered) / n  # second pass kills the last rounding drift
+    return tuple(x - shift for x in centered)
+
+
 def bt_embeddable(t: PairwiseTally) -> RewardVector | None:
     """Recover rewards with sigma(r_i - r_j) = P_ij, or None if impossible.
 
-    Decided exactly by `bt_odds`.  The rewards are the log-odds against
-    candidate 0, re-centered to the sum-zero gauge; no solve runs, so the
-    status is CONVERGED with grad_norm 0.0.
+    Decided exactly by `bt_odds`.  The rewards are the centred log-odds
+    against candidate 0; no solve runs, so the status is CONVERGED after 0
+    iterations with grad_norm 0.0.
     """
     t.require_all_pairs()
     odds = bt_odds(t)
     if odds is None:
         return None
-    r = [_log(x) for x in odds]
-    n = t.n
-    mean = sum(r) / n
-    centered = [x - mean for x in r]
-    shift = sum(centered) / n  # second pass kills the last rounding drift
-    centered = tuple(x - shift for x in centered)
-    return RewardVector(centered, SolverStatus(StatusKind.CONVERGED, 0.0, 0))
+    return RewardVector(centred_logs(odds), EXACT_STATUS)

@@ -15,12 +15,13 @@ from .profiles import (
 )
 
 
-def _borda_over_lcm(t: PairwiseTally) -> tuple[int, tuple[int, ...]]:
-    """L and every Borda score times L, all integers.
+def borda_points(t: PairwiseTally) -> tuple[int, tuple[int, ...]]:
+    """The Borda scores over one denominator: L, and every score times L, all integers.
 
     L is the lcm of the distinct pair totals.  Each total is at most m, so L
     stays small, and when every pair has the same total T it is T itself and
-    the points are the win row sums.
+    the points are the win row sums.  One common denominator ranks like the
+    scores themselves, so Borda and mle-standard both rank by these points.
     """
     t.require_all_pairs()
     w = t.wins
@@ -36,18 +37,9 @@ def _borda_over_lcm(t: PairwiseTally) -> tuple[int, tuple[int, ...]]:
     )
 
 
-def borda_points(t: PairwiseTally) -> tuple[int, ...]:
-    """Borda scores as integer numerators over L, the lcm of the distinct pair totals.
-
-    One common denominator ranks like the scores themselves, so Borda and
-    mle-standard both rank by these points.
-    """
-    return _borda_over_lcm(t)[1]
-
-
 def borda_scores(t: PairwiseTally) -> tuple[Fraction, ...]:
     """Sum of win proportions against every opponent (unnormalized): borda_points over L."""
-    common, points = _borda_over_lcm(t)
+    common, points = borda_points(t)
     return tuple(Fraction(p, common) for p in points)
 
 

@@ -16,19 +16,27 @@ from hypothesis import strategies as st
 
 from prefaxiom import (
     ORDINAL_AXIOMS,
+    ORDINAL_RULES,
     PROBABILISTIC_AXIOMS,
+    PROBABILISTIC_RULES,
+    Assumption1,
     EpsilonPolicy,
+    ExhaustiveComplete,
+    NotConstantTotalError,
+    PrefaxiomError,
+    RuleKind,
+    TiePolicy,
     complete_profile,
     default_labels,
     generate_complete,
     gpmd,
+    iter_profiles,
+    make_rule,
     parse_profile,
-    scores,
     serialize_profile,
     tally,
-    weights_gpm,
 )
-from prefaxiom.cli import _indented_json, main
+from prefaxiom.cli import _fmt, _indented_json, main
 from test_profiles import MALFORMED, malformed_bytes
 
 PARADOX = {
@@ -137,25 +145,42 @@ def test_rank_mle_divergence_reported(runner, tmp_path):
 
 
 def test_rank_mle_gpm_wide_rewards_converge_and_print_exact_scores(runner, tmp_path):
-    # 40 candidates at epsilon 1/1000: rewards span hundreds of units and the
-    # exact scores run to thousands of digits
+    # 40 candidates at epsilon 1/1000: p* spans hundreds of nats, where a
+    # float solve reported convergence with rewards 10.8 off the exact ones
     profile = generate_complete(40, 10, 1)
     path = tmp_path / "n40.json"
     path.write_bytes(serialize_profile(profile))
-    limit = sys.get_int_max_str_digits()
     res = runner.invoke(main, ["rank", str(path), "--rule", "mle-gpm", "--format", "json"])
-    assert sys.get_int_max_str_digits() == limit
     assert res.exit_code == 0, res.output
     doc = json.loads(res.output)
-    assert doc["solver"]["status"] == "converged"
-    expected = scores(weights_gpm(gpmd(profile, EpsilonPolicy.finite(Fraction(1, 1000)))))
+    pstar = gpmd(profile, EpsilonPolicy.finite(Fraction(1, 1000))).p
+    labels = profile.candidates.names
+    logs = [math.log(p.numerator) - math.log(p.denominator) for p in pstar]
+    centred = [x - math.fsum(logs) / len(logs) for x in logs]
+    assert max(abs(r - c) for r, c in zip(doc["solver"]["rewards"], centred)) < 1e-9
+    assert [doc["softmax"][label] for label in labels] == [float(_fmt(p)) for p in pstar]
+    assert (doc["solver"]["status"], doc["solver"]["iterations"], doc["solver"]["grad_norm"]) == (
+        "converged", 0, 0.0,
+    )
+    assert tuple(Fraction(doc["scores"][label]) for label in labels) == pstar
+
+
+def test_gpmd_prints_entries_past_the_int_digit_limit(runner, tmp_path):
+    # at epsilon 1e-40 each position carries 40 more digits, so p* at n = 120
+    # runs past the interpreter's default int-to-str limit of 4,300 digits
+    path = tmp_path / "n120.json"
+    path.write_bytes(serialize_profile(generate_complete(120, 1, 3)))
+    limit = sys.get_int_max_str_digits()
+    res = runner.invoke(main, ["gpmd", str(path), "--epsilon", "1e-40", "--format", "json"])
+    assert sys.get_int_max_str_digits() == limit
+    assert res.exit_code == 0, res.output
+    exact = json.loads(res.output)["distribution"].values()
+    assert max(len(v) for v in exact) > limit
     sys.set_int_max_str_digits(0)
     try:
-        printed = tuple(Fraction(doc["scores"][label]) for label in profile.candidates.names)
+        assert sum(Fraction(v) for v in exact) == 1
     finally:
         sys.set_int_max_str_digits(limit)
-    assert printed == expected
-    assert max(len(v) for v in doc["scores"].values()) > limit
 
 
 @pytest.fixture
@@ -917,11 +942,11 @@ PINNED = {
     "rank-mle-copeland-paradox-json": (0, "049a7ef80b18a302e21d36077b61cf33ed57ad237281842c22c9a186c5b2a558"),
     "rank-mle-copeland-paradox-markdown": (0, "9326bc3f61f8c04f9906c3414703301528090b2b1e70767f52e09e2a76bc1f86"),
     "rank-mle-gpm-four_voter-csv": (0, "2e8dfc551ce1deedfb9b9d9a3e9f7be0e5324aa7cf36382fd3a62fd061abf982"),
-    "rank-mle-gpm-four_voter-json": (0, "73fd5d79a634a8527cc0212798edfaa4fbda410f38aadbca82f20ea02cb50b63"),
-    "rank-mle-gpm-four_voter-markdown": (0, "6eaa3e21779484c470da370903c194f76db3981f0b5fb233448d79d73e4ac220"),
+    "rank-mle-gpm-four_voter-json": (0, "0c87e4812e0da769ed8dda2bc3c1c560c83b95a55ccbdb153eefc37b45334c45"),
+    "rank-mle-gpm-four_voter-markdown": (0, "3239dce54459e51567f9ed341945511d68ea910956f61f72894c15e69ed675cb"),
     "rank-mle-gpm-paradox-csv": (0, "0f9439afc882e9d8cf61a2dca4f3b22d2c3df5d7bd54f1c0c7054740292bdeba"),
-    "rank-mle-gpm-paradox-json": (0, "ceab7dd4b19755fa0cfd6eeb5eed22b54621436c722537578fbf204cea20b295"),
-    "rank-mle-gpm-paradox-markdown": (0, "f99f0c9f5451fc92333aa5f2c7715d74b812e8b6d77eac4ea388fe08365dcbcf"),
+    "rank-mle-gpm-paradox-json": (0, "07ffc42ebe6e4babec41b8d556c2401918c7ecba81a99677d00b323514c2b767"),
+    "rank-mle-gpm-paradox-markdown": (0, "e1ec5d7097ce6c7f52a9fd17f9e0ea39ccc2096722ce3aa905e5f57ad7b25fba"),
     "rank-mle-standard-four_voter-csv": (0, "2e8dfc551ce1deedfb9b9d9a3e9f7be0e5324aa7cf36382fd3a62fd061abf982"),
     "rank-mle-standard-four_voter-json": (0, "6081a16dd38cd9cbf6cf8730f8708727c5a6730df8243a8ea7227f1c63a41c51"),
     "rank-mle-standard-four_voter-markdown": (0, "fd1a02453eaf4086b7a916fa67971653b498590893ee981c7e75120cdf867ff3"),
@@ -955,8 +980,10 @@ def test_pinned_cli_output(case, runner, tmp_path, request):
 
 # Byte-identity pin for the exact arithmetic paths: the closed-form gpmd at
 # two smoothing levels on a wide profile, scores on uneven per-pair totals
-# (comparison voters), and mle-gpm's exact scores at n = 12.  Digests were
-# recorded on the Fraction-sum implementation these paths replaced.
+# (comparison voters), mle-gpm's exact key p* at n = 12 and n = 40 with its
+# MLE printed from p* itself, and an exact mle-standard MLE.  The gpmd and
+# uneven digests were recorded on the Fraction-sum implementation these
+# paths replaced.
 UNEVEN_WIDE = {
     "candidates": ["a", "b", "c", "d"],
     "voters": [
@@ -984,12 +1011,23 @@ def _arithmetic_matrix() -> dict[str, tuple[str, list[str]]]:
     # m = 20 is even: mle-copeland's tied pairs weigh Fraction(1, 2) each way
     cases["rank-mle-copeland-n30-json"] = ("n30", ["rank", "--rule", "mle-copeland", "--format", "json"])
     cases["rank-mle-gpm-n40-json"] = ("n40", ["rank", "--rule", "mle-gpm", "--format", "json"])
+    # win counts in detailed balance: mle-standard's MLE is exact, with no solve
+    for fmt in ("json", "markdown"):
+        cases[f"rank-mle-standard-bt-embeddable-{fmt}"] = (
+            "bt-embeddable", ["rank", "--rule", "mle-standard", "--format", fmt]
+        )
     return cases
 
 
 # cases whose digest covers only the exact members: the solver floats beside
 # them vary with the CPU's SIMD level
-EXACT_MEMBERS_ONLY = {"rank-mle-copeland-n30-json", "rank-mle-gpm-n40-json"}
+EXACT_MEMBERS_ONLY = {"rank-mle-copeland-n30-json"}
+
+# 15 voters whose win counts are 10:5, 10:5 and 12:3: the proportions 2/3,
+# 2/3 and 4/5 embed with odds 4 : 2 : 1
+BT_EMBEDDABLE = (
+    [["y1", "y2", "y3"]] * 8 + [["y1", "y3", "y2"]] * 2 + [["y2", "y1", "y3"]] * 2 + [["y3", "y2", "y1"]] * 3
+)
 
 
 def _arithmetic_profile(name: str) -> bytes:
@@ -1006,6 +1044,8 @@ def _arithmetic_profile(name: str) -> bytes:
         return serialize_profile(generate_complete(30, 20, 17))
     if name == "n40":
         return serialize_profile(generate_complete(40, 10, 5))
+    if name == "bt-embeddable":
+        return serialize_profile(complete_profile(default_labels(3), BT_EMBEDDABLE))
     return serialize_profile(generate_complete(12, 8, 5))
 
 
@@ -1016,8 +1056,8 @@ PINNED_ARITHMETIC = {
     "gpmd-1over3-n30-markdown": (0, "bb330fbdf4d8d4732d3b3bf79884b9fa203404518e522d8ec13cec91f675eda4"),
     "rank-borda-uneven-json": (0, "71301d858518bea45f7bb736b59e71f393176c357a70aa18fbf22f7d97b231f6"),
     "rank-borda-uneven-markdown": (0, "0750f4c7f76887ddb63e5cb5fec107be2b54f6167377bba00f6bcbacda3d224a"),
-    "rank-mle-gpm-n12-json": (0, "d28840775fd4f4f4b8166607ca9314f852af22140f7550aed10a548a3f8d8066"),
-    "rank-mle-gpm-n12-markdown": (0, "3cc179cd5c833f8eda41ef02e1d86a767e2ba59b833f653c5a0a36f35fdb245f"),
+    "rank-mle-gpm-n12-json": (0, "de8d16b414fc84353ef38c2c49710889e0a73a27478196487dbeccb0f78e1e26"),
+    "rank-mle-gpm-n12-markdown": (0, "65ada24fe5d208a11c81eddb8d3bb9b640b05c4b1b42dfaa4e32d39c6322b29d"),
     "rank-mle-gpm-uneven-json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "rank-mle-gpm-uneven-markdown": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "rank-mle-standard-uneven-json": (0, "93d18f89348ad70322c49b7b70aad5b2eecf88bdf41a6dffdbb143c3cbaa3dde"),
@@ -1029,7 +1069,9 @@ PINNED_ARITHMETIC = {
     # and one gcd per proportion
     "tally-n30-json": (0, "5b29ba1fcbeb1cca2d07f9965a47ee8d4afd309c22b36c611802b4fb42d32021"),
     "rank-mle-copeland-n30-json": (0, "9305459fb9ecaf7bdd3a9a418203e8170976dbb118df67883c53b2d4754f37e7"),
-    "rank-mle-gpm-n40-json": (0, "06fd22ef7c797394521d3d1bec08118c0e54709fe2dfc59c32cd4112d86d8d60"),
+    "rank-mle-gpm-n40-json": (0, "b60c82924aa5d9fdba878c73774e8542e8a435c2972d57cde5706a7230e3ddbd"),
+    "rank-mle-standard-bt-embeddable-json": (0, "8240275a66cdbe051557ca889c7769f048c001821f476070f78df16f80db87b3"),
+    "rank-mle-standard-bt-embeddable-markdown": (0, "3a04c81c4ec0042e200bae2010965a88e4fc42b044dcdcdd3d2f72c4a307530c"),
 }
 
 
@@ -1045,3 +1087,54 @@ def test_pinned_exact_arithmetic_output(case, runner, tmp_path):
         out = json.dumps({"scores": doc["scores"], "ranking": doc["ranking"]}).encode()
     digest = hashlib.sha256(out).hexdigest()
     assert (res.exit_code, digest) == PINNED_ARITHMETIC[case]
+
+
+def _rank_corpus():
+    """The documents above, an exact mle-standard MLE and two small exhaustive spaces."""
+    for doc in (PARADOX, FOUR_VOTER, UNJUDGED_PAIR, UNEVEN_TOTALS, UNEVEN_WIDE):
+        yield parse_profile(json.dumps(doc))
+    yield complete_profile(default_labels(3), BT_EMBEDDABLE)
+    yield generate_complete(4, 6, 66)  # a strict tie
+    yield generate_complete(12, 8, 5)
+    for space in (ExhaustiveComplete(3, 2), Assumption1(3)):
+        yield from iter_profiles(space)
+
+
+@pytest.mark.parametrize("tie_policy", TiePolicy)
+@pytest.mark.parametrize("rule", ORDINAL_RULES)
+def test_rank_prints_what_the_rule_table_gives(runner, tmp_path, rule, tie_policy):
+    path = tmp_path / "profile.json"
+    exact = 0
+    for profile in _rank_corpus():
+        path.write_bytes(serialize_profile(profile))
+        args = ["rank", str(path), "--rule", rule, "--tie-policy", tie_policy.value, "--format", "json"]
+        res = runner.invoke(main, args)
+        labels = profile.candidates.names
+        ordinal = make_rule(rule, RuleKind.ORDINAL, tie_policy=tie_policy)
+        try:
+            common, key = ordinal.key(ordinal.domain(profile))
+        except NotConstantTotalError:
+            # uneven pair totals: no exact key, so the solved rewards rank
+            assert res.exit_code == 3 or "scores" not in json.loads(res.stdout)
+            continue
+        except PrefaxiomError as e:
+            assert (res.exit_code, res.stderr) == (1, f"error: {e}\n")
+            continue
+        doc = json.loads(res.stdout)
+        assert doc["ranking"] == ordinal(profile).as_label_classes(profile.candidates)
+        assert doc["scores"] == {label: str(Fraction(k, common)) for label, k in zip(labels, key)}
+        if rule not in PROBABILISTIC_RULES:
+            continue
+        try:
+            dist = make_rule(rule, RuleKind.PROBABILISTIC, tie_policy=tie_policy)(profile)
+        except PrefaxiomError:
+            continue
+        # exact and positive: the table's MLE, with no solve
+        if all(type(x) is Fraction and x > 0 for x in dist):
+            exact += 1
+            assert doc["softmax"] == {label: float(_fmt(x)) for label, x in zip(labels, dist)}
+            assert (doc["solver"]["status"], doc["solver"]["iterations"]) == ("converged", 0)
+    # strict Copeland weights give a tied pair no weight either way, so they
+    # are never in detailed balance
+    if rule in PROBABILISTIC_RULES and (rule, tie_policy) != ("mle-copeland", TiePolicy.STRICT_ONLY):
+        assert exact > 0

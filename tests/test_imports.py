@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from prefaxiom import serialize_profile
-from test_cli import PINNED
+from prefaxiom import complete_profile, default_labels, serialize_profile
+from test_cli import BT_EMBEDDABLE, PINNED
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -101,11 +101,18 @@ def even_profile_path(tmp_path, four_voter) -> str:
     return str(path)
 
 
+@pytest.fixture
+def embeddable_profile_path(tmp_path) -> str:
+    path = tmp_path / "bt_embeddable.json"
+    path.write_bytes(serialize_profile(complete_profile(default_labels(3), BT_EMBEDDABLE)))
+    return str(path)
+
+
 def test_import_leaves_numpy_unloaded():
     assert _probe([]) == [["import", None, False]]
 
 
-def test_exact_commands_leave_numpy_unloaded(profile_path, even_profile_path):
+def test_exact_commands_leave_numpy_unloaded(profile_path, even_profile_path, embeddable_profile_path):
     commands = [
         ["tally", profile_path],
         ["rank", profile_path, "--rule", "borda"],
@@ -121,6 +128,10 @@ def test_exact_commands_leave_numpy_unloaded(profile_path, even_profile_path):
             "search", "--rule", "mle-gpm", "--axiom", "gpm",
             "--space", "exhaustive-complete:n=3,m=3", "--epsilon", "1/100",
         ],
+        # rank's MLE block is exact where the rule table is: p* itself for
+        # mle-gpm, and the odds of win counts in detailed balance
+        ["rank", profile_path, "--rule", "mle-gpm"],
+        ["rank", embeddable_profile_path, "--rule", "mle-standard", "--format", "json"],
         ["axioms", even_profile_path, "--rule", "mle-copeland", "--tie-policy", "strict"],
     ]
     report = _probe(commands)
@@ -130,9 +141,11 @@ def test_exact_commands_leave_numpy_unloaded(profile_path, even_profile_path):
 
 
 def test_first_float_solve_loads_numpy_and_matches_pinned_output(profile_path):
-    report = _probe([["rank", profile_path, "--rule", "mle-standard", "--format", "json"]])
-    assert [loaded for _, _, loaded in report] == [False, True]
-    assert tuple(report[1][:2]) == PINNED["rank-mle-standard-paradox-json"]
+    # the paradox's weights are not in detailed balance, so rank solves
+    for rule in ("mle-standard", "mle-copeland"):
+        report = _probe([["rank", profile_path, "--rule", rule, "--format", "json"]])
+        assert [loaded for _, _, loaded in report] == [False, True]
+        assert tuple(report[1][:2]) == PINNED[f"rank-{rule}-paradox-json"]
 
 
 def test_finite_epsilon_blocks_leave_numpy_unloaded():
