@@ -58,15 +58,13 @@ from .profiles import (
     tally,
 )
 from .reward import (
-    EXACT_STATUS,
-    SolverStatus,
+    RewardVector,
     WeightMatrix,
     bt_odds,
-    centred_logs,
+    fit_mle,
     require_constant,
     require_positive,
     softmax,
-    solve_mle,
     top_component,
     weights_copeland,
     weights_gpm,
@@ -406,39 +404,22 @@ def _mle_domain(weights: WeightMatrix) -> tuple[WeightMatrix, tuple[int, ...]]:
     return weights, top_component(weights)
 
 
-def _mle_softmax(weights: WeightMatrix) -> ResponseDistribution:
-    """The softmax of the MLE rewards of a strongly connected weight matrix.
-
-    Exact, with no solve, when `bt_odds` finds the weights in detailed
-    balance: the odds q against candidate 0 have w_ij * q_j == w_ji * q_i on
-    every pair, so the gradient at r = log q is exactly 0, and with every
-    pair weighed both ways that minimiser is the only one (Ford 1957); its
-    softmax is q normalised.  Otherwise the float softmax of the solved
-    rewards.
-    """
-    odds = bt_odds(weights)
-    if odds is None:
-        return softmax(solve_mle(weights))
-    total = sum(odds)
-    return ResponseDistribution(tuple(q / total for q in odds))
-
-
 def _mle_distribution(domain: tuple[WeightMatrix, tuple[int, ...]]) -> ResponseDistribution:
     """Softmax of the MLE rewards, or its ridge -> 0 limit when a smaller top makes them infinite.
 
     Along the ridge path the top component's rewards pull away from every
     other candidate's while their differences inside the component tend to
     the component's own MLE, so the limit is that component's softmax and
-    zero elsewhere.  `_mle_softmax` gives the whole matrix's softmax or the
-    component's, exact and with no solve when its weights factor.
+    zero elsewhere.  Either softmax is of a `fit_mle` fit, exact and with no
+    solve when its weights factor.
     """
     weights, top = domain
     if len(top) == weights.n:
-        return _mle_softmax(weights)
+        return softmax(fit_mle(weights))
     if len(top) == 1:
         inner = (1.0,)
     else:
-        inner = _mle_softmax(WeightMatrix([[weights.w[i][j] for j in top] for i in top]))
+        inner = softmax(fit_mle(WeightMatrix([[weights.w[i][j] for j in top] for i in top])))
     # zero elsewhere, exact beside an exact component
     probs = [0 * inner[0]] * weights.n
     for i, p in zip(top, inner):
@@ -538,28 +519,17 @@ def rule_mle(
     *,
     tie_policy: TiePolicy = TiePolicy.HALF_POINT,
     epsilon_policy: EpsilonPolicy | None = None,
-) -> tuple[tuple[float, ...], SolverStatus, ResponseDistribution | None]:
-    """An MLE rule's rewards in the sum-zero gauge, their solver status, and their softmax.
+) -> RewardVector:
+    """An MLE rule's fit: its rewards in the sum-zero gauge and their status.
 
-    Exact, with no solve, where the rule's probabilistic form is exact: the
-    odds are mle-gpm's distribution p*, with no weight matrix built, or the
-    `bt_odds` of the rule's weights.  The rewards are then the centred log
-    odds, the status EXACT_STATUS, and the softmax the odds normalised.
-    Elsewhere the weights are solved in floats, with no softmax unless the
-    solve converged.  ValueError for a rule with no weights.
+    mle-gpm's is exact from its distribution p*, its weights' MLE softmax,
+    with no weight matrix built; any other rule's is `fit_mle` of its
+    weights.  ValueError for a rule with no weights.
     """
     entry = _RULES.get(name, _Rule())
-    # mle-gpm: its distribution is its weights' exact MLE softmax
     if entry.weights and entry.distribution:
-        dist = entry.distribution(profile, tie_policy, epsilon_policy)
-        return centred_logs(dist.p), EXACT_STATUS, dist
-    weights = rule_weights(name, profile, tie_policy=tie_policy, epsilon_policy=epsilon_policy)
-    odds = bt_odds(weights)
-    if odds is None:
-        solution = solve_mle(weights)
-        return solution.r, solution.status, softmax(solution) if solution.converged else None
-    total = sum(odds)
-    return centred_logs(odds), EXACT_STATUS, ResponseDistribution(tuple(q / total for q in odds))
+        return RewardVector.exact(entry.distribution(profile, tie_policy, epsilon_policy).p)
+    return fit_mle(rule_weights(name, profile, tie_policy=tie_policy, epsilon_policy=epsilon_policy))
 
 
 def make_rule(

@@ -350,7 +350,7 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
         # an MLE rule's pair totals differ: no exact key, so its MLE rewards rank
         key = None
     fit = rule_mle(rule, profile, **options) if rule in PROBABILISTIC_RULES else None
-    ranking = ranking_from_scores(fit[0], tol=1e-8) if key is None else ranking_from_scores(key)
+    ranking = ranking_from_scores(fit.r, tol=1e-8) if key is None else ranking_from_scores(key)
     payload["ranking"] = ranking.as_label_classes(profile.candidates)
     md = [f"# Ranking under {rule}", "", f"ranking: {_ranking_text(ranking, labels)}"]
     if key is not None:
@@ -358,8 +358,8 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
         payload["scores"] = dict(zip(labels, rendered))
         md += ["", *_md_table(["candidate", "score"], zip(labels, rendered))]
     if fit is not None:
-        r, status, dist = fit
-        rewards = [_fmt(x) for x in r]
+        status = fit.status
+        rewards = [_fmt(x) for x in fit.r]
         payload["solver"] = {
             "status": status.kind.value,
             "iterations": status.iterations,
@@ -377,12 +377,13 @@ def cmd_rank(input: str, rule: str, tie_policy: str, epsilon: str, fmt: str):
                 "",
                 "rewards: " + ", ".join(f"{label}={x}" for label, x in zip(labels, rewards)),
             ]
-        if dist is not None:
-            dist = [_fmt(x) for x in dist]
+        if fit.converged:
+            dist = [_fmt(x) for x in softmax(fit)]
             payload["softmax"] = {label: float(x) for label, x in zip(labels, dist)}
             md.append("softmax: " + ", ".join(f"{label}={x}" for label, x in zip(labels, dist)))
         if key is None:
-            note = "pair totals differ, score shortcut unavailable; ranking from solved rewards"
+            how = "solved" if fit.odds is None else "closed-form MLE"
+            note = f"pair totals differ, score shortcut unavailable; ranking from {how} rewards"
             payload["notes"] = [note]
             md += ["", f"note: {note}"]
     rows = [["class", "candidate"]]

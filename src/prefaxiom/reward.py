@@ -12,9 +12,10 @@ cross-checked against exact rational scores.
 
 Everything here is exact except the float solve: its numpy code lives in the
 private `_newton` module, which the float functions (`solve_mle`, `loss`,
-`gradient`, `softmax`, and `WeightMatrix.array` in `profiles`, where a tally
-is the weight matrix of its win counts) import on first call, so that
-exact-only work never pays numpy's import.
+`gradient`, `softmax` of solved rewards, and `WeightMatrix.array` in
+`profiles`, where a tally is the weight matrix of its win counts) import on
+first call, so that exact-only work never pays numpy's import.  `fit_mle` is
+the one place that picks the closed-form MLE or the solve.
 """
 from __future__ import annotations
 
@@ -70,21 +71,42 @@ class SolverStatus:
     drift_down: tuple[int, ...] = ()
 
 
-# the status of rewards computed in closed form: no solve ran
-EXACT_STATUS = SolverStatus(StatusKind.CONVERGED, 0.0, 0)
-
-
 @dataclass(frozen=True)
 class RewardVector:
-    """Per-candidate rewards in the sum-zero gauge, plus solver status."""
+    """Per-candidate rewards in the sum-zero gauge, plus solver status.
+
+    `odds` holds the exact ratios exp(r_i - r_j), up to one common factor,
+    when the rewards came in closed form and no solve ran; else None.
+    """
 
     r: tuple[float, ...]
     status: SolverStatus
+    odds: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "r", tuple(float(x) for x in self.r))
-        if self.status.kind is StatusKind.CONVERGED and abs(sum(self.r)) > 1e-12:
+        r = tuple(float(x) for x in self.r)
+        object.__setattr__(self, "r", r)
+        # the rounding left in a centred sum grows with the count and size of
+        # the rewards; a reward that is not finite leaves no finite bound
+        bound = 1e-12 * len(r) * max((1.0, *map(abs, r)))
+        if self.status.kind is StatusKind.CONVERGED and not abs(sum(r)) <= bound < math.inf:
             raise ValueError("converged rewards must sum to zero within 1e-12")
+
+    @classmethod
+    def exact(cls, odds: Sequence[Fraction]) -> "RewardVector":
+        """The MLE rewards of weights in detailed balance with these positive exact ratios.
+
+        Each is the log of its ratio, from its integer parts, shifted to sum
+        to zero.  No solve runs, so the status is CONVERGED after 0
+        iterations with grad_norm 0.0, and `odds` keeps the ratios.
+        """
+        r = [_log(x) for x in odds]
+        n = len(r)
+        mean = sum(r) / n
+        centered = [x - mean for x in r]
+        shift = sum(centered) / n  # second pass kills the last rounding drift
+        r = tuple(x - shift for x in centered)
+        return cls(r, SolverStatus(StatusKind.CONVERGED, 0.0, 0), tuple(odds))
 
     @property
     def converged(self) -> bool:
@@ -250,11 +272,18 @@ def rank_by_scores(weights: WeightMatrix) -> Ranking:
 
 
 def softmax(r: "RewardVector | Sequence[float]") -> ResponseDistribution:
-    """Softmax of rewards; RewardVector inputs must be converged."""
+    """Softmax of rewards; RewardVector inputs must be converged.
+
+    A closed-form fit's softmax is its odds normalised: exact, with no numpy.
+    """
+    if isinstance(r, RewardVector):
+        if not r.converged:
+            raise NotConvergedError("softmax needs a converged reward vector")
+        if r.odds is not None:
+            total = sum(r.odds)
+            return ResponseDistribution(tuple(q / total for q in r.odds))
     from . import _newton
 
-    if isinstance(r, RewardVector) and not r.converged:
-        raise NotConvergedError("softmax needs a converged reward vector")
     return ResponseDistribution(_newton.softmax(_values(r)))
 
 
@@ -346,28 +375,25 @@ def embedding_residual(t: PairwiseTally) -> float | None:
     return max(abs(s[i][j] - (s[i][0] - s[j][0])) for i in range(n) for j in range(n) if i != j)
 
 
-def centred_logs(odds: Sequence[Fraction]) -> tuple[float, ...]:
-    """The log of each positive exact ratio, from its integer parts, shifted to sum to zero.
-
-    These are the MLE rewards of weights in detailed balance with the odds.
-    """
-    r = [_log(x) for x in odds]
-    n = len(r)
-    mean = sum(r) / n
-    centered = [x - mean for x in r]
-    shift = sum(centered) / n  # second pass kills the last rounding drift
-    return tuple(x - shift for x in centered)
-
-
 def bt_embeddable(t: PairwiseTally) -> RewardVector | None:
     """Recover rewards with sigma(r_i - r_j) = P_ij, or None if impossible.
 
-    Decided exactly by `bt_odds`.  The rewards are the centred log-odds
-    against candidate 0; no solve runs, so the status is CONVERGED after 0
-    iterations with grad_norm 0.0.
+    Decided exactly by `bt_odds`; the rewards are `RewardVector.exact` of the
+    odds against candidate 0, so no solve runs and their softmax is exact.
     """
     t.require_all_pairs()
     odds = bt_odds(t)
-    if odds is None:
-        return None
-    return RewardVector(centred_logs(odds), EXACT_STATUS)
+    return None if odds is None else RewardVector.exact(odds)
+
+
+def fit_mle(weights: WeightMatrix) -> RewardVector:
+    """The MLE rewards of a weight matrix: in closed form when its odds factor, else solved.
+
+    When `bt_odds` finds the weights in detailed balance, the odds q against
+    candidate 0 have w_ij * q_j == w_ji * q_i on every pair, so the gradient
+    at r = log q is exactly 0, and with every pair weighed both ways that
+    minimiser is the only one (Ford 1957): the fit is `RewardVector.exact(q)`
+    and no solve runs.  Any other weights go to `solve_mle`.
+    """
+    odds = bt_odds(weights)
+    return solve_mle(weights) if odds is None else RewardVector.exact(odds)

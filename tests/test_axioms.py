@@ -28,6 +28,7 @@ from prefaxiom import (
     PROBABILISTIC_RULES,
     RULE_NAMES,
     PreferenceProfile,
+    PrefaxiomError,
     RandomComplete,
     Ranking,
     ResponseDistribution,
@@ -65,6 +66,8 @@ from prefaxiom import (
     weights_copeland,
     weights_standard,
 )
+from prefaxiom.axioms import rule_mle
+from test_cli import _rank_corpus
 
 FIXTURE_GAP = 0.07063496451193108  # fixed-point oracle for the 4-voter profile
 
@@ -456,6 +459,47 @@ def test_probabilistic_mle_gpm_builds_no_weight_matrix(monkeypatch):
     rule = make_rule("mle-gpm", RuleKind.PROBABILISTIC, epsilon_policy=policy)
     outcome = counterexample_search(rule, "gpm", ExhaustiveComplete(3, 3), epsilon_policy=policy)
     assert (outcome.found, outcome.examined, outcome.applicable) == (False, 216, 216)
+
+
+def _uneven_comparison_profiles(rng: random.Random, count: int):
+    """Comparison voters judging random subsets of pairs, so pair totals mostly differ."""
+    for _ in range(count):
+        labels = default_labels(rng.randint(3, 5))
+        voters = {}
+        for v in range(rng.randint(2, 7)):
+            order = rng.sample(labels, len(labels))
+            pairs = [p for p in itertools.combinations(order, 2) if rng.random() < 0.6]
+            if pairs:
+                voters[f"v{v}"] = pairs
+        if voters:
+            yield generalized_profile(labels, voters)
+
+
+def test_rank_fit_and_probabilistic_rule_are_one_mle():
+    # rank's MLE block softmaxes rule_mle; the probabilistic rule softmaxes
+    # the same fit wherever the weights are strongly connected
+    profiles = [*_rank_corpus(), *_uneven_comparison_profiles(random.Random(7), 300)]
+    cases = [("mle-standard", tie) for tie in TiePolicy]
+    cases += [("mle-copeland", tie) for tie in TiePolicy] + [("mle-gpm", TiePolicy.HALF_POINT)]
+    seen = Counter()
+    for (name, tie), profile in itertools.product(cases, profiles):
+        try:
+            if name != "mle-gpm" and not minimizer_exists(rule_weights(name, profile, tie_policy=tie)):
+                continue
+            fit = rule_mle(name, profile, tie_policy=tie)
+        except PrefaxiomError:
+            continue
+        if not fit.converged:
+            continue
+        dist = make_rule(name, RuleKind.PROBABILISTIC, tie_policy=tie)(profile)
+        fitted = softmax(fit)
+        assert fitted.p == dist.p
+        assert [type(x) for x in fitted] == [type(x) for x in dist]
+        seen[name, fit.odds is not None] += 1
+    # mle-standard and mle-copeland fit both ways, mle-gpm always in closed form
+    both = {(rule, closed) for rule in ("mle-standard", "mle-copeland") for closed in (True, False)}
+    assert set(seen) == both | {("mle-gpm", True)}
+    assert sum(seen.values()) > 600
 
 
 def test_mle_rules_coincide_on_assumption1_tournaments():

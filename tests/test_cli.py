@@ -221,6 +221,34 @@ def test_rank_mle_copeland_strict_ranks_from_solved_rewards(runner, strict_tie_f
     assert "ranking: y1 > (y2 = y4) > y3\n" in runner.invoke(main, args).stdout
 
 
+# a > b 2:1, b > c 2:1, a > c 4:1: pair totals 3, 3 and 5, and the win counts
+# are in detailed balance with odds 4 : 2 : 1
+BALANCED_UNEVEN = {
+    "candidates": ["a", "b", "c"],
+    "voters": [
+        {"id": "v1", "comparisons": [["a", "b"], ["b", "c"], ["a", "c"]]},
+        {"id": "v2", "comparisons": [["a", "b"], ["b", "c"], ["a", "c"]]},
+        {"id": "v3", "comparisons": [["b", "a"], ["c", "b"], ["c", "a"]]},
+        {"id": "v4", "comparisons": [["a", "c"]]},
+        {"id": "v5", "comparisons": [["a", "c"]]},
+    ],
+}
+
+
+def test_rank_notes_closed_form_rewards_on_uneven_totals(runner, tmp_path):
+    args = ["rank", _write(tmp_path, BALANCED_UNEVEN), "--rule", "mle-standard"]
+    note = "pair totals differ, score shortcut unavailable; ranking from closed-form MLE rewards"
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0
+    assert "solver converged in 0 iterations, grad norm 0\n" in res.stdout
+    assert "softmax: a=0.571428571429, b=0.285714285714, c=0.142857142857\n" in res.stdout
+    assert res.stdout.endswith(f"\nnote: {note}\n")
+    res = runner.invoke(main, [*args, "--format", "json"])
+    assert res.exit_code == 0
+    doc = json.loads(res.stdout)
+    assert doc["notes"] == [note] and doc["ranking"] == [["a"], ["b"], ["c"]]
+
+
 def test_axioms_mle_copeland_strict_needs_a_constant_pair_total(runner, strict_tie_file):
     res = runner.invoke(main, ["axioms", strict_tie_file, "--rule", "mle-copeland", "--tie-policy", "strict"])
     assert res.exit_code == 1

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from prefaxiom import complete_profile, default_labels, serialize_profile
-from test_cli import BT_EMBEDDABLE, PINNED
+from test_cli import BALANCED_UNEVEN, BT_EMBEDDABLE, PINNED
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -38,17 +38,18 @@ print(json.dumps(report))
 """
 
 
-# gpmd under both policies, preference matching's exact target and the weight
-# graph's reachability questions, through the library: prints whether numpy
-# loaded
+# gpmd under both policies, preference matching's exact target, closed-form
+# MLE fits and the weight graph's reachability questions, through the
+# library: prints whether numpy loaded
 LIBRARY_PROBE = """
 import sys
 from fractions import Fraction
 from prefaxiom import (
-    Comparison, DisconnectedGraphError, EpsilonPolicy, WeightMatrix, bt_odds,
-    complete_profile, gpmd, is_transitive, minimizer_exists, scores, tally, top_component,
-    weights_standard,
+    Comparison, DisconnectedGraphError, EpsilonPolicy, WeightMatrix, bt_embeddable,
+    complete_profile, gpmd, is_transitive, minimizer_exists, scores, softmax, tally,
+    top_component, weights_standard,
 )
+from prefaxiom.reward import fit_mle
 profile = complete_profile(["a", "b", "c"], [["a", "b", "c"], ["c", "b", "a"]])
 # a tally is mle-standard's weight matrix: its exact questions need no numpy
 t = tally(profile)
@@ -57,8 +58,12 @@ assert minimizer_exists(t) and top_component(t) == (0, 1, 2)
 assert scores(t) == (1, 1, 1)
 assert gpmd(profile, EpsilonPolicy.finite(Fraction(1, 100))).p[1] == Fraction(99, 9901)
 assert gpmd(profile, EpsilonPolicy.limit()).p == (Fraction(1, 2), 0, Fraction(1, 2))
-odds = bt_odds(tally(profile))
-assert tuple(x / sum(odds) for x in odds) == (Fraction(1, 3),) * 3
+# an embeddable tally's softmax (its bt_odds normalised), and the fit of
+# weights in detailed balance whose pair totals differ, come in closed form
+dist = softmax(bt_embeddable(t))
+assert dist.p == (Fraction(1, 3),) * 3 and all(type(x) is Fraction for x in dist)
+fit = fit_mle(WeightMatrix([[0, 3, 6], [1, 0, 3], [4, 6, 0]]))
+assert fit.odds == (1, Fraction(1, 3), Fraction(2, 3)) and fit.status.iterations == 0
 chain = WeightMatrix([[0, 1, 1], [1, 0, 1], [0, 0, 0]])
 assert not minimizer_exists(chain) and top_component(chain) == (0, 1)
 try:
@@ -108,11 +113,20 @@ def embeddable_profile_path(tmp_path) -> str:
     return str(path)
 
 
+@pytest.fixture
+def balanced_uneven_path(tmp_path) -> str:
+    path = tmp_path / "balanced_uneven.json"
+    path.write_text(json.dumps(BALANCED_UNEVEN))
+    return str(path)
+
+
 def test_import_leaves_numpy_unloaded():
     assert _probe([]) == [["import", None, False]]
 
 
-def test_exact_commands_leave_numpy_unloaded(profile_path, even_profile_path, embeddable_profile_path):
+def test_exact_commands_leave_numpy_unloaded(
+    profile_path, even_profile_path, embeddable_profile_path, balanced_uneven_path
+):
     commands = [
         ["tally", profile_path],
         ["rank", profile_path, "--rule", "borda"],
@@ -132,6 +146,8 @@ def test_exact_commands_leave_numpy_unloaded(profile_path, even_profile_path, em
         # mle-gpm, and the odds of win counts in detailed balance
         ["rank", profile_path, "--rule", "mle-gpm"],
         ["rank", embeddable_profile_path, "--rule", "mle-standard", "--format", "json"],
+        # uneven pair totals whose win counts are in detailed balance
+        ["rank", balanced_uneven_path, "--rule", "mle-standard"],
         ["axioms", even_profile_path, "--rule", "mle-copeland", "--tie-policy", "strict"],
     ]
     report = _probe(commands)

@@ -68,6 +68,27 @@ def test_only_converged_rewards_must_sum_to_zero(kind):
         assert RewardVector((1.0, 0.0), status).r == (1.0, 0.0)
 
 
+def test_wide_exact_rewards_pass_the_sum_zero_check():
+    # 200 logs of ~600-digit integers, centred twice, still sum to about 1e-12
+    # from rounding alone; the bound scales with their count and size
+    policy = EpsilonPolicy.finite(Fraction(1, 1000))
+    pstar = gpmd(generate_complete(200, 50, 11), policy)
+    # win counts w_ij = N_i, the numerators of p* over its common denominator
+    common = math.lcm(*(x.denominator for x in pstar))
+    n = [x.numerator * (common // x.denominator) for x in pstar]
+    t = PairwiseTally([[0 if i == j else n[i] for j in range(200)] for i in range(200)])
+    fit = bt_embeddable(t)
+    assert fit.converged and fit.status.iterations == 0
+    assert softmax(fit).p == pstar.p
+    for seed in range(1, 30):
+        pstar = gpmd(generate_complete(200, 50, seed), policy)
+        assert RewardVector.exact(pstar.p).odds == pstar.p
+    # the bound stays narrow, and rewards that are not finite have none
+    for r in ((1.0, 0.0), (math.inf, 0.0), (math.nan, 0.0), (math.inf, -math.inf)):
+        with pytest.raises(ValueError, match="converged rewards must sum to zero"):
+            RewardVector(r, SolverStatus(StatusKind.CONVERGED, 0.0, 0))
+
+
 @pytest.mark.parametrize("fn", [loss, gradient])
 @pytest.mark.parametrize("r", [(0.0, 0.0), (0.0,) * 4])
 def test_loss_and_gradient_refuse_reward_vectors_of_the_wrong_length(fn, r):

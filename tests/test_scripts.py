@@ -46,8 +46,17 @@ def test_script_runs_and_prints_its_table(script, args, header):
 # every rule x axiom verdict of the audit matrix, over its default spaces and
 # 50 random trials; a change that means to alter a verdict re-pins this
 AUDIT_TRIALS_50_SHA256 = "cca57e3f59dc0fa15354eb0962c93855ecb5526ad5c5b8d827312e66aba35dcd"
+# the probabilistic mle-standard rule on the 4-voter example and on 200
+# random profiles, its largest gap and where it falls; a change to the MLE
+# path that moves a fit shows here
+GAP_TRIALS_200_SHA256 = "3a633f66eb910693e37d34279638f0e1de4bd56121065110d61946fcb327b5e9"
 
 
 def test_axiom_audit_output_is_pinned():
     stdout = _run("axiom_audit.py", "--trials", "50")
     assert hashlib.sha256(stdout).hexdigest() == AUDIT_TRIALS_50_SHA256
+
+
+def test_gap_search_output_is_pinned():
+    stdout = _run("gap_search.py", "--trials", "200")
+    assert hashlib.sha256(stdout).hexdigest() == GAP_TRIALS_200_SHA256
